@@ -25,6 +25,7 @@ from .errors import (
     ScheduleInvalid,
     ScheduleStuck,
     SizeLimitExceeded,
+    SolverInvariantError,
 )
 from .hypergraph import (
     DEFAULT_AUTOMORPHISM_LIMIT,

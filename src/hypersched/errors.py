@@ -123,6 +123,10 @@ class ScheduleStuck(HyperschedError):
         )
 
 
+class SolverInvariantError(HyperschedError):
+    """An internal solver guarantee failed; this is a bug, not a bad input."""
+
+
 class ParseError(HyperschedError):
     def __init__(self, path, line, message):
         self.path = path

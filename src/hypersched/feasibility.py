@@ -12,7 +12,7 @@ import dataclasses
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .errors import DemandUnmet, DurationExceedsOne, NotIndependent
+from .errors import DemandUnmet, DurationExceedsOne, NotIndependent, SolverInvariantError
 from .hypergraph import (
     Hypergraph,
     enumerate_independent_sets,
@@ -148,7 +148,10 @@ def fractional_chromatic_number(
     )
     lp = LinearProgram(k, (_ONE,) * k, constraints)
     sol = solve_lp(lp, "min")
-    assert sol.status is LpStatus.OPTIMAL, sol.status  # coverage LP is always feasible
+    if sol.status is not LpStatus.OPTIMAL:
+        raise SolverInvariantError(
+            f"coverage LP reported {sol.status.value}; it is always feasible and bounded"
+        )
     witness = Schedule(
         tuple((sets[j], t) for j, t in enumerate(sol.assignment) if t != 0)
     )

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypersched import DemandVector, IntervalSet
+from hypersched import DemandVector, IntervalSet, LpSolution, LpStatus, feasibility
 from hypersched.cli import main
 from hypersched.formats import (
     format_demand_line,
@@ -237,6 +237,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "indep-sets", files["star"])
         assert code == 2
         assert "HS_SIZE_LIMIT" in err
+
+    def test_solver_invariant_exit(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(
+            feasibility, "solve_lp", lambda lp, sense: LpSolution(LpStatus.INFEASIBLE)
+        )
+        code, out, err = run(capsys, "chi-f", files["star"], "--demand", files["demand"])
+        assert code == 2
+        assert out == ""
+        assert "coverage LP" in err
 
     def test_missing_file(self, files, capsys):
         code, _, err = run(capsys, "metrics", str(files["dir"] / "nope.hg"))

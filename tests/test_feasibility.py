@@ -10,16 +10,23 @@ from hypersched import (
     DemandVector,
     DurationExceedsOne,
     Hypergraph,
+    LinearProgram,
+    LpSolution,
+    LpStatus,
     NotIndependent,
     Schedule,
+    SolverInvariantError,
     enumerate_maximal_independent_sets,
     fractional_chromatic_number,
     incidence_matrix,
     is_feasible,
+    minimalize,
     permute_demand,
+    solve_lp,
     automorphisms,
     validate_schedule,
 )
+from hypersched import feasibility
 from conftest import random_demand, random_hypergraph
 
 F = Fraction
@@ -177,3 +184,113 @@ class TestDemandVector:
     def test_characteristic(self):
         tau = DemandVector.characteristic(4, {1, 3})
         assert tau.values == (0, 1, 0, 1)
+
+
+def pinned_instance(seed):
+    """A seeded random hypergraph on 12-15 links with 2N edges of 2-4 links,
+    and a demand of 1/d per link."""
+    rng = random.Random(seed)
+    n = rng.randint(12, 15)
+    raw = [rng.sample(range(n), rng.randint(2, 4)) for _ in range(2 * n)]
+    h = minimalize(n, raw)
+    tau = tuple(F(1, rng.randint(1, 6)) for _ in range(n))
+    return h, tau
+
+
+# chi_f and its witness schedule (sets and durations, in order) for
+# pinned_instance(seed).  The witness is the simplex's final basis, so any
+# change in the pivot sequence shows up here.
+PINNED_CHI_F = (
+    (1, F('3/2'), (
+        ((0, 1, 2, 3, 4, 5), F('37/60')),
+        ((0, 1, 2, 3, 8, 9), F('1/20')),
+        ((0, 1, 2, 4, 5, 7), F('1/6')),
+        ((0, 1, 2, 5, 7, 9, 10), F('1/60')),
+        ((0, 1, 4, 5, 7, 10), F('7/60')),
+        ((0, 3, 5, 9, 12), F('2/15')),
+        ((1, 2, 5, 6, 7, 10), F('1/5')),
+        ((1, 3, 8, 11, 12), F('1/5')),
+    )),
+    (2, F('2'), (
+        ((0, 1, 2, 4, 6, 11), F('4/5')),
+        ((0, 1, 2, 4, 7, 11), F('1/5')),
+        ((0, 1, 6, 8, 9), F('1/3')),
+        ((0, 1, 6, 8, 10), F('1/6')),
+        ((1, 3, 4, 6, 8), F('1/6')),
+        ((3, 4, 5, 6, 8), F('1/3')),
+    )),
+    (3, F('19/15'), (
+        ((0, 1, 2, 3, 6, 9), F('1/5')),
+        ((0, 1, 2, 3, 8, 12), F('2/15')),
+        ((0, 1, 2, 6, 10), F('1/15')),
+        ((0, 1, 3, 6, 8, 10), F('1/60')),
+        ((0, 2, 3, 5, 8, 12), F('2/15')),
+        ((0, 2, 5, 6, 11, 12), F('1/15')),
+        ((0, 3, 6, 7, 8, 10), F('1/4')),
+        ((1, 2, 3, 4, 6, 8), F('4/15')),
+        ((1, 2, 6, 8, 11), F('2/15')),
+    )),
+    (4, F('7/3'), (
+        ((0, 1, 2, 4, 5, 6), F('5/6')),
+        ((0, 1, 2, 6, 9, 10), F('7/12')),
+        ((0, 1, 2, 8, 9, 10), F('1/4')),
+        ((0, 2, 3, 6, 7, 11), F('1/3')),
+        ((0, 2, 3, 6, 9, 10), F('1/6')),
+        ((0, 2, 4, 5, 6, 12), F('1/6')),
+    )),
+    (5, F('5/4'), (
+        ((0, 1, 3, 4, 6, 8, 10, 11, 13), F('1/12')),
+        ((0, 1, 4, 6, 8, 9, 10, 11, 12), F('1/12')),
+        ((0, 1, 4, 6, 8, 10, 11, 12, 13), F('1/4')),
+        ((0, 2, 4, 6, 8, 9, 10, 11), F('1/6')),
+        ((0, 2, 5, 6, 10, 12), F('1/6')),
+        ((1, 3, 4, 7, 8, 9, 10, 11), F('1/4')),
+        ((1, 4, 6, 7, 8, 9, 10, 11), F('1/6')),
+        ((1, 5, 6, 7, 8, 10), F('1/12')),
+    )),
+)
+
+
+class TestPinnedWitness:
+    @pytest.mark.parametrize(
+        "seed, value, entries", PINNED_CHI_F, ids=[f"seed{seed}" for seed, _, _ in PINNED_CHI_F]
+    )
+    def test_value_and_witness(self, seed, value, entries):
+        h, tau = pinned_instance(seed)
+        result = fractional_chromatic_number(h, tau)
+        assert result.value == value
+        assert [(tuple(sorted(s)), d) for s, d in result.witness.entries] == list(entries)
+
+
+class TestChiFDuals:
+    def test_duals_certify_chi_f(self):
+        # Built as fractional_chromatic_number builds it: y >= 0, y(S) <= 1
+        # for every maximal independent set S and y . tau == chi_f.
+        rng = random.Random(59)
+        for _ in range(15):
+            h = random_hypergraph(rng, max_links=10, max_edges=8)
+            tau = random_demand(rng, h.num_links)
+            sets = enumerate_maximal_independent_sets(h)
+            lp = LinearProgram(
+                len(sets),
+                (1,) * len(sets),
+                tuple(
+                    (tuple(1 if i in s else 0 for s in sets), ">=", tau[i])
+                    for i in range(h.num_links)
+                ),
+            )
+            sol = solve_lp(lp, "min")
+            y = sol.duals
+            assert sol.value == fractional_chromatic_number(h, tau).value
+            assert all(v >= 0 for v in y)
+            assert all(sum(y[i] for i in s) <= 1 for s in sets)
+            assert sum(v * t for v, t in zip(y, tau)) == sol.value
+
+
+class TestSolverInvariant:
+    def test_non_optimal_coverage_lp_raises(self, triangle, monkeypatch):
+        monkeypatch.setattr(
+            feasibility, "solve_lp", lambda lp, sense: LpSolution(LpStatus.INFEASIBLE)
+        )
+        with pytest.raises(SolverInvariantError, match="infeasible"):
+            fractional_chromatic_number(triangle, DemandVector((1, 1, 1)))

@@ -1,11 +1,13 @@
-"""Exact simplex: golden cases, exactness invariants, duality spot-check."""
+"""Exact simplex: golden cases, exactness invariants, duality spot-check,
+dual certificates."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from hypersched import LinearProgram, LpStatus, solve_lp
+from hypersched import LinearProgram, LpStatus, SolverInvariantError, solve_lp
+from hypersched import lp as lp_module
 
 
 def check_exact(lp, sol):
@@ -25,6 +27,26 @@ def check_exact(lp, sol):
     assert sum(c * v for c, v in zip(lp.objective, x)) == sol.value
 
 
+def check_duals(lp, sense, sol):
+    """The reported duals must certify optimality exactly: strong duality
+    (y . rhs == value), the sign each relation allows, and dual feasibility
+    of every column."""
+    assert sol.status is LpStatus.OPTIMAL
+    y = sol.duals
+    assert len(y) == len(lp.constraints)
+    assert all(isinstance(v, Fraction) for v in y)
+    assert sum(v * rhs for v, (_, _, rhs) in zip(y, lp.constraints)) == sol.value
+    s = 1 if sense == "max" else -1
+    for v, (_, rel, _) in zip(y, lp.constraints):
+        if rel == "<=":
+            assert s * v >= 0
+        elif rel == ">=":
+            assert s * v <= 0
+    for j, c in enumerate(lp.objective):
+        column = sum(v * coeffs[j] for v, (coeffs, _, _) in zip(y, lp.constraints))
+        assert s * column >= s * c
+
+
 class TestGoldens:
     def test_ratio_lp(self):
         # maximize 21a + 2b subject to 9a + b <= 1; vertices give 0, 7/3, 2.
@@ -32,7 +54,9 @@ class TestGoldens:
         sol = solve_lp(lp, "max")
         assert sol.value == Fraction(7, 3)
         assert sol.assignment == (Fraction(1, 9), Fraction(0))
+        assert sol.duals == (Fraction(7, 3),)
         check_exact(lp, sol)
+        check_duals(lp, "max", sol)
 
     def test_zero_bound(self):
         sol = solve_lp(LinearProgram(1, (1,), (((1,), "<=", 0),)), "max")
@@ -53,19 +77,39 @@ class TestGoldens:
         sol = solve_lp(lp, "min")
         assert sol.value == 2
         assert sol.assignment == (1, 1)
+        assert sol.duals == (Fraction(1, 3), Fraction(1, 3))
         check_exact(lp, sol)
+        check_duals(lp, "min", sol)
 
     def test_equality_constraint(self):
         lp = LinearProgram(2, (1, 2), (((1, 1), "=", 1),))
         sol = solve_lp(lp, "max")
         assert sol.value == 2
         assert sol.assignment == (0, 1)
+        assert sol.duals == (2,)
+        check_duals(lp, "max", sol)
 
     def test_negative_rhs_normalization(self):
         # -x <= -2 is x >= 2.
         lp = LinearProgram(1, (-1,), (((-1,), "<=", -2),))
         sol = solve_lp(lp, "max")
         assert sol.value == -2
+        assert sol.duals == (1,)
+        check_duals(lp, "max", sol)
+
+    def test_redundant_equality_row_gets_zero_dual(self):
+        # The second row is twice the first; phase 1 drops it.
+        lp = LinearProgram(
+            2, (1, 3), (((1, 1), "=", 1), ((2, 2), "=", 2), ((1, 0), "<=", 1))
+        )
+        sol = solve_lp(lp, "max")
+        assert sol.value == 3
+        assert sol.duals == (3, 0, 0)
+        check_duals(lp, "max", sol)
+
+    def test_no_constraints(self):
+        sol = solve_lp(LinearProgram(2, (-1, 0)), "max")
+        assert (sol.value, sol.assignment, sol.duals) == (0, (0, 0), ())
 
     def test_min_of_infeasible(self):
         lp = LinearProgram(1, (1,), (((1,), "<=", -1),))
@@ -119,6 +163,7 @@ class TestRandomized:
             assert sol.status in (LpStatus.OPTIMAL, LpStatus.UNBOUNDED)
             if sol.status is LpStatus.OPTIMAL:
                 check_exact(lp, sol)
+                check_duals(lp, "max", sol)
 
     def test_duality(self):
         # max c.x st Ax <= b, x >= 0  vs  min b.y st A^T y >= c, y >= 0.
@@ -143,8 +188,50 @@ class TestRandomized:
             if primal_sol.status is LpStatus.OPTIMAL:
                 assert dual_sol.status is LpStatus.OPTIMAL
                 assert primal_sol.value == dual_sol.value
+                check_duals(lp, "max", primal_sol)
+                check_duals(dual, "min", dual_sol)
                 optimal_pairs += 1
             else:
                 assert primal_sol.status is LpStatus.UNBOUNDED
                 assert dual_sol.status is LpStatus.INFEASIBLE
         assert optimal_pairs >= 20
+
+    def test_duals_on_mixed_relations(self):
+        # Fractional coefficients, all three relations, negative right-hand
+        # sides and duplicated equality rows, in both senses.
+        rng = random.Random(37)
+        optimal = 0
+        for _ in range(200):
+            n = rng.randint(1, 5)
+
+            def value():
+                return Fraction(rng.randint(-4, 6), rng.choice((1, 2, 3, 5)))
+
+            cons = []
+            for _ in range(rng.randint(1, 5)):
+                row = tuple(value() for _ in range(n))
+                cons.append((row, rng.choice(("<=", ">=", "=")), value()))
+                if rng.random() < 0.2:
+                    k = rng.randint(1, 3)
+                    cons.append((tuple(k * a for a in row), "=", k * cons[-1][2]))
+            lp = LinearProgram(n, tuple(value() for _ in range(n)), tuple(cons))
+            sense = rng.choice(("max", "min"))
+            sol = solve_lp(lp, sense)
+            if sol.status is LpStatus.OPTIMAL:
+                check_exact(lp, sol)
+                check_duals(lp, sense, sol)
+                optimal += 1
+            else:
+                assert sol.duals is None
+        assert optimal >= 20
+
+
+class TestSolverInvariants:
+    def test_phase_one_unbounded_raises(self, monkeypatch):
+        def unbounded(T, basis, d, ncols):
+            return "unbounded", d
+
+        monkeypatch.setattr(lp_module, "_run_simplex", unbounded)
+        lp = LinearProgram(1, (1,), (((1,), ">=", 1),))
+        with pytest.raises(SolverInvariantError, match="phase 1"):
+            solve_lp(lp, "max")

@@ -10,15 +10,21 @@ limits of the enumeration and automorphism operations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 
 from . import __version__
 from .errors import (
+    EdgeRowSumTooSmall,
     EdgeTooSmall,
+    EntryOutOfRange,
     HyperschedError,
+    InvalidWeightMatrix,
+    NonzeroDiagonal,
     NotAntichain,
+    NotSymmetric,
     ParseError,
     ScheduleStuck,
     SizeLimitExceeded,
@@ -31,6 +37,7 @@ from .formats import (
     parse_demand_text,
     parse_hypergraph_text,
     parse_weight_text,
+    weight_row_line,
 )
 from .greedy import (
     check_delta_condition,
@@ -104,8 +111,37 @@ def _load_demand(path, h):
     return DemandVector(values)
 
 
-def _load_weights(path, h):
-    return parse_weight_text(_read(path), path, h.num_links)
+def _weight_fault(e):
+    """(0-based row, message with 1-based labels) of a weight-matrix fault."""
+    if isinstance(e, EdgeRowSumTooSmall):
+        return e.link, (
+            f"sum of W[{e.link + 1}][j] over edge {_labels(e.edge)} is {e.total}, must be >= 1"
+        )
+    if isinstance(e, NonzeroDiagonal):
+        return e.i, f"W[{e.i + 1}][{e.i + 1}] = {e.value}, diagonal must be zero"
+    i, j = e.i + 1, e.j + 1
+    if isinstance(e, NotSymmetric):
+        return e.i, f"W[{i}][{j}] != W[{j}][{i}]"
+    if isinstance(e, EntryOutOfRange):
+        return e.i, f"W[{i}][{j}] = {e.value} is outside [0, 1]"
+    return e.i, f"W[{i}][{j}] = {e.value} but links {i} and {j} share no edge"
+
+
+@contextlib.contextmanager
+def _weights(path, h):
+    """The weight matrix of the file at ``path``, or the delta matrix when
+    ``path`` is None.  A weight-matrix fault raised while parsing the file
+    or inside the ``with`` block becomes a ParseError naming the file and the
+    line of the offending row."""
+    if path is None:
+        yield delta_matrix(h)
+        return
+    text = _read(path)
+    try:
+        yield parse_weight_text(text, path, h.num_links)
+    except InvalidWeightMatrix as e:
+        row, message = _weight_fault(e)
+        raise ParseError(path, weight_row_line(text, row), message) from None
 
 
 def _emit_json(obj):
@@ -195,10 +231,10 @@ def _parse_order(text, n):
 def cmd_schedule(args):
     h = _load_hypergraph(args.file)
     tau = _load_demand(args.demand, h)
-    w = _load_weights(args.w, h) if args.w else delta_matrix(h)
-    order = _parse_order(args.order, h.num_links) if args.order else None
     try:
-        assigned = greedy_schedule(h, w, tau, order)
+        with _weights(args.w, h) as w:
+            order = _parse_order(args.order, h.num_links) if args.order else None
+            assigned = greedy_schedule(h, w, tau, order)
     except ScheduleStuck as e:
         if args.json:
             _emit_json(
@@ -237,8 +273,8 @@ def cmd_check(args):
     elif args.rule == "cor4":
         report = check_delta_condition(h, tau)
     else:
-        w = _load_weights(args.w, h) if args.w else delta_matrix(h)
-        report = check_weighted_condition(h, w, tau)
+        with _weights(args.w, h) as w:
+            report = check_weighted_condition(h, w, tau)
     if args.json:
         _emit_json(
             {

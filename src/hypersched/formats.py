@@ -89,18 +89,39 @@ def parse_demand_text(text, path="<input>"):
 
 
 def parse_weight_text(text, path="<input>", n=None):
-    """Parse a weight matrix: one row of rationals per line."""
+    """Parse a weight matrix: one row of rationals per line.  Only nonzero
+    entries are kept (a `0` token is skipped without being parsed)."""
     rows = []
+    widths = set()
+    # Weight files repeat a few values many times; each is parsed once.
+    parsed = {}
+
+    def value(token, lineno):
+        v = parsed.get(token)
+        if v is None:
+            v = parsed[token] = _parse_fraction(token, path, lineno)
+        return v
+
     for lineno, line in _significant_lines(text):
-        rows.append(tuple(_parse_fraction(t, path, lineno) for t in line.split()))
+        tokens = line.split()
+        widths.add(len(tokens))
+        rows.append({j: value(t, lineno) for j, t in enumerate(tokens) if t != "0"})
     if not rows:
         raise ParseError(path, 1, "empty weight matrix")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows) or len(rows) != width:
+    width = widths.pop() if len(widths) == 1 else None
+    if width != len(rows):
         raise ParseError(path, 1, f"weight matrix must be square, got {len(rows)} rows")
     if n is not None and width != n:
         raise ParseError(path, 1, f"weight matrix is {width}x{width}, hypergraph has {n} links")
-    return WeightMatrix(tuple(rows))
+    return WeightMatrix(width, tuple(rows))
+
+
+def weight_row_line(text, row):
+    """Line number of the 0-based ``row`` of a weight file (1 if missing)."""
+    for k, (lineno, _) in enumerate(_significant_lines(text)):
+        if k == row:
+            return lineno
+    return 1
 
 
 def format_set(links) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -33,50 +34,90 @@ _ONE = Fraction(1)
 
 @dataclasses.dataclass(frozen=True)
 class WeightMatrix:
-    """Square rational matrix of pairwise interference weights."""
+    """Symmetric rational matrix of pairwise interference weights, stored
+    sparsely.
 
-    entries: tuple
+    ``rows[i]`` maps each link j with W[i][j] != 0 to that weight, in
+    increasing j; ``w[i, j]`` reads 0 off that support.  Construction takes
+    ``n`` and one mapping ``{j: weight}`` per link, drops zero entries and
+    raises NonzeroDiagonal / NotSymmetric; :meth:`from_rows` takes dense rows.
+    The checks that need the hypergraph are :func:`validate_weight_matrix`.
+    """
+
+    n: int
+    rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(v) for v in row) for row in self.entries)
-        n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("weight matrix must be square")
-        object.__setattr__(self, "entries", rows)
+        n = self.n
+        if len(self.rows) != n:
+            raise ValueError(f"weight matrix has {len(self.rows)} rows, expected {n}")
+        rows = []
+        for i, row in enumerate(self.rows):
+            kept = {}
+            for j in sorted(row):
+                v = row[j]
+                if type(v) is not Fraction:
+                    v = Fraction(v)
+                if v:
+                    if not 0 <= j < n:
+                        raise ValueError(f"column {j} outside 0..{n - 1}")
+                    kept[j] = v
+            if i in kept:
+                raise NonzeroDiagonal(i, kept[i])
+            rows.append(kept)
+        for i, row in enumerate(rows):
+            for j, v in row.items():
+                u = rows[j].get(i)
+                if u is not v and u != v:
+                    raise NotSymmetric(min(i, j), max(i, j))
+        object.__setattr__(self, "rows", tuple(rows))
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
+    @classmethod
+    def from_rows(cls, dense) -> "WeightMatrix":
+        """The matrix with the given dense square rows."""
+        dense = [tuple(row) for row in dense]
+        n = len(dense)
+        if any(len(row) != n for row in dense):
+            raise ValueError("weight matrix must be square")
+        return cls(n, tuple(dict(enumerate(row)) for row in dense))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return self.rows[i].get(j, _ZERO)
+
+
+def _exact_sum(terms) -> Fraction:
+    """Sum of ``(numerator, denominator)`` pairs, taken in ints over their
+    common denominator and normalized once, instead of adding Fractions one
+    by one (each addition normalizes)."""
+    terms = list(terms)
+    den = lcm(*(d for _, d in terms))
+    return Fraction(sum(n * (den // d) for n, d in terms), den)
 
 
 def validate_weight_matrix(h: Hypergraph, w: WeightMatrix) -> None:
-    """Check admissibility: symmetric, entries in [0,1], zero diagonal,
-    support only on neighbor pairs, and row sums >= 1 within every edge."""
+    """Check the rest of admissibility: entries in [0,1], support only on
+    neighbor pairs, and row sums >= 1 within every edge.  Symmetry and the
+    zero diagonal hold by construction.  Each check scans the stored entries
+    in row-major order, so the first fault reported is the one a dense scan
+    would find first."""
     n = h.num_links
     if w.n != n:
         raise ValueError(f"matrix is {w.n}x{w.n}, hypergraph has {n} links")
-    for i in range(n):
-        if w.entries[i][i] != 0:
-            raise NonzeroDiagonal(i, w.entries[i][i])
-        for j in range(n):
-            v = w.entries[i][j]
-            if not (_ZERO <= v <= _ONE):
+    for i, row in enumerate(w.rows):
+        for j, v in row.items():
+            if not 0 <= v.numerator <= v.denominator:
                 raise EntryOutOfRange(i, j, v)
-            if v != w.entries[j][i]:
-                raise NotSymmetric(i, j)
-    nbr = [neighbors(h, i) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and w.entries[i][j] != 0 and j not in nbr[i]:
-                raise NonNeighborNonzero(i, j, w.entries[i][j])
+    for i, row in enumerate(w.rows):
+        if row:
+            nbr = neighbors(h, i)
+            for j, v in row.items():
+                if j not in nbr:
+                    raise NonNeighborNonzero(i, j, v)
     for edge in h.edges:
         for i in edge:
-            total = sum((w.entries[i][j] for j in edge), _ZERO)
+            row = w.rows[i]
+            total = _exact_sum(row[j].as_integer_ratio() for j in edge if j in row)
             if total < 1:
                 raise EdgeRowSumTooSmall(edge, i, total)
 
@@ -84,16 +125,16 @@ def validate_weight_matrix(h: Hypergraph, w: WeightMatrix) -> None:
 def delta_matrix(h: Hypergraph) -> WeightMatrix:
     """Canonical admissible weights: for neighbors i, j the largest
     1/(|E|-1) over the edges containing both, zero elsewhere."""
-    n = h.num_links
-    rows = [[_ZERO] * n for _ in range(n)]
-    for es in h.edge_sets:
-        wt = Fraction(1, len(es) - 1)
-        members = sorted(es)
-        for i in members:
-            for j in members:
-                if i != j and wt > rows[i][j]:
-                    rows[i][j] = wt
-    return WeightMatrix(tuple(tuple(r) for r in rows))
+    rows = [{} for _ in range(h.num_links)]
+    # Smallest edges first, so the first weight set for a pair is its largest.
+    for edge in sorted(h.edges, key=len):
+        wt = Fraction(1, len(edge) - 1)
+        for i in edge:
+            row = rows[i]
+            for j in edge:
+                if j != i:
+                    row.setdefault(j, wt)
+    return WeightMatrix(h.num_links, tuple(rows))
 
 
 class ConditionReport(NamedTuple):
@@ -101,33 +142,44 @@ class ConditionReport(NamedTuple):
     per_link: tuple
 
 
+def _link_sums(w: WeightMatrix, tau) -> tuple:
+    """Per link i: tau[i] + sum_j W[i][j] * tau[j], over the stored entries."""
+    out = []
+    for t, row in zip(tau, w.rows):
+        terms = [t.as_integer_ratio()]
+        for j, v in row.items():
+            s = tau[j]
+            terms.append((v.numerator * s.numerator, v.denominator * s.denominator))
+        out.append(_exact_sum(terms))
+    return tuple(out)
+
+
 def check_edge_min_condition(h: Hypergraph, tau) -> ConditionReport:
     """Per link: demand plus, for each edge through it, the smallest demand
     among the edge's other links.  Holds when every total is <= 1."""
     tau = as_demand(h, tau)
+    edges = h.edges
     per = []
-    for i in range(h.num_links):
-        total = tau[i]
-        for es in h.edge_sets:
-            if i in es:
-                total += min(tau[j] for j in es if j != i)
-        per.append(total)
+    for i, ks in enumerate(h.incidence):
+        terms = [tau[i].as_integer_ratio()]
+        for k in ks:
+            terms.append(min(tau[j] for j in edges[k] if j != i).as_integer_ratio())
+        per.append(_exact_sum(terms))
     return ConditionReport(all(v <= 1 for v in per), tuple(per))
 
 
 def check_weighted_condition(h: Hypergraph, w: WeightMatrix, tau) -> ConditionReport:
     """Per link i: tau[i] + sum_j W[i][j] * tau[j].  Holds when all <= 1."""
     validate_weight_matrix(h, w)
-    tau = as_demand(h, tau)
-    per = tuple(
-        tau[i] + sum((w.entries[i][j] * tau[j] for j in range(h.num_links) if j != i), _ZERO)
-        for i in range(h.num_links)
-    )
+    per = _link_sums(w, as_demand(h, tau))
     return ConditionReport(all(v <= 1 for v in per), per)
 
 
 def check_delta_condition(h: Hypergraph, tau) -> ConditionReport:
-    return check_weighted_condition(h, delta_matrix(h), tau)
+    """The weighted condition for the delta matrix, admissible by
+    construction."""
+    per = _link_sums(delta_matrix(h), as_demand(h, tau))
+    return ConditionReport(all(v <= 1 for v in per), per)
 
 
 def _normalize_order(h: Hypergraph, order) -> tuple:
@@ -145,9 +197,10 @@ def _blocked_time(h: Hypergraph, assigned, link) -> IntervalSet:
     """Union over the edges through ``link`` whose other links are all
     scheduled of the slots those links share."""
     pieces = []
-    for es in h.edge_sets:
-        if link in es and all(assigned[j] is not None for j in es if j != link):
-            pieces.append(intersect_all([assigned[j] for j in es if j != link]))
+    for k in h.incidence[link]:
+        others = [assigned[j] for j in h.edges[k] if j != link]
+        if all(js is not None for js in others):
+            pieces.append(intersect_all(others))
     return union_all(pieces)
 
 
@@ -196,11 +249,7 @@ def greedy_step_bound(h: Hypergraph, w: WeightMatrix, assigned, link) -> StepBou
     already-scheduled demands.  For admissible ``w``, lhs <= rhs always."""
     lhs = _blocked_time(h, assigned, link).measure
     rhs = sum(
-        (
-            w.entries[link][j] * assigned[j].measure
-            for j in range(h.num_links)
-            if j != link and assigned[j] is not None
-        ),
+        (v * assigned[j].measure for j, v in w.rows[link].items() if assigned[j] is not None),
         _ZERO,
     )
     return StepBound(lhs, rhs)

@@ -58,6 +58,16 @@ class Hypergraph:
     def edge_sets(self) -> tuple:
         return tuple(frozenset(e) for e in self.edges)
 
+    @cached_property
+    def incidence(self) -> tuple:
+        """Per link, the indices of the edges through it, in edge order.
+        Needs every link id in range (see :func:`validate_hypergraph`)."""
+        inc = [[] for _ in range(self.num_links)]
+        for k, edge in enumerate(self.edges):
+            for v in edge:
+                inc[v].append(k)
+        return tuple(tuple(ks) for ks in inc)
+
     @property
     def links(self) -> range:
         return range(self.num_links)
@@ -107,11 +117,13 @@ def validate_hypergraph(h: Hypergraph) -> None:
         for v in edge:
             if not 0 <= v < h.num_links:
                 raise LinkOutOfRange(edge, v, h.num_links)
+    # Only an edge through min(a) can contain edge a; scanning those in edge
+    # order reports the same first (a, b) pair as a scan of all pairs.
     sets = h.edge_sets
-    for a in range(len(sets)):
-        for b in range(len(sets)):
+    for a, edge in enumerate(h.edges):
+        for b in h.incidence[edge[0]]:
             if a != b and sets[a] <= sets[b]:
-                raise NotAntichain(h.edges[a], h.edges[b])
+                raise NotAntichain(edge, h.edges[b])
 
 
 def minimalize(num_links: int, raw_edges: Iterable[Iterable[int]]) -> Hypergraph:
@@ -132,28 +144,35 @@ def minimalize(num_links: int, raw_edges: Iterable[Iterable[int]]) -> Hypergraph
         if t not in seen:
             seen.add(t)
             canon.append(t)
+    # An edge b inside edge a has min(b) in a, so only edges whose smallest
+    # link lies in a are tested.
     sets = [frozenset(t) for t in canon]
+    by_min: dict = {}
+    for b, t in enumerate(canon):
+        by_min.setdefault(t[0], []).append(b)
     minimal = [
         canon[a]
         for a in range(len(canon))
-        if not any(b != a and sets[b] <= sets[a] for b in range(len(canon)))
+        if not any(
+            b != a and sets[b] <= sets[a] for v in canon[a] for b in by_min.get(v, ())
+        )
     ]
     return Hypergraph(num_links, tuple(minimal))
 
 
 def neighbors(h: Hypergraph, i: int) -> frozenset:
     """Links that share at least one edge with link ``i``."""
+    sets = h.edge_sets
     out = set()
-    for es in h.edge_sets:
-        if i in es:
-            out |= es
+    for k in h.incidence[i]:
+        out |= sets[k]
     out.discard(i)
     return frozenset(out)
 
 
 def edges_containing(h: Hypergraph, i: int) -> list:
     """Edges through link ``i``, in the hypergraph's edge order."""
-    return [e for e in h.edges if i in e]
+    return [h.edges[k] for k in h.incidence[i]]
 
 
 def is_independent(h: Hypergraph, links: Iterable[int]) -> bool:
@@ -243,10 +262,7 @@ def automorphisms(h: Hypergraph, limit: int | None = None) -> list:
     n = h.num_links
     family = set(h.edge_sets)
 
-    def signature(v):
-        return tuple(sorted(len(es) for es in h.edge_sets if v in es))
-
-    sigs = [signature(v) for v in range(n)]
+    sigs = [tuple(sorted(len(h.edges[k]) for k in h.incidence[v])) for v in range(n)]
     candidates = [[w for w in range(n) if sigs[w] == sigs[v]] for v in range(n)]
     # Edges checkable once link k is assigned: those whose largest member is k.
     edges_closed_at = [[] for _ in range(n)]

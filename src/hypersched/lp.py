@@ -34,6 +34,11 @@ class LpStatus(Enum):
     UNBOUNDED = "unbounded"
 
 
+def _as_fraction(v) -> Fraction:
+    """``v`` as a Fraction; one that already is one is kept, not rebuilt."""
+    return v if type(v) is Fraction else Fraction(v)
+
+
 @dataclasses.dataclass(frozen=True)
 class LinearProgram:
     """maximize (or minimize) objective . x subject to the constraint rows.
@@ -47,17 +52,17 @@ class LinearProgram:
     constraints: tuple = ()
 
     def __post_init__(self):
-        obj = tuple(Fraction(c) for c in self.objective)
+        obj = tuple(map(_as_fraction, self.objective))
         if len(obj) != self.num_vars:
             raise ValueError(f"objective has {len(obj)} entries, expected {self.num_vars}")
         rows = []
         for coeffs, rel, rhs in self.constraints:
-            row = tuple(Fraction(c) for c in coeffs)
+            row = tuple(map(_as_fraction, coeffs))
             if len(row) != self.num_vars:
                 raise ValueError(f"constraint row has {len(row)} entries, expected {self.num_vars}")
             if rel not in RELATIONS:
                 raise ValueError(f"unknown relation {rel!r}")
-            rows.append((row, rel, Fraction(rhs)))
+            rows.append((row, rel, _as_fraction(rhs)))
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "constraints", tuple(rows))
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .errors import SizeLimitExceeded
 from .feasibility import DemandVector, as_demand
-from .greedy import delta_matrix
+from .greedy import _link_sums, delta_matrix
 from .hypergraph import (
     DEFAULT_SIZE_LIMIT,
     Hypergraph,
@@ -38,12 +38,7 @@ class BBound(NamedTuple):
 
 def b_bound(h: Hypergraph, tau) -> BBound:
     """Per link i: tau[i] + sum_j Delta[i][j] * tau[j]; value is the max."""
-    tau = as_demand(h, tau)
-    d = delta_matrix(h).entries
-    per = tuple(
-        tau[i] + sum((d[i][j] * tau[j] for j in range(h.num_links) if j != i), _ZERO)
-        for i in range(h.num_links)
-    )
+    per = _link_sums(delta_matrix(h), as_demand(h, tau))
     return BBound(max(per), per)
 
 
@@ -57,9 +52,12 @@ def _delta_int_rows(h: Hypergraph):
 
     Exact speed trick: the subset searches below then run on plain ints.
     """
-    d = delta_matrix(h).entries
-    den = lcm(1, *(v.denominator for row in d for v in row))
-    rows = [[int(v * den) for v in row] for row in d]
+    d = delta_matrix(h).rows
+    den = lcm(1, *(v.denominator for row in d for v in row.values()))
+    rows = [[0] * h.num_links for _ in d]
+    for row, out in zip(d, rows):
+        for j, v in row.items():
+            out[j] = v.numerator * (den // v.denominator)
     return den, rows
 
 

@@ -1,6 +1,7 @@
 """CLI contract: byte-exact reports, exit codes, round-trips, --json."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -398,3 +399,75 @@ class TestRoundTrips:
         body = "links 4\n" + "\n".join(out.splitlines()[1:]) + "\n"
         h, _ = parse_hypergraph_text(body)
         assert h.edges == ((0, 1),)
+
+
+PATH_FILE = """\
+links 3
+edge 1 2
+edge 2 3
+"""
+
+
+class TestWeightFileErrors:
+    """Weight-matrix faults name the file, the line of the offending row and
+    1-based links, like every other diagnostic; the exit code is 2."""
+
+    def run_weights(self, capsys, files, text, command="check"):
+        hg = files["dir"] / "path.hg"
+        hg.write_text(PATH_FILE)
+        dfile = files["dir"] / "zero.demand"
+        dfile.write_text("demand 0 0 0\n")
+        wfile = files["dir"] / "w.txt"
+        wfile.write_text(text)
+        argv = [command, str(hg), "--demand", str(dfile), "--w", str(wfile)]
+        if command == "check":
+            argv += ["--rule", "thm3"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        return err.replace(str(wfile), "W")
+
+    def test_off_support(self, files, capsys):
+        err = self.run_weights(capsys, files, "# weights\n0 1 1/2\n1 0 1\n1/2 1 0\n")
+        assert err == "error: W:2: W[1][3] = 1/2 but links 1 and 3 share no edge\n"
+
+    def test_row_sum(self, files, capsys):
+        err = self.run_weights(capsys, files, "0 1 0\n1 0 0\n0 0 0\n", "schedule")
+        assert err == "error: W:2: sum of W[2][j] over edge 2 3 is 0, must be >= 1\n"
+
+    def test_out_of_range(self, files, capsys):
+        err = self.run_weights(capsys, files, "0 2 0\n2 0 1\n0 1 0\n")
+        assert err == "error: W:1: W[1][2] = 2 is outside [0, 1]\n"
+
+    def test_asymmetric(self, files, capsys):
+        err = self.run_weights(capsys, files, "0 1 0\n1/2 0 1\n0 1 0\n", "schedule")
+        assert err == "error: W:1: W[1][2] != W[2][1]\n"
+
+    def test_nonzero_diagonal(self, files, capsys):
+        err = self.run_weights(capsys, files, "0 1 0\n1 0 1\n0 1 1/3\n")
+        assert err == "error: W:3: W[3][3] = 1/3, diagonal must be zero\n"
+
+
+class TestLargeSparse:
+    """A file with many links and one tiny edge costs time in the number of
+    links, not its square: each call stays far below the bound."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--rule", "cor4"],
+            ["check", "--rule", "thm3"],
+            ["schedule"],
+        ],
+    )
+    def test_links_3000_single_edge(self, files, capsys, argv):
+        hg = files["dir"] / "big.hg"
+        hg.write_text("links 3000\nedge 1 2 3\n")
+        dfile = files["dir"] / "big.demand"
+        dfile.write_text("demand " + " ".join(["1/3"] * 3000) + "\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, argv[0], str(hg), "--demand", str(dfile), *argv[1:])
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert len(out.splitlines()) == 3000 + (argv[0] == "check")
+        assert elapsed < 5.0

@@ -33,7 +33,7 @@ F = Fraction
 
 
 def zero_matrix(n):
-    return WeightMatrix(tuple((F(0),) * n for _ in range(n)))
+    return WeightMatrix.from_rows((F(0),) * n for _ in range(n))
 
 
 class TestWeightMatrix:
@@ -50,17 +50,17 @@ class TestWeightMatrix:
         w = [[F(0)] * 3 for _ in range(3)]
         w[0][0] = F(1)
         with pytest.raises(NonzeroDiagonal):
-            validate_weight_matrix(triangle, WeightMatrix(tuple(map(tuple, w))))
+            validate_weight_matrix(triangle, WeightMatrix.from_rows(w))
 
     def test_asymmetric(self, triangle):
         w = [[F(0), F(1), F(1)], [F(1, 2), F(0), F(1)], [F(1), F(1), F(0)]]
         with pytest.raises(NotSymmetric):
-            validate_weight_matrix(triangle, WeightMatrix(tuple(map(tuple, w))))
+            validate_weight_matrix(triangle, WeightMatrix.from_rows(w))
 
     def test_entry_out_of_range(self, triangle):
         w = [[F(0), F(2), F(1)], [F(2), F(0), F(1)], [F(1), F(1), F(0)]]
         with pytest.raises(EntryOutOfRange):
-            validate_weight_matrix(triangle, WeightMatrix(tuple(map(tuple, w))))
+            validate_weight_matrix(triangle, WeightMatrix.from_rows(w))
 
     def test_non_neighbor_support(self):
         h = Hypergraph(4, ((0, 1), (2, 3)))
@@ -69,7 +69,7 @@ class TestWeightMatrix:
         w[2][3] = w[3][2] = F(1)
         w[0][2] = w[2][0] = F(1, 2)
         with pytest.raises(NonNeighborNonzero):
-            validate_weight_matrix(h, WeightMatrix(tuple(map(tuple, w))))
+            validate_weight_matrix(h, WeightMatrix.from_rows(w))
 
     def test_delta_values_star(self, star2x4):
         d = delta_matrix(star2x4)

@@ -88,6 +88,57 @@ class TestValidate:
         assert h.edges == ((0, 2), (1, 3))
 
 
+def raw_family(rng, n, count):
+    """Random edges of 2..4 links, with subsets and duplicates likely."""
+    out = []
+    for _ in range(count):
+        if out and rng.random() < 0.3:
+            base = rng.choice(out)
+            out.append(tuple(rng.sample(base, rng.randint(2, len(base)))))
+        else:
+            out.append(tuple(rng.sample(range(n), rng.randint(2, min(4, n)))))
+    return out
+
+
+class TestAntichainScan:
+    """The incidence-indexed antichain checks agree with all-pairs scans."""
+
+    def test_first_pair_matches_all_pairs(self):
+        rng = random.Random(11)
+        rejected = 0
+        for _ in range(300):
+            h = Hypergraph(8, raw_family(rng, 8, rng.randint(2, 7)))
+            sets = h.edge_sets
+            pairs = [
+                (h.edges[a], h.edges[b])
+                for a in range(len(sets))
+                for b in range(len(sets))
+                if a != b and sets[a] <= sets[b]
+            ]
+            if not pairs:
+                validate_hypergraph(h)
+                continue
+            rejected += 1
+            with pytest.raises(NotAntichain) as err:
+                validate_hypergraph(h)
+            assert (err.value.edge, err.value.superset) == pairs[0]
+        assert rejected >= 100
+
+    def test_minimalize_matches_all_pairs(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            raw = raw_family(rng, 8, rng.randint(1, 8))
+            canon = list(dict.fromkeys(tuple(sorted(e)) for e in raw))
+            expected = tuple(
+                a for a in canon if not any(b != a and set(b) <= set(a) for b in canon)
+            )
+            assert minimalize(8, raw).edges == expected
+
+    def test_incidence_in_edge_order(self, star2x4):
+        assert star2x4.incidence == ((0, 1), (0,), (0,), (0,), (1,), (1,), (1,))
+        assert Hypergraph(3).incidence == ((), (), ())
+
+
 class TestMinimalize:
     def test_subset_absorbs_superset(self):
         h = minimalize(4, [(0, 1, 2, 3), (0, 1, 2)])

@@ -33,7 +33,6 @@ from .hypergraph import (
     Hypergraph,
     Permutation,
     automorphisms,
-    edges_containing,
     enumerate_independent_sets,
     enumerate_maximal_independent_sets,
     is_independent,
@@ -46,10 +45,8 @@ from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
 from .feasibility import (
     ChiFResult,
     DemandVector,
-    IncidenceMatrix,
     Schedule,
     fractional_chromatic_number,
-    incidence_matrix,
     is_feasible,
     validate_schedule,
 )

@@ -1,5 +1,5 @@
-"""Feasibility of link demand vectors: schedules, the link/independent-set
-incidence matrix, and the fractional chromatic number LP.
+"""Feasibility of link demand vectors: schedules and the fractional
+chromatic number LP over independent-set columns.
 
 A demand vector tau assigns each link the fraction of unit time it must be
 active.  tau is feasible exactly when some schedule over independent sets
@@ -60,9 +60,6 @@ class DemandVector:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
 
-    def scale(self, c) -> "DemandVector":
-        return DemandVector(tuple(Fraction(c) * v for v in self.values))
-
 
 def as_demand(h: Hypergraph, tau) -> DemandVector:
     """Coerce a sequence to a DemandVector and check its length against h."""
@@ -94,27 +91,6 @@ class Schedule:
 
     def coverage(self, link: int) -> Fraction:
         return sum((d for s, d in self.entries if link in s), _ZERO)
-
-
-@dataclasses.dataclass(frozen=True)
-class IncidenceMatrix:
-    """0/1 matrix with one row per link and one column per maximal
-    independent set (column order matches the enumeration order)."""
-
-    num_links: int
-    sets: tuple
-    entries: tuple
-
-    def column(self, j: int) -> frozenset:
-        return self.sets[j]
-
-
-def incidence_matrix(h: Hypergraph, limit: int | None = None) -> IncidenceMatrix:
-    sets = enumerate_maximal_independent_sets(h, limit)
-    entries = tuple(
-        tuple(1 if i in s else 0 for s in sets) for i in range(h.num_links)
-    )
-    return IncidenceMatrix(h.num_links, tuple(sets), entries)
 
 
 class ChiFResult(NamedTuple):

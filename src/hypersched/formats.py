@@ -140,17 +140,3 @@ def format_interval_set(js: IntervalSet) -> str:
         return "∅"
     return " ∪ ".join(f"[{a},{b})" for a, b in js.intervals)
 
-
-def parse_interval_set(text) -> IntervalSet:
-    """Inverse of format_interval_set (used for round-trip checks)."""
-    text = text.strip()
-    if text == "∅":
-        return IntervalSet(())
-    pieces = []
-    for part in text.split("∪"):
-        part = part.strip()
-        if not (part.startswith("[") and part.endswith(")")):
-            raise ValueError(f"bad interval {part!r}")
-        a, b = part[1:-1].split(",")
-        pieces.append((Fraction(a), Fraction(b)))
-    return IntervalSet(tuple(pieces))

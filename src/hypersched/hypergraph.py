@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     EdgeTooSmall,
@@ -85,10 +85,6 @@ class Permutation:
         if sorted(m) != list(range(len(m))):
             raise ValueError(f"not a permutation of 0..{len(m) - 1}: {m}")
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
     def __len__(self):
         return len(self.mapping)
 
@@ -97,16 +93,6 @@ class Permutation:
 
     def map_set(self, links: Iterable[int]) -> frozenset:
         return frozenset(self.mapping[v] for v in links)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Return self after other: (self.compose(other))(i) = self(other(i))."""
-        return Permutation(tuple(self.mapping[other.mapping[i]] for i in range(len(self))))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self)
-        for i, v in enumerate(self.mapping):
-            inv[v] = i
-        return Permutation(tuple(inv))
 
 
 def validate_hypergraph(h: Hypergraph) -> None:
@@ -170,51 +156,42 @@ def neighbors(h: Hypergraph, i: int) -> frozenset:
     return frozenset(out)
 
 
-def edges_containing(h: Hypergraph, i: int) -> list:
-    """Edges through link ``i``, in the hypergraph's edge order."""
-    return [h.edges[k] for k in h.incidence[i]]
-
-
 def is_independent(h: Hypergraph, links: Iterable[int]) -> bool:
     s = frozenset(links)
     return not any(es <= s for es in h.edge_sets)
 
 
-def _completion_table(edge_sets):
-    """For each link v, the sets C with ``C ⊆ current ⟹ current+v dependent``.
-
-    ``edge_sets`` may be any family of forbidden sets, not only the
-    hypergraph's own edges (the per-link degree searches swap in modified
-    families).
-    """
+def _completion_table(h: Hypergraph):
+    """For each link v, the sets C with ``C ⊆ current ⟹ current+v dependent``."""
     table = {}
-    for fs in edge_sets:
+    for fs in h.edge_sets:
         for v in fs:
             table.setdefault(v, []).append(fs - {v})
     return table
 
 
-def _independent_subsets(pool: Sequence[int], completions) -> Iterable[frozenset]:
-    """Yield all subsets of ``pool`` avoiding the forbidden family, in
-    lexicographic order of their sorted member tuples (pre-order DFS)."""
-    pool = sorted(pool)
-    current: list = []
-    current_set: set = set()
+def _independent_subsets(pool, completions, weights, total=0, chosen=()):
+    """Walk the sets ``chosen + J`` for the subsets J of ``pool`` that keep
+    them free of the forbidden family, in lexicographic order of J's sorted
+    member tuples (pre-order DFS).
 
-    def extend(start):
-        yield frozenset(current_set)
+    Yields ``(live set, total + sum of weights[v] over J)``.  The live set
+    is the walk's own and changes on the next step; copy it to keep it.
+    """
+    pool = sorted(pool)
+    current = set(chosen)
+
+    def extend(start, total):
+        yield current, total
         for idx in range(start, len(pool)):
             v = pool[idx]
-            blocked = any(c <= current_set for c in completions.get(v, ()))
-            if blocked:
+            if any(c <= current for c in completions.get(v, ())):
                 continue
-            current.append(v)
-            current_set.add(v)
-            yield from extend(idx + 1)
-            current.pop()
-            current_set.discard(v)
+            current.add(v)
+            yield from extend(idx + 1, total + weights[v])
+            current.discard(v)
 
-    yield from extend(0)
+    return extend(0, total)
 
 
 def _check_limit(h: Hypergraph, limit, default):
@@ -228,22 +205,24 @@ def enumerate_independent_sets(h: Hypergraph, limit: int | None = None) -> list:
     in lexicographic order.  Backtracks with edge-completion pruning instead
     of filtering all 2^N subsets."""
     _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
-    completions = _completion_table(h.edge_sets)
-    return list(_independent_subsets(range(h.num_links), completions))
+    n = h.num_links
+    walk = _independent_subsets(range(n), _completion_table(h), [0] * n)
+    return [frozenset(s) for s, _ in walk]
 
 
 def enumerate_maximal_independent_sets(h: Hypergraph, limit: int | None = None) -> list:
     """The inclusion-maximal independent sets, in lexicographic order."""
     _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
-    completions = _completion_table(h.edge_sets)
+    n = h.num_links
+    completions = _completion_table(h)
 
     def can_add(v, s):
         return all(not c <= s for c in completions.get(v, ()))
 
     out = []
-    for s in _independent_subsets(range(h.num_links), completions):
-        if all(not can_add(v, s) for v in range(h.num_links) if v not in s):
-            out.append(s)
+    for s, _ in _independent_subsets(range(n), completions, [0] * n):
+        if all(not can_add(v, s) for v in range(n) if v not in s):
+            out.append(frozenset(s))
     return out
 
 
@@ -255,10 +234,7 @@ def automorphisms(h: Hypergraph, limit: int | None = None) -> list:
     fully assigned edge fails to land on an edge.  Results come out in
     lexicographic order of the mapping tuple.
     """
-    lim = DEFAULT_AUTOMORPHISM_LIMIT if limit is None else limit
-    if h.num_links > lim:
-        raise SizeLimitExceeded(h.num_links, lim)
-
+    _check_limit(h, limit, DEFAULT_AUTOMORPHISM_LIMIT)
     n = h.num_links
     family = set(h.edge_sets)
 

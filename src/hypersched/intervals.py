@@ -50,19 +50,12 @@ class IntervalSet:
     def empty(cls) -> "IntervalSet":
         return cls(())
 
-    @classmethod
-    def unit(cls) -> "IntervalSet":
-        return cls(((_ZERO, _ONE),))
-
     @cached_property
     def measure(self) -> Fraction:
         return sum((b - a for a, b in self.intervals), _ZERO)
 
     def __bool__(self):
         return bool(self.intervals)
-
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(self.intervals + other.intervals)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         out = []
@@ -78,21 +71,6 @@ class IntervalSet:
             else:
                 j += 1
         return IntervalSet(tuple(out))
-
-    def complement(self) -> "IntervalSet":
-        """Complement within [0, 1)."""
-        out = []
-        cursor = _ZERO
-        for a, b in self.intervals:
-            if cursor < a:
-                out.append((cursor, a))
-            cursor = b
-        if cursor < _ONE:
-            out.append((cursor, _ONE))
-        return IntervalSet(tuple(out))
-
-    def minus(self, other: "IntervalSet") -> "IntervalSet":
-        return self.intersect(other.complement())
 
     def contains_point(self, x) -> bool:
         x = Fraction(x)
@@ -125,15 +103,20 @@ def earliest_fit(length, forbidden: IntervalSet) -> IntervalSet:
         raise ValueError(f"length must be nonnegative, got {length}")
     if length == 0:
         return IntervalSet.empty()
-    free = forbidden.complement()
-    if free.measure < length:
-        raise InsufficientRoom(length, free.measure)
+    free = _ONE - forbidden.measure
+    if free < length:
+        raise InsufficientRoom(length, free)
     out = []
     todo = length
-    for a, b in free.intervals:
-        take = min(b - a, todo)
-        out.append((a, a + take))
-        todo -= take
-        if todo == 0:
-            break
+    cursor = _ZERO
+    # The gaps of ``forbidden``, left to right: before each piece, then after
+    # the last one up to 1.
+    for a, b in forbidden.intervals + ((_ONE, _ONE),):
+        if cursor < a:
+            take = min(a - cursor, todo)
+            out.append((cursor, cursor + take))
+            todo -= take
+            if todo == 0:
+                break
+        cursor = b
     return IntervalSet(tuple(out))

@@ -14,14 +14,15 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .errors import SizeLimitExceeded
 from .feasibility import DemandVector, as_demand
 from .greedy import _link_sums, delta_matrix
 from .hypergraph import (
     DEFAULT_SIZE_LIMIT,
     Hypergraph,
     Permutation,
+    _check_limit,
     _completion_table,
+    _independent_subsets,
     automorphisms,
     enumerate_independent_sets,
     neighbors,
@@ -61,59 +62,36 @@ def _delta_int_rows(h: Hypergraph):
     return den, rows
 
 
-def _best_subset(pool, completions, weights, base_int):
-    """Max of base + sum(weights[v] for v in J) over subsets J of ``pool``
-    avoiding the forbidden family; ties keep the lexicographically first J."""
-    pool = sorted(pool)
-    best = base_int
-    best_set: frozenset = frozenset()
-    current: list = []
-    current_set: set = set()
+def _setup(h: Hypergraph, limit):
+    """What every per-link degree search of ``h`` shares: the scaled delta
+    rows and the completion table."""
+    _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
+    den, rows = _delta_int_rows(h)
+    return den, rows, _completion_table(h)
 
-    def extend(start, total):
-        nonlocal best, best_set
+
+def _link_degree(setup, i, pool, double: bool) -> LinkMetric:
+    """Largest Delta-weight of a subset J of ``pool`` (link i's neighbors)
+    that is independent, or with ``double`` independent together with i,
+    which then adds 1.  Ties keep the lexicographically first J."""
+    den, rows, completions = setup
+    base, chosen = (den, (i,)) if double else (0, ())
+    best, witness = base, frozenset()
+    for s, total in _independent_subsets(pool, completions, rows[i], base, chosen):
         if total > best:
-            best = total
-            best_set = frozenset(current_set)
-        for idx in range(start, len(pool)):
-            v = pool[idx]
-            if any(c <= current_set for c in completions.get(v, ())):
-                continue
-            current.append(v)
-            current_set.add(v)
-            extend(idx + 1, total + weights[v])
-            current.pop()
-            current_set.discard(v)
-
-    extend(0, base_int)
-    return best, best_set
+            best, witness = total, frozenset(s)
+    return LinkMetric(Fraction(best, den), witness - {i})
 
 
 def delta_i_prime(h: Hypergraph, i: int, limit: int | None = None) -> LinkMetric:
     """Largest Delta-weight of an independent subset of link i's neighbors."""
-    lim = DEFAULT_SIZE_LIMIT if limit is None else limit
-    if h.num_links > lim:
-        raise SizeLimitExceeded(h.num_links, lim)
-    den, rows = _delta_int_rows(h)
-    pool = sorted(neighbors(h, i))
-    completions = _completion_table(h.edge_sets)
-    best, witness = _best_subset(pool, completions, rows[i], 0)
-    return LinkMetric(Fraction(best, den), witness)
+    return _link_degree(_setup(h, limit), i, neighbors(h, i), False)
 
 
 def delta_i_doubleprime(h: Hypergraph, i: int, limit: int | None = None) -> LinkMetric:
     """As delta_i_prime but the subset must stay independent together with
     link i itself, and i contributes 1."""
-    lim = DEFAULT_SIZE_LIMIT if limit is None else limit
-    if h.num_links > lim:
-        raise SizeLimitExceeded(h.num_links, lim)
-    den, rows = _delta_int_rows(h)
-    pool = sorted(neighbors(h, i))
-    # J + {i} independent  <=>  J avoids every E - {i}.
-    family = [es - {i} for es in h.edge_sets]
-    completions = _completion_table(family)
-    best, witness = _best_subset(pool, completions, rows[i], den)
-    return LinkMetric(Fraction(best, den), witness)
+    return _link_degree(_setup(h, limit), i, neighbors(h, i), True)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,8 +111,10 @@ class MetricsReport:
 
 
 def interference_metrics(h: Hypergraph, limit: int | None = None) -> MetricsReport:
-    prime = tuple(delta_i_prime(h, i, limit) for i in range(h.num_links))
-    doubleprime = tuple(delta_i_doubleprime(h, i, limit) for i in range(h.num_links))
+    setup = _setup(h, limit)
+    pools = [neighbors(h, i) for i in range(h.num_links)]
+    prime = tuple(_link_degree(setup, i, pool, False) for i, pool in enumerate(pools))
+    doubleprime = tuple(_link_degree(setup, i, pool, True) for i, pool in enumerate(pools))
     dp = max(m.value for m in prime)
     dpp = max(m.value for m in doubleprime)
     return MetricsReport(

@@ -13,10 +13,25 @@ from hypersched.formats import (
     format_interval_set,
     parse_demand_text,
     parse_hypergraph_text,
-    parse_interval_set,
 )
 
 F = Fraction
+
+
+def parse_interval_set(text):
+    """Inverse of format_interval_set."""
+    text = text.strip()
+    if text == "∅":
+        return IntervalSet(())
+    pieces = []
+    for part in text.split("∪"):
+        part = part.strip()
+        if not (part.startswith("[") and part.endswith(")")):
+            raise ValueError(f"bad interval {part!r}")
+        a, b = part[1:-1].split(",")
+        pieces.append((F(a), F(b)))
+    return IntervalSet(tuple(pieces))
+
 
 TRIANGLE_FILE = """\
 links 3

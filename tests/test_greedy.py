@@ -158,7 +158,7 @@ class TestGreedySchedule:
         assigned = greedy_schedule(star2x4, delta_matrix(star2x4), tau)
         assert assigned[0] == IntervalSet.empty()
         for i in range(1, 7):
-            assert assigned[i] == IntervalSet.unit()
+            assert assigned[i] == IntervalSet(((0, 1),))
 
     def test_stuck_on_triangle_full_demand(self, triangle):
         with pytest.raises(ScheduleStuck) as err:

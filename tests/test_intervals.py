@@ -15,6 +15,28 @@ def iset(*pairs):
     return IntervalSet(tuple(pairs))
 
 
+UNIT = iset((0, 1))
+
+
+def union(a, b):
+    return union_all([a, b])
+
+
+def complement(a):
+    """[0, 1) minus ``a``, from the gaps between its pieces."""
+    out = []
+    cursor = F(0)
+    for lo, hi in a.intervals:
+        out.append((cursor, lo))
+        cursor = hi
+    out.append((cursor, F(1)))
+    return IntervalSet(tuple(out))
+
+
+def minus(a, b):
+    return a.intersect(complement(b))
+
+
 # Endpoints drawn from a small rational grid keep the search space dense.
 fractions_01 = st.integers(0, 24).map(lambda k: F(k, 24))
 
@@ -29,7 +51,7 @@ def interval_sets(draw):
 
 class TestConstruction:
     def test_merges_touching(self):
-        assert iset((0, F(1, 2)), (F(1, 2), 1)) == IntervalSet.unit()
+        assert iset((0, F(1, 2)), (F(1, 2), 1)) == UNIT
 
     def test_merges_overlap(self):
         assert iset((0, F(1, 2)), (F(1, 4), F(3, 4))).intervals == ((F(0), F(3, 4)),)
@@ -62,7 +84,7 @@ class TestAlgebra:
         assert s.measure == F(2, 3)
 
     def test_complement(self):
-        assert iset((0, F(1, 2))).complement() == iset((F(1, 2), 1))
+        assert complement(iset((0, F(1, 2)))) == iset((F(1, 2), 1))
 
     def test_touching_intervals_have_empty_intersection(self):
         assert not iset((0, F(1, 2))).intersect(iset((F(1, 2), 1)))
@@ -70,27 +92,27 @@ class TestAlgebra:
     @settings(max_examples=200, deadline=None)
     @given(interval_sets(), interval_sets())
     def test_inclusion_exclusion(self, a, b):
-        assert a.union(b).measure + a.intersect(b).measure == a.measure + b.measure
+        assert union(a, b).measure + a.intersect(b).measure == a.measure + b.measure
 
     @settings(max_examples=200, deadline=None)
     @given(interval_sets())
     def test_complement_measure(self, a):
-        assert a.complement().measure == 1 - a.measure
-        assert a.intersect(a.complement()) == IntervalSet.empty()
-        assert a.union(a.complement()) == IntervalSet.unit()
+        assert complement(a).measure == 1 - a.measure
+        assert a.intersect(complement(a)) == IntervalSet.empty()
+        assert union(a, complement(a)) == UNIT
 
     @settings(max_examples=100, deadline=None)
     @given(interval_sets(), interval_sets())
     def test_commutativity(self, a, b):
-        assert a.union(b) == b.union(a)
+        assert union(a, b) == union(b, a)
         assert a.intersect(b) == b.intersect(a)
 
     @settings(max_examples=100, deadline=None)
     @given(interval_sets(), interval_sets())
     def test_minus(self, a, b):
-        d = a.minus(b)
+        d = minus(a, b)
         assert d.intersect(b) == IntervalSet.empty()
-        assert d.union(a.intersect(b)) == a
+        assert union(d, a.intersect(b)) == a
 
     def test_union_all(self):
         got = union_all([iset((0, F(1, 4))), iset((F(1, 4), F(1, 2))), IntervalSet.empty()])
@@ -113,7 +135,7 @@ class TestEarliestFit:
         assert err.value.available == F(1, 2)
 
     def test_zero_length(self):
-        assert earliest_fit(0, IntervalSet.unit()) == IntervalSet.empty()
+        assert earliest_fit(0, UNIT) == IntervalSet.empty()
 
     def test_exact_fill(self):
         got = earliest_fit(F(1, 2), iset((0, F(1, 2))))
@@ -130,3 +152,12 @@ class TestEarliestFit:
             got = earliest_fit(length, forbidden)
             assert got.measure == length
             assert got.intersect(forbidden) == IntervalSet.empty()
+
+    @settings(max_examples=200, deadline=None)
+    @given(interval_sets())
+    def test_fit_of_all_free_time_is_the_complement(self, forbidden):
+        free = 1 - forbidden.measure
+        assert earliest_fit(free, forbidden) == complement(forbidden)
+        with pytest.raises(InsufficientRoom) as err:
+            earliest_fit(free + F(1, 48), forbidden)
+        assert err.value.available == free

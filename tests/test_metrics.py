@@ -9,9 +9,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from hypersched import (
     DemandVector,
     Hypergraph,
+    SizeLimitExceeded,
     b_bound,
     beta_by_enumeration,
     beta_star_formula,
@@ -29,6 +32,7 @@ from hypersched import (
     automorphisms,
     symmetrize_demand,
     StarProfile,
+    metrics,
 )
 from conftest import random_demand, random_graph, random_hypergraph
 
@@ -153,6 +157,72 @@ class TestPerLinkDegrees:
             for i in range(h.num_links):
                 assert delta_i_prime(h, i).value == oracle_delta_prime(h, i)
                 assert delta_i_doubleprime(h, i).value == oracle_delta_doubleprime(h, i)
+
+
+def brute_degree(h, i, double):
+    """(value, witness) of the Delta' (or, with ``double``, Delta'') search
+    by scanning every subset of the neighborhood; among equal values the
+    subset first by sorted tuple wins."""
+    d = delta_matrix(h)
+    base, extra = (F(1), {i}) if double else (F(0), set())
+    nb = sorted(neighbors(h, i))
+    candidates = [
+        (base + sum((d[i, j] for j in combo), F(0)), combo)
+        for r in range(len(nb) + 1)
+        for combo in combinations(nb, r)
+        if is_independent(h, set(combo) | extra)
+    ]
+    best = max(v for v, _ in candidates)
+    return best, frozenset(min(c for v, c in candidates if v == best))
+
+
+class TestDegreeSearch:
+    """The per-link searches against a brute-force maximizer, and the
+    one-setup path of interference_metrics against the single-link calls."""
+
+    def test_value_and_witness_match_brute_force(self):
+        rng = random.Random(101)
+        for _ in range(40):
+            h = random_hypergraph(rng, max_links=9, max_edges=8)
+            for i in range(h.num_links):
+                assert tuple(delta_i_prime(h, i)) == brute_degree(h, i, False)
+                assert tuple(delta_i_doubleprime(h, i)) == brute_degree(h, i, True)
+
+    def test_ties_keep_the_lexicographically_first_witness(self, star2x4):
+        # Center of two 4-edges: {1, 2, 4, 5}, {1, 2, 4, 6}, ... all weigh 4/3.
+        assert delta_i_doubleprime(star2x4, 0).witness == frozenset({1, 2, 4, 5})
+        assert brute_degree(star2x4, 0, True)[1] == frozenset({1, 2, 4, 5})
+
+    def test_report_entries_equal_single_link_calls(self):
+        rng = random.Random(103)
+        for _ in range(30):
+            h = random_hypergraph(rng, max_links=9, max_edges=8)
+            rep = interference_metrics(h)
+            for i in range(h.num_links):
+                assert rep.per_link_prime[i] == delta_i_prime(h, i)
+                assert rep.per_link_doubleprime[i] == delta_i_doubleprime(h, i)
+
+    def test_one_delta_matrix_per_report(self, monkeypatch, star2x4):
+        calls = []
+        original = metrics.delta_matrix
+
+        def counted(h):
+            calls.append(h)
+            return original(h)
+
+        monkeypatch.setattr(metrics, "delta_matrix", counted)
+        interference_metrics(star2x4)
+        assert len(calls) == 1
+
+    def test_size_limit(self):
+        h = Hypergraph(5, ((0, 1),))
+        for search in (delta_i_prime, delta_i_doubleprime):
+            with pytest.raises(SizeLimitExceeded) as err:
+                search(h, 0, limit=4)
+            assert (err.value.n, err.value.limit) == (5, 4)
+        with pytest.raises(SizeLimitExceeded) as err:
+            interference_metrics(h, limit=4)
+        assert (err.value.n, err.value.limit) == (5, 4)
 
 
 class TestSigma:

@@ -24,7 +24,8 @@ from .hypergraph import (
     _completion_table,
     _independent_subsets,
     automorphisms,
-    enumerate_independent_sets,
+    # Unused here; kept because perfbench/tracing.py wraps this name.
+    enumerate_independent_sets,  # noqa: F401
     neighbors,
 )
 
@@ -140,26 +141,46 @@ def beta_by_enumeration(h: Hypergraph, limit: int | None = None) -> BetaWitness:
     """Worst-case ratio of the per-link bound to the optimum, computed by
     direct enumeration: the supremum is attained at a characteristic vector
     of an independent set, so it suffices to scan links x independent sets.
-    The witness is the lexicographically first (link, set) attaining it."""
-    sets = [sorted(s) for s in enumerate_independent_sets(h, limit)]
+    The witness is the lexicographically first (link, set) attaining it.
+
+    One walk of the independent sets serves every link: link i's scaled
+    bound on a set S, sum over j in S of rows[i][j] plus den if i is in S,
+    lives in bit field i of one packed int, so the walk's running total is
+    every link's value at once.  Each field's top bit is a guard bit that a
+    field's value never reaches, so ``((total | guard) - thr) & guard``
+    subtracts ``best + 1`` field by field without borrows and leaves the
+    guard bit set exactly where a link beat its record."""
+    _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
+    n = h.num_links
     den, rows = _delta_int_rows(h)
-    best = None
-    best_link = 0
-    best_set: list = []
-    for i in range(h.num_links):
-        row = rows[i]
-        for members in sets:
-            v = sum(row[j] for j in members)
-            if i in members:
-                v += den
-            if best is None or v > best:
-                best = v
-                best_link = i
-                best_set = members
+    width = (den + max(map(sum, rows)) + 1).bit_length() + 1
+    field = (1 << width) - 1
+    weights = [0] * n
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if v:
+                weights[j] += v << (i * width)
+        weights[i] += den << (i * width)
+    guard = sum(1 << (i * width + width - 1) for i in range(n))
+    best = [0] * n
+    witness = [()] * n
+    thr = sum(1 << (i * width) for i in range(n))
+    for s, total in _independent_subsets(range(n), _completion_table(h), weights):
+        beat = ((total | guard) - thr) & guard
+        while beat:
+            i = (beat.bit_length() - 1) // width
+            shift = i * width
+            beat ^= 1 << (shift + width - 1)
+            v = (total >> shift) & field
+            thr += (v - best[i]) << shift
+            best[i] = v
+            witness[i] = tuple(s)
+    top = max(best)
+    link = best.index(top)
     return BetaWitness(
-        beta=Fraction(best, den),
-        link=best_link,
-        demand=DemandVector.characteristic(h.num_links, best_set),
+        beta=Fraction(top, den),
+        link=link,
+        demand=DemandVector.characteristic(n, witness[link]),
     )
 
 
@@ -172,15 +193,20 @@ def permute_demand(perm: Permutation, tau: DemandVector) -> DemandVector:
 
 
 def symmetrize_demand(h: Hypergraph, tau, limit: int | None = None) -> DemandVector:
-    """Average of ``tau`` over the automorphism group; constant on orbits."""
+    """Average of ``tau`` over the automorphism group; constant on orbits.
+
+    By orbit-stabilizer every link of an orbit is hit equally often, so the
+    group average at link i is the mean of ``tau`` over i's orbit."""
     tau = as_demand(h, tau)
     auts = automorphisms(h, limit)
-    acc = [_ZERO] * h.num_links
-    for perm in auts:
-        for i, v in enumerate(tau):
-            acc[perm.mapping[i]] += v
-    order = len(auts)
-    return DemandVector(tuple(v / order for v in acc))
+    out = [None] * h.num_links
+    for i in range(h.num_links):
+        if out[i] is None:
+            orbit = {perm.mapping[i] for perm in auts}
+            mean = sum((tau[j] for j in orbit), _ZERO) / len(orbit)
+            for j in orbit:
+                out[j] = mean
+    return DemandVector(tuple(out))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -33,6 +33,7 @@ from hypersched import (
     symmetrize_demand,
     StarProfile,
     metrics,
+    minimalize,
 )
 from conftest import random_demand, random_graph, random_hypergraph
 
@@ -294,6 +295,83 @@ class TestBeta:
             assert beta_by_enumeration(h).beta == interference_metrics(h).sigma
 
 
+def reference_beta(h):
+    """The links x independent sets scan, link-major: the first link and
+    then the first set, in enumeration order, whose per-link bound beats
+    everything seen before."""
+    den, rows = metrics._delta_int_rows(h)
+    sets = [sorted(s) for s in enumerate_independent_sets(h)]
+    best, link, members = None, 0, []
+    for i in range(h.num_links):
+        row = rows[i]
+        for s in sets:
+            v = sum(row[j] for j in s) + (den if i in s else 0)
+            if best is None or v > best:
+                best, link, members = v, i, s
+    return F(best, den), link, DemandVector.characteristic(h.num_links, members).values
+
+
+def built_star(petal_sizes):
+    """Beta-star with center 0 and one edge of each given size."""
+    edges = []
+    nxt = 1
+    for size in petal_sizes:
+        edges.append((0,) + tuple(range(nxt, nxt + size - 1)))
+        nxt += size - 1
+    return Hypergraph(nxt, tuple(edges))
+
+
+def assert_beta_matches_reference(h):
+    wit = beta_by_enumeration(h)
+    assert (wit.beta, wit.link, wit.demand.values) == reference_beta(h)
+
+
+class TestBetaAgainstScan:
+    """beta_by_enumeration packs every link's bound into one integer per
+    set; value, witness link and witness demand must equal the plain scan."""
+
+    def test_random_hypergraphs(self):
+        rng = random.Random(137)
+        for _ in range(200):
+            assert_beta_matches_reference(random_hypergraph(rng))
+
+    def test_tie_heavy(self, triangle, star2x4):
+        assert_beta_matches_reference(triangle)
+        assert_beta_matches_reference(star2x4)
+        for petals in ((2, 2), (3, 3, 3), (2, 2, 2, 2, 2), (4, 4, 4), (2, 3, 4, 5)):
+            assert_beta_matches_reference(built_star(petals))
+        # 2^14 sets at 14 links: beyond that the reference scan dominates.
+        for n in range(1, 15):
+            assert_beta_matches_reference(Hypergraph(n))
+
+    def test_mixed_edge_sizes_widen_the_fields(self):
+        chain = Hypergraph(15, ((0, 1, 2, 3), (3, 4, 5, 6, 7), (7, 8, 9, 10, 11, 12), (12, 13)))
+        assert metrics._delta_int_rows(chain)[0] == 60
+        assert_beta_matches_reference(chain)
+        rng = random.Random(139)
+        wide = 0
+        for _ in range(20):
+            n = rng.randint(10, 14)
+            sizes = [4, 5, 6] + [rng.randint(2, 7) for _ in range(rng.randint(0, 3))]
+            h = minimalize(n, [rng.sample(range(n), k) for k in sizes])
+            wide += metrics._delta_int_rows(h)[0] >= 60
+            assert_beta_matches_reference(h)
+        assert wide >= 10
+
+
+    def test_twenty_links(self):
+        h = Hypergraph(20, tuple((i, (i + 1) % 20) for i in range(20)) + ((0, 5, 10),))
+        assert_beta_matches_reference(h)
+
+    def test_size_limit(self):
+        with pytest.raises(SizeLimitExceeded) as err:
+            beta_by_enumeration(Hypergraph(5, ((0, 1),)), limit=4)
+        assert (err.value.n, err.value.limit) == (5, 4)
+        with pytest.raises(SizeLimitExceeded) as err:
+            beta_by_enumeration(Hypergraph(21))
+        assert (err.value.n, err.value.limit) == (21, 20)
+
+
 class TestRatioBounds:
     def test_chi_f_within_b_and_sigma_factor(self):
         rng = random.Random(109)
@@ -344,6 +422,24 @@ class TestSymmetrize:
             sym = symmetrize_demand(h, tau)
             for perm in automorphisms(h):
                 assert permute_demand(perm, sym) == sym
+
+
+    def test_equals_explicit_group_average(self):
+        def group_average(h, tau):
+            auts = automorphisms(h)
+            acc = [F(0)] * h.num_links
+            for perm in auts:
+                for i, v in enumerate(tau):
+                    acc[perm.mapping[i]] += v
+            return tuple(v / len(auts) for v in acc)
+
+        rng = random.Random(149)
+        cases = [random_hypergraph(rng, max_links=9, min_edges=2) for _ in range(40)]
+        cases += [built_star((2,) * p) for p in range(2, 9)]
+        cases += [built_star(p) for p in ((2, 3), (3, 3, 4), (4, 4, 4), (5, 5), (3, 3, 3, 3))]
+        for h in cases:
+            tau = random_demand(rng, h.num_links)
+            assert symmetrize_demand(h, tau).values == group_average(h, tau)
 
 
 class TestBetaStar:

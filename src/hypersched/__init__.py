@@ -31,7 +31,6 @@ from .hypergraph import (
     DEFAULT_AUTOMORPHISM_LIMIT,
     DEFAULT_SIZE_LIMIT,
     Hypergraph,
-    Permutation,
     automorphisms,
     enumerate_independent_sets,
     enumerate_maximal_independent_sets,
@@ -76,6 +75,5 @@ from .metrics import (
     delta_i_prime,
     interference_metrics,
     is_beta_star,
-    permute_demand,
     symmetrize_demand,
 )

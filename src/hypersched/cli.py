@@ -80,8 +80,15 @@ def _size_limit():
 
 
 def _read(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The text of the file at ``path``; bytes that are not UTF-8 are a
+    ParseError at the line of the first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise ParseError(path, line, f"not UTF-8 (byte 0x{data[e.start]:02x})") from None
 
 
 def _load_hypergraph(path, do_minimalize=False):

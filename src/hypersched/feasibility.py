@@ -39,10 +39,6 @@ class DemandVector:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def zeros(cls, n: int) -> "DemandVector":
-        return cls((_ZERO,) * n)
-
-    @classmethod
     def characteristic(cls, n: int, links: Iterable[int]) -> "DemandVector":
         s = set(links)
         return cls(tuple(_ONE if i in s else _ZERO for i in range(n)))

@@ -43,7 +43,7 @@ def parse_hypergraph_text(text, path="<input>"):
         if tokens[0] == "links":
             if num_links is not None:
                 raise ParseError(path, lineno, "duplicate links line")
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
                 raise ParseError(path, lineno, "expected `links N` with N >= 1")
             num_links = int(tokens[1])
         elif tokens[0] == "edge":
@@ -51,7 +51,7 @@ def parse_hypergraph_text(text, path="<input>"):
                 raise ParseError(path, lineno, "edge before links line")
             labels = []
             for tok in tokens[1:]:
-                if not tok.isdigit():
+                if not tok.isdecimal():
                     raise ParseError(path, lineno, f"bad link label {tok!r}")
                 lab = int(tok)
                 if not 1 <= lab <= num_links:

@@ -25,7 +25,7 @@ from .errors import (
     ScheduleStuck,
 )
 from .feasibility import Schedule, as_demand
-from .hypergraph import Hypergraph, Permutation, neighbors
+from .hypergraph import Hypergraph, neighbors
 from .intervals import IntervalSet, earliest_fit, intersect_all, union_all
 
 _ZERO = Fraction(0)
@@ -185,8 +185,6 @@ def check_delta_condition(h: Hypergraph, tau) -> ConditionReport:
 def _normalize_order(h: Hypergraph, order) -> tuple:
     if order is None:
         return tuple(range(h.num_links))
-    if isinstance(order, Permutation):
-        order = order.mapping
     order = tuple(int(v) for v in order)
     if sorted(order) != list(range(h.num_links)):
         raise ValueError(f"order must be a permutation of 0..{h.num_links - 1}")

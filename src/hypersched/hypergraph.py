@@ -73,43 +73,37 @@ class Hypergraph:
         return range(self.num_links)
 
 
-@dataclasses.dataclass(frozen=True)
-class Permutation:
-    """Bijection on 0..N-1; ``mapping[i]`` is the image of link ``i``."""
-
-    mapping: tuple
-
-    def __post_init__(self):
-        m = tuple(int(v) for v in self.mapping)
-        object.__setattr__(self, "mapping", m)
-        if sorted(m) != list(range(len(m))):
-            raise ValueError(f"not a permutation of 0..{len(m) - 1}: {m}")
-
-    def __len__(self):
-        return len(self.mapping)
-
-    def apply(self, i: int) -> int:
-        return self.mapping[i]
-
-    def map_set(self, links: Iterable[int]) -> frozenset:
-        return frozenset(self.mapping[v] for v in links)
-
-
-def validate_hypergraph(h: Hypergraph) -> None:
-    """Raise EdgeTooSmall / LinkOutOfRange / NotAntichain if ``h`` is malformed."""
+def _check_edges(h: Hypergraph) -> None:
     for edge in h.edges:
         if len(edge) < 2:
             raise EdgeTooSmall(edge)
         for v in edge:
             if not 0 <= v < h.num_links:
                 raise LinkOutOfRange(edge, v, h.num_links)
-    # Only an edge through min(a) can contain edge a; scanning those in edge
-    # order reports the same first (a, b) pair as a scan of all pairs.
+
+
+def _containments(h: Hypergraph):
+    """Yield ``(a, b)`` for every edge b that contains edge a, a ascending
+    and b in edge order.  Such a b lies in ``incidence[v]`` for every link v
+    of a, so only the shortest of those lists is scanned."""
     sets = h.edge_sets
+    inc = h.incidence
     for a, edge in enumerate(h.edges):
-        for b in h.incidence[edge[0]]:
-            if a != b and sets[a] <= sets[b]:
-                raise NotAntichain(edge, h.edges[b])
+        shortest = inc[edge[0]]
+        for v in edge:
+            if len(inc[v]) < len(shortest):
+                shortest = inc[v]
+        sa = sets[a]
+        for b in shortest:
+            if b != a and sa <= sets[b]:
+                yield a, b
+
+
+def validate_hypergraph(h: Hypergraph) -> None:
+    """Raise EdgeTooSmall / LinkOutOfRange / NotAntichain if ``h`` is malformed."""
+    _check_edges(h)
+    for a, b in _containments(h):
+        raise NotAntichain(h.edges[a], h.edges[b])
 
 
 def minimalize(num_links: int, raw_edges: Iterable[Iterable[int]]) -> Hypergraph:
@@ -118,32 +112,10 @@ def minimalize(num_links: int, raw_edges: Iterable[Iterable[int]]) -> Hypergraph
     Input order of the surviving edges is preserved.  Singleton edges and
     out-of-range ids are rejected outright rather than silently dropped.
     """
-    canon = []
-    seen = set()
-    for edge in raw_edges:
-        t = tuple(sorted({int(v) for v in edge}))
-        if len(t) < 2:
-            raise EdgeTooSmall(t)
-        for v in t:
-            if not 0 <= v < num_links:
-                raise LinkOutOfRange(t, v, num_links)
-        if t not in seen:
-            seen.add(t)
-            canon.append(t)
-    # An edge b inside edge a has min(b) in a, so only edges whose smallest
-    # link lies in a are tested.
-    sets = [frozenset(t) for t in canon]
-    by_min: dict = {}
-    for b, t in enumerate(canon):
-        by_min.setdefault(t[0], []).append(b)
-    minimal = [
-        canon[a]
-        for a in range(len(canon))
-        if not any(
-            b != a and sets[b] <= sets[a] for v in canon[a] for b in by_min.get(v, ())
-        )
-    ]
-    return Hypergraph(num_links, tuple(minimal))
+    h = Hypergraph(num_links, raw_edges)
+    _check_edges(h)
+    supersets = {b for _, b in _containments(h)}
+    return Hypergraph(num_links, tuple(e for k, e in enumerate(h.edges) if k not in supersets))
 
 
 def neighbors(h: Hypergraph, i: int) -> frozenset:
@@ -227,7 +199,8 @@ def enumerate_maximal_independent_sets(h: Hypergraph, limit: int | None = None) 
 
 
 def automorphisms(h: Hypergraph, limit: int | None = None) -> list:
-    """All permutations of the links mapping the edge family onto itself.
+    """All permutations of the links mapping the edge family onto itself,
+    each as its image tuple (``image[i]`` is the image of link i).
 
     Exhaustive backtracking; candidate images are pruned by the multiset of
     incident-edge sizes, and partially built maps are rejected as soon as a
@@ -245,25 +218,25 @@ def automorphisms(h: Hypergraph, limit: int | None = None) -> list:
     for es in h.edge_sets:
         edges_closed_at[max(es)].append(es)
 
-    image = [0] * n
-    used = [False] * n
     found = []
-
-    def assign(k):
-        if k == n:
-            found.append(Permutation(tuple(image)))
-            return
-        for w in candidates[k]:
-            if used[w]:
-                continue
-            image[k] = w
-            if all(
-                frozenset(image[v] for v in es) in family for es in edges_closed_at[k]
-            ):
-                used[w] = True
-                assign(k + 1)
-                used[w] = False
-        image[k] = 0
-
-    assign(0)
+    _assign(0, [0] * n, [False] * n, candidates, edges_closed_at, family, found)
     return found
+
+
+def _assign(k, image, used, candidates, edges_closed_at, family, found):
+    """Extend the partial map ``image[:k]`` in every way, appending each
+    complete map to ``found``.  A module-level function rather than a
+    closure: a closure that calls itself is a reference cycle, which would
+    keep ``found`` alive until the next full garbage collection."""
+    if k == len(image):
+        found.append(tuple(image))
+        return
+    for w in candidates[k]:
+        if used[w]:
+            continue
+        image[k] = w
+        if all(frozenset(image[v] for v in es) in family for es in edges_closed_at[k]):
+            used[w] = True
+            _assign(k + 1, image, used, candidates, edges_closed_at, family, found)
+            used[w] = False
+    image[k] = 0

@@ -19,7 +19,6 @@ from .greedy import _link_sums, delta_matrix
 from .hypergraph import (
     DEFAULT_SIZE_LIMIT,
     Hypergraph,
-    Permutation,
     _check_limit,
     _completion_table,
     _independent_subsets,
@@ -184,14 +183,6 @@ def beta_by_enumeration(h: Hypergraph, limit: int | None = None) -> BetaWitness:
     )
 
 
-def permute_demand(perm: Permutation, tau: DemandVector) -> DemandVector:
-    """Demand vector with link perm(i) demanding what link i did."""
-    out = [_ZERO] * len(perm)
-    for i, v in enumerate(tau):
-        out[perm.mapping[i]] = v
-    return DemandVector(tuple(out))
-
-
 def symmetrize_demand(h: Hypergraph, tau, limit: int | None = None) -> DemandVector:
     """Average of ``tau`` over the automorphism group; constant on orbits.
 
@@ -202,7 +193,7 @@ def symmetrize_demand(h: Hypergraph, tau, limit: int | None = None) -> DemandVec
     out = [None] * h.num_links
     for i in range(h.num_links):
         if out[i] is None:
-            orbit = {perm.mapping[i] for perm in auts}
+            orbit = {perm[i] for perm in auts}
             mean = sum((tau[j] for j in orbit), _ZERO) / len(orbit)
             for j in orbit:
                 out[j] = mean
@@ -239,15 +230,18 @@ def is_beta_star(h: Hypergraph):
     size_counts = tuple(sorted(counts.items()))
     if len(h.edges) == 1:
         return StarProfile(min(h.edges[0]), size_counts, vacuous_center=True)
-    sets = h.edge_sets
-    first = sets[0] & sets[1]
+    # All pairs meet in exactly {center} iff every edge holds the center
+    # and every other link lies in at most one edge.
+    first = h.edge_sets[0] & h.edge_sets[1]
     if len(first) != 1:
         return None
     (center,) = first
-    for a in range(len(sets)):
-        for b in range(a + 1, len(sets)):
-            if sets[a] & sets[b] != first:
-                return None
+    inc = h.incidence
+    if len(inc[center]) != len(h.edges):
+        return None
+    for v, ks in enumerate(inc):
+        if len(ks) > 1 and v != center:
+            return None
     return StarProfile(center, size_counts)
 
 

@@ -33,6 +33,19 @@ def star_tau():
     return STAR_TAU
 
 
+def zeros(n):
+    """The all-zero demand vector on n links."""
+    return DemandVector((Fraction(0),) * n)
+
+
+def permute_demand(perm, tau):
+    """Demand vector with link perm[i] demanding what link i did."""
+    out = [Fraction(0)] * len(perm)
+    for i, v in enumerate(tau):
+        out[perm[i]] = v
+    return DemandVector(tuple(out))
+
+
 def random_hypergraph(rng, max_links=10, max_edges=6, min_size=2, max_size=5,
                       min_links=2, min_edges=0):
     n = rng.randint(min_links, max_links)

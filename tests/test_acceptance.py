@@ -77,7 +77,7 @@ def test_criterion_04_symmetrization_golden():
     assert sym.values == (1, F(2, 3), F(2, 3), F(2, 3), F(2, 3), F(2, 3), F(2, 3))
     auts = automorphisms(STAR2X4)
     assert len(auts) == 72
-    assert all(p.mapping[0] == 0 for p in auts)
+    assert all(p[0] == 0 for p in auts)
 
 
 def test_criterion_05_beta_equals_sigma_on_random_suite(hypergraph_suite):

@@ -1,8 +1,12 @@
 """CLI contract: byte-exact reports, exit codes, round-trips, --json."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -486,3 +490,148 @@ class TestLargeSparse:
         assert code == 0
         assert len(out.splitlines()) == 3000 + (argv[0] == "check")
         assert elapsed < 5.0
+
+    @pytest.fixture(scope="class")
+    def hub_star(self, tmp_path_factory):
+        """10,000 3-link edges through link 1 (20,001 links), with a demand
+        of 1/2 at the center and 1/20000 elsewhere: the center's cor4 sum is
+        exactly 1."""
+        d = tmp_path_factory.mktemp("hub")
+        petals = 10_000
+        n = 2 * petals + 1
+        hg = d / "hub.hg"
+        hg.write_text(
+            f"links {n}\n" + "".join(f"edge 1 {2 * k} {2 * k + 1}\n" for k in range(1, petals + 1))
+        )
+        dfile = d / "hub.demand"
+        dfile.write_text("demand 1/2 " + " ".join(["1/20000"] * (n - 1)) + "\n")
+        return str(hg), str(dfile)
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["validate"], 0),
+            (["validate", "--minimalize"], 0),
+            (["star"], 0),
+            (["check", "--rule", "cor4"], 0),
+            (["schedule"], 0),
+            (["indep-sets"], 3),
+            (["chi-f"], 3),
+            (["feasible"], 3),
+            (["metrics"], 3),
+            (["beta"], 3),
+            (["symmetrize"], 3),
+        ],
+    )
+    def test_hub_star_10000_petals(self, hub_star, capsys, argv, expected):
+        """Validation, minimalization and star detection cost the sum of the
+        edge sizes, not (edges through the hub)^2; every enumeration is
+        refused by its size limit."""
+        hg, dfile = hub_star
+        demand = ["--demand", dfile] if argv[0] in ("check", "schedule", "chi-f", "feasible", "symmetrize") else []
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv[0], hg, *demand, *argv[1:])
+        elapsed = time.perf_counter() - start
+        assert code == expected, err
+        if argv[0] == "star":
+            assert out.splitlines()[:2] == ["beta-star: center 1", "n_3 = 10000"]
+        assert elapsed < 5.0
+
+
+def _subcommands(hg, demand, weights):
+    """Every subcommand's argv on the given files."""
+    d = ["--demand", demand]
+    return [
+        ["validate", hg],
+        ["validate", hg, "--minimalize"],
+        ["indep-sets", hg],
+        ["indep-sets", hg, "--maximal"],
+        ["chi-f", hg, *d],
+        ["feasible", hg, *d],
+        ["schedule", hg, *d],
+        ["schedule", hg, *d, "--w", weights],
+        ["check", hg, *d, "--rule", "lemma1"],
+        ["check", hg, *d, "--rule", "cor4"],
+        ["check", hg, *d, "--rule", "thm3", "--w", weights],
+        ["metrics", hg],
+        ["beta", hg],
+        ["star", hg],
+        ["symmetrize", hg, *d],
+    ]
+
+
+class TestExitCodeContract:
+    """A malformed input file exits 2 on every subcommand, with or without
+    --json, with a single `error: FILE:LINE: ...` line on stderr."""
+
+    BAD_HYPERGRAPHS = {
+        # `²` passes str.isdigit() but int() rejects it.
+        "superscript_links": ("links ²\n".encode(), 1),
+        "superscript_label": ("links 3\nedge 1 ²\n".encode(), 2),
+        "not_utf8": (b"links 3\n# caf\xe9\nedge 1 2 3\n", 2),
+    }
+
+    @pytest.fixture
+    def good(self, tmp_path):
+        hg = tmp_path / "t.hg"
+        hg.write_text(TRIANGLE_FILE)
+        dem = tmp_path / "t.demand"
+        dem.write_text("demand 1/2 1/2 1/2\n")
+        w = tmp_path / "t.w"
+        w.write_text("0 1 1\n1 0 1\n1 1 0\n")
+        return str(hg), str(dem), str(w)
+
+    def assert_input_error(self, capsys, argv, path, line):
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, *argv, *extra)
+            assert code == 2, (argv, err)
+            assert out == ""
+            assert err.startswith(f"error: {path}:{line}: ")
+            assert err.count("\n") == 1
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(BAD_HYPERGRAPHS))
+    def test_bad_hypergraph(self, tmp_path, capsys, good, name):
+        data, line = self.BAD_HYPERGRAPHS[name]
+        bad = tmp_path / "bad.hg"
+        bad.write_bytes(data)
+        _, dem, w = good
+        for argv in _subcommands(str(bad), dem, w):
+            self.assert_input_error(capsys, argv, bad, line)
+
+    def test_undecodable_demand(self, tmp_path, capsys, good):
+        hg, _, w = good
+        bad = tmp_path / "bad.demand"
+        bad.write_bytes(b"# demand\ndemand 1/2 \xff 1/2\n")
+        for argv in _subcommands(hg, str(bad), w):
+            if "--demand" in argv:
+                self.assert_input_error(capsys, argv, bad, 2)
+
+    def test_undecodable_weights(self, tmp_path, capsys, good):
+        hg, dem, _ = good
+        bad = tmp_path / "bad.w"
+        bad.write_bytes(b"0 1 1\n1 0 1\n1 1 \xc3\n")
+        for argv in _subcommands(hg, dem, str(bad)):
+            if "--w" in argv:
+                self.assert_input_error(capsys, argv, bad, 3)
+
+    def test_no_traceback_from_the_module_entry_point(self, tmp_path):
+        bad = tmp_path / "bad.hg"
+        bad.write_bytes(b"links 3\nedge 1 \xb2\n")
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypersched", "validate", str(bad)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {bad}:2: not UTF-8 (byte 0xb2)\n"
+
+    def test_decimal_digits_still_accepted(self, tmp_path, capsys):
+        """Labels in any decimal script parse as before."""
+        hg = tmp_path / "arabic.hg"
+        hg.write_text("links \u0663\nedge 1 2 \u0663\n")
+        code, out, _ = run(capsys, "validate", str(hg))
+        assert code == 0
+        assert out == "OK: 3 links, 1 edges\n"

@@ -20,13 +20,12 @@ from hypersched import (
     fractional_chromatic_number,
     is_feasible,
     minimalize,
-    permute_demand,
     solve_lp,
     automorphisms,
     validate_schedule,
 )
 from hypersched import feasibility
-from conftest import random_demand, random_hypergraph
+from conftest import permute_demand, random_demand, random_hypergraph, zeros
 
 F = Fraction
 
@@ -57,7 +56,7 @@ class TestChiF:
 
     def test_zero_demand(self, star2x4):
         value, witness = fractional_chromatic_number(
-            star2x4, DemandVector.zeros(7)
+            star2x4, zeros(7)
         )
         assert value == 0
         assert witness.entries == ()
@@ -140,7 +139,7 @@ class TestValidateSchedule:
     def test_dependent_set(self, triangle):
         sched = Schedule((({0, 1, 2}, F(1, 2)),))
         with pytest.raises(NotIndependent):
-            validate_schedule(triangle, sched, DemandVector.zeros(3))
+            validate_schedule(triangle, sched, zeros(3))
 
     def test_unmet_demand(self, triangle):
         with pytest.raises(DemandUnmet) as err:
@@ -154,9 +153,9 @@ class TestValidateSchedule:
     def test_duration_budget(self, triangle):
         sched = Schedule((({0, 1}, F(3, 4)), ({1, 2}, F(1, 2))))
         with pytest.raises(DurationExceedsOne) as err:
-            validate_schedule(triangle, sched, DemandVector.zeros(3))
+            validate_schedule(triangle, sched, zeros(3))
         assert err.value.total == F(5, 4)
-        validate_schedule(triangle, sched, DemandVector.zeros(3), max_total=F(5, 4))
+        validate_schedule(triangle, sched, zeros(3), max_total=F(5, 4))
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):

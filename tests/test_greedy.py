@@ -27,7 +27,7 @@ from hypersched import (
     validate_schedule,
     validate_weight_matrix,
 )
-from conftest import random_demand, random_hypergraph
+from conftest import random_demand, random_hypergraph, zeros
 
 F = Fraction
 
@@ -107,7 +107,7 @@ class TestConditions:
         assert per == (F(2, 3),) * 3
 
     def test_edge_min_zero(self, star2x4):
-        holds, per = check_edge_min_condition(star2x4, DemandVector.zeros(7))
+        holds, per = check_edge_min_condition(star2x4, zeros(7))
         assert holds
         assert per == (F(0),) * 7
 
@@ -129,7 +129,7 @@ class TestConditions:
 
     def test_weighted_zero_demand_holds(self, star2x4):
         holds, _ = check_weighted_condition(
-            star2x4, delta_matrix(star2x4), DemandVector.zeros(7)
+            star2x4, delta_matrix(star2x4), zeros(7)
         )
         assert holds
 
@@ -149,7 +149,7 @@ class TestGreedySchedule:
 
     def test_zero_demand(self, star2x4):
         assigned = greedy_schedule(
-            star2x4, delta_matrix(star2x4), DemandVector.zeros(7)
+            star2x4, delta_matrix(star2x4), zeros(7)
         )
         assert all(js == IntervalSet.empty() for js in assigned)
 
@@ -178,7 +178,7 @@ class TestGreedySchedule:
     def test_bad_order_rejected(self, triangle):
         with pytest.raises(ValueError):
             greedy_schedule(
-                triangle, delta_matrix(triangle), DemandVector.zeros(3), order=(0, 0, 1)
+                triangle, delta_matrix(triangle), zeros(3), order=(0, 0, 1)
             )
 
     def test_edge_never_fully_active(self):

@@ -5,7 +5,9 @@ live at the top; derived expected values in the golden tests were computed
 with them and are asserted against them again here.
 """
 
+import gc
 import random
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -17,7 +19,6 @@ from hypersched import (
     Hypergraph,
     LinkOutOfRange,
     NotAntichain,
-    Permutation,
     SizeLimitExceeded,
     automorphisms,
     enumerate_independent_sets,
@@ -27,6 +28,7 @@ from hypersched import (
     neighbors,
     validate_hypergraph,
 )
+from hypersched import hypergraph
 from conftest import random_hypergraph
 
 
@@ -59,15 +61,20 @@ def brute_automorphisms(h):
 
 
 def compose(p, q):
-    """Mapping of p after q."""
-    return tuple(p.mapping[q.mapping[i]] for i in range(len(q)))
+    """Image tuple of p after q."""
+    return tuple(p[q[i]] for i in range(len(q)))
 
 
 def inverse(p):
     inv = [0] * len(p)
-    for i, v in enumerate(p.mapping):
+    for i, v in enumerate(p):
         inv[v] = i
-    return Permutation(tuple(inv))
+    return tuple(inv)
+
+
+def map_set(p, links):
+    """Image of a link set under the image tuple p."""
+    return frozenset(p[v] for v in links)
 
 
 class TestValidate:
@@ -111,6 +118,57 @@ def raw_family(rng, n, count):
     return out
 
 
+def hub_family(rng, n, count):
+    """Random edges, most through one hub link anywhere in 0..n-1, with
+    subsets, supersets and duplicates of earlier edges likely."""
+    hub = rng.randrange(n)
+    others = [v for v in range(n) if v != hub]
+    out = []
+    for _ in range(count):
+        r = rng.random()
+        if out and r < 0.2:
+            base = rng.choice(out)
+            out.append(tuple(rng.sample(base, rng.randint(min(2, len(base)), len(base)))))
+        elif out and r < 0.35:
+            grown = set(rng.choice(out)) | set(rng.sample(range(n), rng.randint(1, 2)))
+            out.append(tuple(sorted(grown)))
+        elif r < 0.85:
+            out.append((hub, *rng.sample(others, rng.randint(1, min(3, len(others))))))
+        else:
+            out.append(tuple(rng.sample(range(n), rng.randint(2, min(4, n)))))
+    return out
+
+
+def all_pairs_containments(h):
+    sets = h.edge_sets
+    return [
+        (h.edges[a], h.edges[b])
+        for a in range(len(sets))
+        for b in range(len(sets))
+        if a != b and sets[a] <= sets[b]
+    ]
+
+
+def reference_minimalize(n, raw):
+    """minimalize by its definition: canonicalize, dedupe, check sizes and
+    ranges in that order, then keep the edges containing no other edge."""
+    canon = list(dict.fromkeys(tuple(sorted(set(e))) for e in raw))
+    for t in canon:
+        if len(t) < 2:
+            raise EdgeTooSmall(t)
+        for v in t:
+            if not 0 <= v < n:
+                raise LinkOutOfRange(t, v, n)
+    return tuple(a for a in canon if not any(b != a and set(b) <= set(a) for b in canon))
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except (EdgeTooSmall, LinkOutOfRange) as e:
+        return type(e), e.args
+
+
 class TestAntichainScan:
     """The incidence-indexed antichain checks agree with all-pairs scans."""
 
@@ -144,6 +202,45 @@ class TestAntichainScan:
                 a for a in canon if not any(b != a and set(b) <= set(a) for b in canon)
             )
             assert minimalize(8, raw).edges == expected
+
+    def test_hub_heavy_families_match_all_pairs(self):
+        """Families where the shortest incidence list of an edge is often
+        not that of its smallest link: the shared scan yields every
+        containment in all-pairs order, validation reports its first pair,
+        and minimalize (singletons and out-of-range ids mixed in) agrees
+        with its definition."""
+        rng = random.Random(23)
+        rejected = not_min = errors = 0
+        for k in range(400):
+            n = rng.randint(3, 9)
+            raw = hub_family(rng, n, rng.randint(2, 9))
+            h = Hypergraph(n, raw)
+            inc = h.incidence
+            not_min += any(len(inc[v]) < len(inc[e[0]]) for e in h.edges for v in e)
+            pairs = all_pairs_containments(h)
+            scanned = [(h.edges[a], h.edges[b]) for a, b in hypergraph._containments(h)]
+            assert scanned == pairs
+            if pairs:
+                rejected += 1
+                with pytest.raises(NotAntichain) as err:
+                    validate_hypergraph(h)
+                assert (err.value.edge, err.value.superset) == pairs[0]
+            else:
+                validate_hypergraph(h)
+
+            if k % 5 == 0:
+                raw.insert(rng.randint(0, len(raw)), (rng.randrange(n),))
+            if k % 7 == 0:
+                raw.insert(rng.randint(0, len(raw)), (rng.randrange(n), n + rng.randint(0, 2)))
+            got = outcome(minimalize, n, raw)
+            if isinstance(got, Hypergraph):
+                got = got.edges
+            else:
+                errors += 1
+            assert got == outcome(reference_minimalize, n, raw)
+        assert rejected >= 100
+        assert not_min >= 100
+        assert errors >= 50
 
     def test_incidence_in_edge_order(self, star2x4):
         assert star2x4.incidence == ((0, 1), (0,), (0,), (0,), (1,), (1,), (1,))
@@ -311,9 +408,9 @@ class TestAutomorphisms:
     def test_star_group(self, star2x4):
         auts = automorphisms(star2x4)
         brute = brute_automorphisms(star2x4)
-        assert sorted(p.mapping for p in auts) == sorted(brute)
+        assert sorted(auts) == sorted(brute)
         assert len(auts) == 72
-        assert all(p.mapping[0] == 0 for p in auts)
+        assert all(p[0] == 0 for p in auts)
 
     def test_triangle_full_symmetry(self, triangle):
         assert len(automorphisms(triangle)) == 6
@@ -321,7 +418,7 @@ class TestAutomorphisms:
     def test_path_graph(self):
         h = Hypergraph(3, ((0, 1), (1, 2)))
         auts = automorphisms(h)
-        assert sorted(p.mapping for p in auts) == [(0, 1, 2), (2, 1, 0)]
+        assert sorted(auts) == [(0, 1, 2), (2, 1, 0)]
 
     def test_edges_map_to_edges_and_closure(self):
         rng = random.Random(17)
@@ -329,10 +426,11 @@ class TestAutomorphisms:
             h = random_hypergraph(rng, max_links=6)
             auts = automorphisms(h)
             family = set(h.edge_sets)
-            mappings = {p.mapping for p in auts}
+            mappings = set(auts)
             for p in auts:
+                assert sorted(p) == list(range(h.num_links))
                 for es in h.edge_sets:
-                    assert p.map_set(es) in family
+                    assert map_set(p, es) in family
                 for q in auts:
                     assert compose(p, q) in mappings
 
@@ -340,21 +438,36 @@ class TestAutomorphisms:
         with pytest.raises(SizeLimitExceeded):
             automorphisms(Hypergraph(11))
 
+    def test_result_freed_without_gc(self):
+        """Dropping the list frees it at once: the search leaves no
+        reference cycle that only the garbage collector could break."""
+        star = Hypergraph(9, tuple((0, k) for k in range(1, 9)))
+        assert len(automorphisms(star)) == 40320
+        gc.collect()
+        gc.disable()
+        try:
+            base = sys.getallocatedblocks()
+            auts = automorphisms(star)
+            assert len(auts) == 40320
+            del auts
+            held = sys.getallocatedblocks() - base
+        finally:
+            gc.enable()
+        # The tuple free list may keep up to 2000 of the freed 9-tuples; a
+        # list held by a cycle keeps all 40320 and more.
+        assert held < 10_000
+
     def test_matches_brute_force_random(self):
         rng = random.Random(19)
         for _ in range(10):
             h = random_hypergraph(rng, max_links=6)
-            assert sorted(p.mapping for p in automorphisms(h)) == sorted(
+            assert sorted(automorphisms(h)) == sorted(
                 brute_automorphisms(h)
             )
 
 
 class TestPermutation:
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            Permutation((0, 0, 2))
-
     def test_compose_inverse(self):
-        p = Permutation((1, 2, 0))
+        p = (1, 2, 0)
         assert compose(p, inverse(p)) == (0, 1, 2)
-        assert p.map_set({0, 1}) == frozenset({1, 2})
+        assert map_set(p, {0, 1}) == frozenset({1, 2})

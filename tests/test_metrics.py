@@ -6,6 +6,7 @@ independent sets, and a stand-alone induced-star-number search for graphs.
 """
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,14 +29,13 @@ from hypersched import (
     is_feasible,
     is_independent,
     neighbors,
-    permute_demand,
     automorphisms,
     symmetrize_demand,
     StarProfile,
     metrics,
     minimalize,
 )
-from conftest import random_demand, random_graph, random_hypergraph
+from conftest import permute_demand, random_demand, random_graph, random_hypergraph, zeros
 
 F = Fraction
 
@@ -103,7 +103,7 @@ class TestBBound:
         assert per == (F(13, 6), F(5, 3), F(5, 3), F(4, 3), F(5, 3), F(5, 3), F(4, 3))
 
     def test_zero(self, star2x4):
-        assert b_bound(star2x4, DemandVector.zeros(7)).value == 0
+        assert b_bound(star2x4, zeros(7)).value == 0
 
     def test_parametrized_uniform_demand(self, star2x4):
         # tau with center 9a and petals 6a+b gives bound 21a + 2b at the center
@@ -430,7 +430,7 @@ class TestSymmetrize:
             acc = [F(0)] * h.num_links
             for perm in auts:
                 for i, v in enumerate(tau):
-                    acc[perm.mapping[i]] += v
+                    acc[perm[i]] += v
             return tuple(v / len(auts) for v in acc)
 
         rng = random.Random(149)
@@ -497,6 +497,92 @@ class TestBetaStar:
             prof = is_beta_star(h)
             if prof is not None:
                 assert beta_star_formula(prof) == interference_metrics(h).sigma
+
+
+def all_pairs_star(h):
+    """is_beta_star by its definition: every pair of edges meets in the same
+    single link."""
+    if not h.edges:
+        return None
+    counts = {}
+    for e in h.edges:
+        counts[len(e)] = counts.get(len(e), 0) + 1
+    size_counts = tuple(sorted(counts.items()))
+    if len(h.edges) == 1:
+        return StarProfile(min(h.edges[0]), size_counts, vacuous_center=True)
+    sets = h.edge_sets
+    meets = {sets[a] & sets[b] for a in range(len(sets)) for b in range(a + 1, len(sets))}
+    if len(meets) != 1:
+        return None
+    (meet,) = meets
+    if len(meet) != 1:
+        return None
+    return StarProfile(min(meet), size_counts)
+
+
+def relabelled(rng, h):
+    perm = list(range(h.num_links))
+    rng.shuffle(perm)
+    return Hypergraph(h.num_links, tuple(tuple(perm[v] for v in e) for e in h.edges))
+
+
+class TestBetaStarAgainstAllPairs:
+    """is_beta_star reads the incidence index; the reference intersects
+    every pair of edges."""
+
+    def test_random_families_one_edge_and_no_edges(self):
+        rng = random.Random(151)
+        cases = [random_hypergraph(rng, max_links=9, max_edges=7) for _ in range(300)]
+        cases += [Hypergraph(4, ((3, 1, 2),)), Hypergraph(2, ((0, 1),)), Hypergraph(5)]
+        for h in cases:
+            assert is_beta_star(h) == all_pairs_star(h)
+
+    def test_relabelled_stars(self):
+        rng = random.Random(157)
+        for _ in range(100):
+            sizes = [rng.randint(2, 4) for _ in range(rng.randint(1, 5))]
+            h = relabelled(rng, built_star(sizes))
+            prof = is_beta_star(h)
+            assert prof is not None
+            assert prof == all_pairs_star(h)
+
+    def test_near_stars(self):
+        """Stars with one edge changed: through a second shared link,
+        missing the center, or meeting another petal away from it.  The
+        first may swallow a 2-link petal, which minimalize then drops."""
+        rng = random.Random(163)
+        rejected = 0
+        for _ in range(200):
+            sizes = [rng.randint(2, 4) for _ in range(rng.randint(2, 5))]
+            star = built_star(sizes)
+            n = star.num_links
+            edges = [list(e) for e in star.edges]
+            k = rng.randrange(len(edges))
+            kind = rng.randrange(3)
+            if kind == 0:
+                edges[k].append(rng.choice([v for v in range(1, n) if v not in edges[k]]))
+            elif kind == 1:
+                edges[k] = edges[k][1:] + [n]
+                n += 1
+            else:
+                edges.append([rng.randrange(1, n), n])
+                n += 1
+            h = relabelled(rng, minimalize(n, edges))
+            got = is_beta_star(h)
+            assert got == all_pairs_star(h)
+            rejected += got is None
+        assert rejected >= 150
+
+    def test_large_near_star_without_all_pairs(self):
+        """A relabelled 10,000-petal star whose last two petals share a
+        link is rejected without intersecting every pair of edges."""
+        p = 10_000
+        edges = [(0, 2 * k - 1, 2 * k) for k in range(1, p + 1)]
+        edges[-1] = (0, 2 * p - 3, 2 * p)
+        h = relabelled(random.Random(167), Hypergraph(2 * p + 1, tuple(edges)))
+        start = time.perf_counter()
+        assert is_beta_star(h) is None
+        assert time.perf_counter() - start < 5.0
 
 
 class TestGraphSpecialization:

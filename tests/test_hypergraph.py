@@ -23,12 +23,12 @@ from hypersched import (
     automorphisms,
     enumerate_independent_sets,
     enumerate_maximal_independent_sets,
+    hypergraph,
     is_independent,
     minimalize,
     neighbors,
     validate_hypergraph,
 )
-from hypersched import hypergraph
 from conftest import random_hypergraph
 
 

@@ -4,6 +4,9 @@
 Checks, on seeded random instances:
   - beta by enumeration == interference degree sigma,
   - chi_f <= B <= sigma * chi_f for nonzero demands,
+  - chi_f over the maximal sets == chi_f over all independent sets,
+  - the maximal sets, in order, are the maximal ones among all independent
+    sets,
   - the greedy pass succeeds under random orders whenever the weighted
     condition holds, and its output converts to a valid schedule,
   - the per-step accounting inequality never fails.
@@ -23,6 +26,8 @@ from hypersched import (
     beta_by_enumeration,
     check_delta_condition,
     delta_matrix,
+    enumerate_independent_sets,
+    enumerate_maximal_independent_sets,
     fractional_chromatic_number,
     greedy_schedule,
     greedy_step_bound,
@@ -47,6 +52,17 @@ def random_demand(rng, n):
     return DemandVector(tuple(Fraction(rng.randint(0, den), den) for _ in range(n)))
 
 
+def maximal_filter(h):
+    """The maximal sets among all independent sets, in their order."""
+    sets = enumerate_independent_sets(h)
+    known = set(sets)
+    return [
+        s
+        for s in sets
+        if all(s | {v} not in known for v in range(h.num_links) if v not in s)
+    ]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=100)
@@ -69,6 +85,14 @@ def main():
             failures += 1
 
         chi = fractional_chromatic_number(h, tau).value
+        chi_all = fractional_chromatic_number(h, tau, columns="all").value
+        if chi != chi_all:
+            print(f"[{k}] chi_f over maximal sets {chi} != over all sets {chi_all}")
+            failures += 1
+        if enumerate_maximal_independent_sets(h) != maximal_filter(h):
+            print(f"[{k}] maximal sets differ from the filter of all sets on {h}")
+            failures += 1
+
         bound = b_bound(h, tau).value
         if chi > bound or (not tau.is_zero and bound > sigma * chi):
             print(f"[{k}] ratio sandwich broken: chi={chi} B={bound} sigma={sigma}")

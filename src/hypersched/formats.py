@@ -70,7 +70,8 @@ def parse_hypergraph_text(text, path="<input>"):
 
 
 def parse_demand_text(text, path="<input>"):
-    """Parse the single `demand v1 ... vN` line; returns (values, lineno)."""
+    """Parse the single `demand v1 ... vN` line; returns (values, lineno).
+    Each distinct token is parsed and range-checked once."""
     found = None
     for lineno, line in _significant_lines(text):
         tokens = line.split()
@@ -78,11 +79,16 @@ def parse_demand_text(text, path="<input>"):
             raise ParseError(path, lineno, f"unknown directive {tokens[0]!r}")
         if found is not None:
             raise ParseError(path, lineno, "duplicate demand line")
-        values = tuple(_parse_fraction(t, path, lineno) for t in tokens[1:])
-        for v in values:
+        parsed = {}
+        for t in tokens[1:]:
+            if t not in parsed:
+                parsed[t] = _parse_fraction(t, path, lineno)
+        # In first-occurrence order, so the first bad value in the line is
+        # the one reported.
+        for v in parsed.values():
             if not 0 <= v <= 1:
                 raise ParseError(path, lineno, f"demand {v} outside [0, 1]")
-        found = (values, lineno)
+        found = (tuple(parsed[t] for t in tokens[1:]), lineno)
     if found is None:
         raise ParseError(path, 1, "missing demand line")
     return found

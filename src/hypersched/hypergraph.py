@@ -133,37 +133,82 @@ def is_independent(h: Hypergraph, links: Iterable[int]) -> bool:
     return not any(es <= s for es in h.edge_sets)
 
 
-def _completion_table(h: Hypergraph):
-    """For each link v, the sets C with ``C ⊆ current ⟹ current+v dependent``."""
-    table = {}
-    for fs in h.edge_sets:
-        for v in fs:
-            table.setdefault(v, []).append(fs - {v})
+def _completion_table(h: Hypergraph) -> list:
+    """Per link v, in edge order, the bitmask of each edge through v less v:
+    the sets C with ``C ⊆ current ⟹ current + v dependent``.  A link in no
+    edge gets an empty list."""
+    table = [[] for _ in range(h.num_links)]
+    for edge in h.edges:
+        mask = sum(1 << v for v in edge)
+        for v in edge:
+            table[v].append(mask ^ (1 << v))
     return table
 
 
-def _independent_subsets(pool, completions, weights, total=0, chosen=()):
-    """Walk the sets ``chosen + J`` for the subsets J of ``pool`` that keep
+def _members(mask: int) -> list:
+    """The links of a bitmask (bit v is link v), ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _independent_subsets(pool, completions, weights, total=0, chosen=0, *, maximal=False):
+    """Walk the sets ``chosen | J`` for the subsets J of ``pool`` that keep
     them free of the forbidden family, in lexicographic order of J's sorted
-    member tuples (pre-order DFS).
+    member tuples (pre-order DFS).  Sets are bitmasks, bit v for link v;
+    ``completions`` is :func:`_completion_table`.
 
-    Yields ``(live set, total + sum of weights[v] over J)``.  The live set
-    is the walk's own and changes on the next step; copy it to keep it.
+    Yields ``(mask, total + sum of weights[v] over J)``.
+
+    Each step carries the mask of the links its set blocks (some edge lacks
+    only that link), so a step costs the edges through the added link, not
+    a scan of the whole pool.
+
+    With ``maximal`` (pool = every link, nothing chosen) only the maximal
+    sets are yielded, and the walk cuts the branches that hold none.  A pool
+    link the walk has skipped never joins a set below the branch, so such a
+    set is maximal only if one of the link's completions lies inside it,
+    hence inside ``chosen | remaining pool``.  Once some skipped link has no
+    completion there, no set below is maximal.  Later siblings have more
+    skipped links and fewer remaining, so the scan of the siblings stops
+    there too.
     """
-    pool = sorted(pool)
-    current = set(chosen)
-
-    def extend(start, total):
-        yield current, total
-        for idx in range(start, len(pool)):
-            v = pool[idx]
-            if any(c <= current for c in completions.get(v, ())):
-                continue
-            current.add(v)
-            yield from extend(idx + 1, total + weights[v])
-            current.discard(v)
-
-    return extend(0, total)
+    pool_mask = sum(1 << v for v in pool)
+    blocked = sum(1 << u for u, cs in enumerate(completions) if any(c & chosen == c for c in cs))
+    # (set, links it blocks, pool links above its last, total, skipped links
+    # not yet blocked)
+    stack = [(chosen, blocked, pool_mask, total, 0)]
+    while stack:
+        current, blocked, above, total, skipped = stack.pop()
+        if not maximal or current | blocked == pool_mask:
+            yield current, total
+        free = above & ~blocked
+        skipped &= ~blocked
+        children = []
+        while free:
+            low = free & -free
+            free ^= low
+            if maximal:
+                avail = current | (above & -low)
+                if not all(any(c & avail == c for c in completions[u]) for u in _members(skipped)):
+                    break
+            v = low.bit_length() - 1
+            child = current | low
+            child_blocked = blocked
+            for c in completions[v]:
+                rem = c & ~child
+                if not rem & (rem - 1):
+                    child_blocked |= rem
+            children.append(
+                (child, child_blocked, above & -(low << 1), total + weights[v], skipped)
+            )
+            if maximal:
+                skipped |= low
+        children.reverse()
+        stack += children
 
 
 def _check_limit(h: Hypergraph, limit, default):
@@ -179,23 +224,17 @@ def enumerate_independent_sets(h: Hypergraph, limit: int | None = None) -> list:
     _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
     n = h.num_links
     walk = _independent_subsets(range(n), _completion_table(h), [0] * n)
-    return [frozenset(s) for s, _ in walk]
+    return [frozenset(_members(s)) for s, _ in walk]
 
 
 def enumerate_maximal_independent_sets(h: Hypergraph, limit: int | None = None) -> list:
-    """The inclusion-maximal independent sets, in lexicographic order."""
+    """The inclusion-maximal independent sets, in lexicographic order.  The
+    walk cuts every branch that a skipped link proves non-maximal, and keeps
+    a set only when it blocks every link outside it."""
     _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
     n = h.num_links
-    completions = _completion_table(h)
-
-    def can_add(v, s):
-        return all(not c <= s for c in completions.get(v, ()))
-
-    out = []
-    for s, _ in _independent_subsets(range(n), completions, [0] * n):
-        if all(not can_add(v, s) for v in range(n) if v not in s):
-            out.append(frozenset(s))
-    return out
+    walk = _independent_subsets(range(n), _completion_table(h), [0] * n, maximal=True)
+    return [frozenset(_members(s)) for s, _ in walk]
 
 
 def automorphisms(h: Hypergraph, limit: int | None = None) -> list:

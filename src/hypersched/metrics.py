@@ -22,6 +22,7 @@ from .hypergraph import (
     _check_limit,
     _completion_table,
     _independent_subsets,
+    _members,
     automorphisms,
     # Unused here; kept because perfbench/tracing.py wraps this name.
     enumerate_independent_sets,  # noqa: F401
@@ -75,12 +76,12 @@ def _link_degree(setup, i, pool, double: bool) -> LinkMetric:
     that is independent, or with ``double`` independent together with i,
     which then adds 1.  Ties keep the lexicographically first J."""
     den, rows, completions = setup
-    base, chosen = (den, (i,)) if double else (0, ())
-    best, witness = base, frozenset()
+    base, chosen = (den, 1 << i) if double else (0, 0)
+    best, witness = base, chosen
     for s, total in _independent_subsets(pool, completions, rows[i], base, chosen):
         if total > best:
-            best, witness = total, frozenset(s)
-    return LinkMetric(Fraction(best, den), witness - {i})
+            best, witness = total, s
+    return LinkMetric(Fraction(best, den), frozenset(_members(witness & ~chosen)))
 
 
 def delta_i_prime(h: Hypergraph, i: int, limit: int | None = None) -> LinkMetric:
@@ -162,7 +163,7 @@ def beta_by_enumeration(h: Hypergraph, limit: int | None = None) -> BetaWitness:
         weights[i] += den << (i * width)
     guard = sum(1 << (i * width + width - 1) for i in range(n))
     best = [0] * n
-    witness = [()] * n
+    witness = [0] * n
     thr = sum(1 << (i * width) for i in range(n))
     for s, total in _independent_subsets(range(n), _completion_table(h), weights):
         beat = ((total | guard) - thr) & guard
@@ -173,13 +174,13 @@ def beta_by_enumeration(h: Hypergraph, limit: int | None = None) -> BetaWitness:
             v = (total >> shift) & field
             thr += (v - best[i]) << shift
             best[i] = v
-            witness[i] = tuple(s)
+            witness[i] = s
     top = max(best)
     link = best.index(top)
     return BetaWitness(
         beta=Fraction(top, den),
         link=link,
-        demand=DemandVector.characteristic(n, witness[link]),
+        demand=DemandVector.characteristic(n, _members(witness[link])),
     )
 
 

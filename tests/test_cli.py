@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hypersched import DemandVector, IntervalSet, LpSolution, LpStatus, feasibility
+from hypersched import DemandVector, IntervalSet, LpSolution, LpStatus, ParseError, feasibility
 from hypersched.cli import main
 from hypersched.formats import (
     format_demand_line,
@@ -418,6 +418,43 @@ class TestRoundTrips:
         body = "links 4\n" + "\n".join(out.splitlines()[1:]) + "\n"
         h, _ = parse_hypergraph_text(body)
         assert h.edges == ((0, 1),)
+
+
+class TestDemandParsing:
+    """Demand lines repeat a few values many times; each distinct token is
+    parsed once, and faults are reported as if every token were parsed in
+    turn."""
+
+    def test_repeated_tokens_give_equal_fractions(self):
+        values, lineno = parse_demand_text("# hub\ndemand 1/2 1/3 1/2 2/4 1/3 0 0\n")
+        assert lineno == 2
+        assert values == (F(1, 2), F(1, 3), F(1, 2), F(1, 2), F(1, 3), F(0), F(0))
+        assert all(type(v) is Fraction for v in values)
+        assert values[0] is values[2]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("demand 1/2 x 1/2 x 2", "bad rational 'x'"),
+            # Every token is parsed before any is range-checked.
+            ("demand 1/2 2 1/0 2", "bad rational '1/0'"),
+            ("demand 1/2 1/2 1/0 1/2", "bad rational '1/0'"),
+            ("demand 1/3 -1/3 1/3 5/4 -1/3", "demand -1/3 outside [0, 1]"),
+            ("demand 1/2 1/2 3/2 1/2 3/2", "demand 3/2 outside [0, 1]"),
+        ],
+    )
+    def test_fault_line_and_text(self, line, message, files, capsys):
+        with pytest.raises(ParseError) as err:
+            parse_demand_text("\n" + line + "\n", "D")
+        assert err.value.line == 2
+        assert str(err.value) == f"D:2: {message}"
+        dfile = files["dir"] / "bad.demand"
+        dfile.write_text("\n" + line + "\n")
+        code, out, stderr = run(
+            capsys, "check", files["star"], "--demand", str(dfile), "--rule", "cor4"
+        )
+        assert (code, out) == (2, "")
+        assert stderr == f"error: {dfile}:2: {message}\n"
 
 
 PATH_FILE = """\

@@ -8,6 +8,7 @@ with them and are asserted against them again here.
 import gc
 import random
 import sys
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -49,6 +50,30 @@ def brute_maximal_sets(h):
         for s in ind
         if all(s | {v} not in ind for v in range(h.num_links) if v not in s)
     ]
+
+
+def lexicographic(sets):
+    """Sets in the order the enumerations promise: by sorted member list."""
+    return sorted(sets, key=sorted)
+
+
+def maximal_filter(h):
+    """The maximal sets among enumerate_independent_sets, in its order."""
+    sets = enumerate_independent_sets(h)
+    known = set(sets)
+    return [
+        s
+        for s in sets
+        if all(s | {v} not in known for v in range(h.num_links) if v not in s)
+    ]
+
+
+def wall_instance(n):
+    """Random hypergraph of the size-wall measurements: ``random.Random(n)``,
+    n to 2n edges of 2-4 links, minimalized."""
+    rng = random.Random(n)
+    raw = [rng.sample(range(n), rng.randint(2, 4)) for _ in range(rng.randint(n, 2 * n))]
+    return minimalize(n, raw)
 
 
 def brute_automorphisms(h):
@@ -352,9 +377,8 @@ class TestEnumeration:
         assert len(got) == 10
 
     def test_maximal_edgeless(self):
-        assert enumerate_maximal_independent_sets(Hypergraph(5)) == [
-            frozenset(range(5))
-        ]
+        for n in range(1, 7):
+            assert enumerate_maximal_independent_sets(Hypergraph(n)) == [frozenset(range(n))]
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitExceeded) as err:
@@ -372,7 +396,7 @@ class TestEnumeration:
             assert enumerate_independent_sets(h) == sorted(
                 brute_independent_sets(h), key=sorted
             )
-            assert set(enumerate_maximal_independent_sets(h)) == set(
+            assert enumerate_maximal_independent_sets(h) == lexicographic(
                 brute_maximal_sets(h)
             )
 
@@ -402,6 +426,121 @@ class TestEnumeration:
                 for v in range(h.num_links):
                     if v not in s:
                         assert not is_independent(h, s | {v})
+
+
+class TestMaximalWalk:
+    """The maximal-set walk cuts branches that cannot hold a maximal set; it
+    must still return every maximal set, and only those, in lexicographic
+    order."""
+
+    @staticmethod
+    def check(h):
+        assert enumerate_maximal_independent_sets(h) == lexicographic(brute_maximal_sets(h))
+
+    def test_random_up_to_12_links(self):
+        rng = random.Random(21)
+        for _ in range(120):
+            self.check(random_hypergraph(rng, max_links=12, max_edges=10))
+
+    def test_random_dense_up_to_12_links(self):
+        rng = random.Random(22)
+        for _ in range(40):
+            self.check(random_hypergraph(rng, max_links=12, max_edges=24, max_size=3, min_links=6))
+
+    def test_links_in_no_edge(self):
+        for h in (
+            Hypergraph(6, ((0, 2), (2, 4, 5))),
+            Hypergraph(7, ((1, 2, 3),)),
+            Hypergraph(9, ((0, 8), (3, 4), (4, 8, 5))),
+        ):
+            self.check(h)
+
+    def test_one_edge_covering_every_link(self):
+        for n in range(2, 10):
+            got = enumerate_maximal_independent_sets(Hypergraph(n, (tuple(range(n)),)))
+            assert got == [frozenset(range(n)) - {v} for v in reversed(range(n))]
+
+    def test_star2x4(self, star2x4):
+        self.check(star2x4)
+
+    def test_hub_heavy(self):
+        """Many edges through one link, with the hub at either end of the
+        link order, and hubs with edges between the petals."""
+        for petals, size in ((5, 2), (11, 2), (5, 3), (3, 4)):
+            n = 1 + petals * (size - 1)
+            edges = [(0, *range(1 + k * (size - 1), 1 + (k + 1) * (size - 1))) for k in range(petals)]
+            self.check(Hypergraph(n, tuple(edges)))
+            last = n - 1
+            self.check(Hypergraph(n, tuple(tuple(last if v == 0 else v - 1 for v in e) for e in edges)))
+        rng = random.Random(23)
+        for _ in range(20):
+            n = rng.randint(6, 12)
+            hub = rng.randrange(n)
+            others = [v for v in range(n) if v != hub]
+            raw = [[hub, *rng.sample(others, rng.randint(1, 2))] for _ in range(rng.randint(3, 8))]
+            raw += [rng.sample(others, 2) for _ in range(rng.randint(0, 3))]
+            self.check(minimalize(n, raw))
+
+    @pytest.mark.parametrize("n", [18, 19, 20])
+    def test_matches_filter_of_all_sets(self, n):
+        h = wall_instance(n)
+        assert enumerate_maximal_independent_sets(h) == maximal_filter(h)
+
+    def test_hub_heavy_18_links_matches_filter(self):
+        rng = random.Random(24)
+        others = range(1, 18)
+        raw = [[0, *rng.sample(others, 2)] for _ in range(8)]
+        raw += [rng.sample(others, rng.randint(2, 3)) for _ in range(18)]
+        h = minimalize(18, raw)
+        assert max(len(ks) for ks in h.incidence) == len(h.incidence[0]) >= 6
+        assert enumerate_maximal_independent_sets(h) == maximal_filter(h)
+
+
+class CountingWeights(list):
+    """Zero weights that count how often the walk reads one: once per set
+    it steps into."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return 0
+
+
+class TestMaximalWalkWork:
+    """How many sets the maximal walk steps into.  Every skipped link is
+    re-checked as the remaining pool shrinks; checking fewer of them keeps
+    the answer but steps into about three times as many sets."""
+
+    @pytest.mark.parametrize("n, maximal, steps", [(20, 303, 2666), (28, 813, 9204)])
+    def test_steps_on_wall_instances(self, n, maximal, steps):
+        h = wall_instance(n)
+        weights = CountingWeights([0] * n)
+        walk = hypergraph._independent_subsets(
+            range(n), hypergraph._completion_table(h), weights, maximal=True
+        )
+        assert sum(1 for _ in walk) == maximal
+        assert weights.reads <= steps
+
+
+class TestSizeWall:
+    """Past the default size limit, the maximal-set walk costs time in the
+    number of maximal sets, not of all independent sets: the N = 28 wall
+    instance (813 maximal sets) stays far below the bound."""
+
+    def test_maximal_sets_n28(self):
+        h = wall_instance(28)
+        with pytest.raises(SizeLimitExceeded):
+            enumerate_maximal_independent_sets(h)
+        start = time.perf_counter()
+        sets = enumerate_maximal_independent_sets(h, limit=28)
+        elapsed = time.perf_counter() - start
+        assert len(sets) == 813
+        assert sets == lexicographic(sets)
+        for s in sets:
+            assert is_independent(h, s)
+            assert all(not is_independent(h, s | {v}) for v in range(28) if v not in s)
+        assert elapsed < 5.0
 
 
 class TestAutomorphisms:

@@ -4,7 +4,8 @@
 Checks, on seeded random instances:
   - beta by enumeration == interference degree sigma,
   - chi_f <= B <= sigma * chi_f for nonzero demands,
-  - chi_f over the maximal sets == chi_f over all independent sets,
+  - chi_f over the maximal sets == chi_f over all independent sets, and
+    each LP's witness is a valid schedule of total duration chi_f,
   - the maximal sets, in order, are the maximal ones among all independent
     sets,
   - the greedy pass succeeds under random orders whenever the weighted
@@ -21,6 +22,7 @@ from fractions import Fraction
 
 from hypersched import (
     DemandVector,
+    HyperschedError,
     ScheduleStuck,
     b_bound,
     beta_by_enumeration,
@@ -84,11 +86,17 @@ def main():
             print(f"[{k}] beta {beta} != sigma {sigma} on {h}")
             failures += 1
 
-        chi = fractional_chromatic_number(h, tau).value
-        chi_all = fractional_chromatic_number(h, tau, columns="all").value
+        chi, witness = fractional_chromatic_number(h, tau)
+        chi_all, witness_all = fractional_chromatic_number(h, tau, columns="all")
         if chi != chi_all:
             print(f"[{k}] chi_f over maximal sets {chi} != over all sets {chi_all}")
             failures += 1
+        for columns, schedule in (("maximal", witness), ("all", witness_all)):
+            try:
+                validate_schedule(h, schedule, tau, max_total=chi)
+            except HyperschedError as e:
+                print(f"[{k}] chi_f witness over {columns} sets rejected: {e}")
+                failures += 1
         if enumerate_maximal_independent_sets(h) != maximal_filter(h):
             print(f"[{k}] maximal sets differ from the filter of all sets on {h}")
             failures += 1

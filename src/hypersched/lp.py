@@ -1,14 +1,20 @@
 """Exact linear programming over rationals.
 
-Dense integer-preserving two-phase simplex with Bland's anti-cycling rule,
-exact.  Every constraint row is scaled by one common integer so the tableau
-holds Python ``int``s over a single common denominator, and each pivot is the
+Revised integer-preserving two-phase simplex with Bland's anti-cycling rule,
+exact.  Every constraint row is scaled by one common integer, so the
+constraint matrix becomes sparse integer columns, built once.  The solver
+keeps no tableau of them: it keeps ``R = d * B^-1`` (``B`` the basis matrix,
+``d`` the common denominator), the scaled basic solution, and the pricing
+vector ``u = c_B * R`` with its objective entry.  Any other tableau entry is
+computed when it is needed, as ``R[i] . A_j``; it is a minor of the starting
+system (Cramer's rule), so it is an exact integer.  Each pivot is the
 Edmonds/Bareiss fraction-free update (Edmonds, J. Res. NBS 1967; Bareiss,
-Math. Comp. 1968), so the pivot loop does no ``Fraction`` arithmetic.  The
-reduced costs are kept as an extra tableau row updated by the same pivot.
-Inputs and results are ``fractions.Fraction``; an Optimal result satisfies
-every constraint exactly, with no tolerance anywhere, and carries one exact
-dual value per constraint.  Variables are implicitly nonnegative.
+Math. Comp. 1968) of those (m + 1) x (m + 1) integers, so the pivot loop does
+no ``Fraction`` arithmetic.  Inputs and results are ``fractions.Fraction``;
+an Optimal result is re-checked in the scaled integers before it is
+returned, satisfies every constraint exactly, with no tolerance anywhere,
+and carries one exact dual value per constraint.  Variables are implicitly
+nonnegative.
 
 Pivot selection is deterministic (lowest eligible index), so identical inputs
 always produce identical assignments.
@@ -20,6 +26,7 @@ import dataclasses
 import math
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 
 from .errors import SolverInvariantError
 
@@ -84,57 +91,84 @@ def _common_denominator(values) -> int:
     return math.lcm(1, *(v.denominator for v in values))
 
 
-def _pivot(T, basis, d, row, col):
-    """Pivot the integer tableau ``T / d`` on ``T[row][col]``; returns the new
+def _dot(r, col):
+    """``r . col`` for the sparse column ``col = (rows, values)``; ``values``
+    is one int when every entry of the column has that value."""
+    rows, vals = col
+    if type(vals) is int:
+        return vals * sum(map(r.__getitem__, rows))
+    return sum(map(mul, map(r.__getitem__, rows), vals))
+
+
+def _column(M, col):
+    """The tableau column of ``col``: one entry per row of ``M``."""
+    return [_dot(r, col) for r in M]
+
+
+def _pivot(M, basis, d, row, col, a):
+    """Pivot on entry ``a[row]`` of the entering column ``col``; returns the new
     common denominator, which is always positive.
 
-    Every other row ``i`` becomes ``(p * T[i] - T[i][col] * T[row]) / d`` with
-    ``p = T[row][col]``, and ``p`` becomes the denominator.  The division is
-    exact because every entry is a minor of the starting tableau, whose basis
-    is the identity (Bareiss).
+    ``M`` holds one row per basis entry, that row of ``R`` followed by its
+    right-hand side, and may end with the pricing row ``u`` and its objective
+    entry; ``a`` is the entering tableau column, one entry per row of ``M``.
+    Every other row ``i`` becomes ``(p * M[i] - a[i] * M[row]) / d`` with
+    ``p = a[row]``, and ``p`` becomes the denominator.  The division is exact
+    because every entry is a minor of the starting system, whose basis is the
+    identity (Bareiss).
     """
-    p = T[row][col]
-    prow = T[row]
-    for i, r in enumerate(T):
+    p = a[row]
+    prow = M[row]
+    for i, r in enumerate(M):
         if i == row:
             continue
-        f = r[col]
+        f = a[i]
         if f:
-            T[i] = [(p * a - f * q) // d for a, q in zip(r, prow)]
+            M[i] = [(p * x - f * q) // d for x, q in zip(r, prow)]
         elif p != d:
-            T[i] = [p * a // d for a in r]
+            M[i] = [p * x // d for x in r]
     basis[row] = col
     if p < 0:
-        for i, r in enumerate(T):
-            T[i] = [-a for a in r]
+        for i, r in enumerate(M):
+            M[i] = [-x for x in r]
         p = -p
     return p
 
 
-def _run_simplex(T, basis, d, ncols):
-    """Maximize on the tableau in place.
+def _run_simplex(M, basis, d, cols, cost):
+    """Maximize ``cost . x`` in place, from the basis held in ``M`` (see
+    ``_pivot``), whose last row is the pricing row.
 
-    ``T`` holds one row per basis entry, then the reduced-cost row; the last
-    column is the right-hand side.  Only columns below ``ncols`` may enter.
-    Returns ``("optimal" | "unbounded", d)``.
+    Only the sparse columns ``cols`` may enter; column ``j``'s reduced cost
+    is ``u . A_j - d * cost[j]``.  Returns ``("optimal" | "unbounded", d)``.
     """
     m = len(basis)
     while True:
-        z = T[m]
-        enter = next((j for j in range(ncols) if z[j] < 0), -1)
-        if enter < 0:
+        g = M[m].__getitem__
+        # Bland: the first column with a negative reduced cost enters (the
+        # dot products are ``_dot``, inlined).
+        for enter, (rows, vals) in enumerate(cols):
+            if type(vals) is int:
+                z = vals * sum(map(g, rows))
+            else:
+                z = sum(map(mul, map(g, rows), vals))
+            if z < d * cost[enter]:
+                break
+        else:
             return "optimal", d
+        a = _column(M, cols[enter])
+        a[m] -= d * cost[enter]
         leave = -1
         for i in range(m):
-            a = T[i][enter]
-            if a > 0:
-                b = T[i][-1]
-                # b / a against lb / la, both over the common denominator.
-                if leave < 0 or b * la < lb * a or (b * la == lb * a and basis[i] < basis[leave]):
-                    leave, la, lb = i, a, b
+            ai = a[i]
+            if ai > 0:
+                b = M[i][-1]
+                # b / ai against lb / la, both over the common denominator.
+                if leave < 0 or b * la < lb * ai or (b * la == lb * ai and basis[i] < basis[leave]):
+                    leave, la, lb = i, ai, b
         if leave < 0:
             return "unbounded", d
-        d = _pivot(T, basis, d, leave, enter)
+        d = _pivot(M, basis, d, leave, enter, a)
 
 
 def solve_lp(lp: LinearProgram, sense: str = "max") -> LpSolution:
@@ -144,108 +178,120 @@ def solve_lp(lp: LinearProgram, sense: str = "max") -> LpSolution:
     # A min problem is solved as the max of the negated objective.
     flip = 1 if sense == "max" else -1
     n = lp.num_vars
-    rows = []
-    dual_sign = []  # -1 where a row was negated, times its slack's sign
-    for coeffs, rel, rhs in lp.constraints:
-        sign = 1
-        if rhs < 0:
-            coeffs = [-a for a in coeffs]
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-            sign = -1
-        rows.append((coeffs, rel, rhs))
-        dual_sign.append(sign)
-
+    m = len(lp.constraints)
     # One common scale for every row: per-row scales would weigh the
     # phase-1 artificials differently and change the pivot sequence.
-    scale = _common_denominator(v for coeffs, _, rhs in rows for v in (*coeffs, rhs))
-    m = len(rows)
-    art_start = n + sum(1 for _, rel, _ in rows if rel != "=")
-    ncols = art_start + sum(1 for _, rel, _ in rows if rel != "<=")
-    T = []
+    scale = _common_denominator(v for coeffs, _, rhs in lp.constraints for v in (*coeffs, rhs))
+    rels = []
+    dual_sign = []  # -1 where a row was negated to make its rhs nonnegative
+    b = []
+    cols = [([], []) for _ in range(n)]
+    for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
+        sign = 1
+        if rhs < 0:
+            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+            sign = -1
+        rels.append(rel)
+        dual_sign.append(sign)
+        b.append(sign * rhs.numerator * (scale // rhs.denominator))
+        for (rows, vals), a in zip(cols, coeffs):
+            if a:
+                rows.append(i)
+                vals.append(sign * a.numerator * (scale // a.denominator))
+    # A column whose entries are all equal (every chi_f set column) keeps
+    # just that value, which prices it with one multiplication.
+    cols = [
+        (rows, vals if vals.count(vals[0]) != len(vals) else vals[0]) if vals else (rows, 0)
+        for rows, vals in cols
+    ]
+
+    # Slack columns, then artificial ones; the starting basis is the
+    # identity: the slack of each <= row, the artificial of every other row.
+    art_start = n + sum(1 for rel in rels if rel != "=")
     basis = [-1] * m
-    dual_col = [0] * m  # column whose reduced cost reads the row's dual
-    slack = n
-    art = art_start
-    for i, (coeffs, rel, rhs) in enumerate(rows):
-        row = [a.numerator * (scale // a.denominator) for a in coeffs]
-        row += [0] * (ncols - n)
-        row.append(rhs.numerator * (scale // rhs.denominator))
+    for i, rel in enumerate(rels):
         if rel != "=":
-            row[slack] = 1 if rel == "<=" else -1
-            dual_col[i] = slack
-            dual_sign[i] *= row[slack]
-            slack += 1
-        if rel == "<=":
-            basis[i] = dual_col[i]
-        else:
-            row[art] = 1
-            basis[i] = art
-            if rel == "=":
-                dual_col[i] = art
-            art += 1
-        T.append(row)
+            if rel == "<=":
+                basis[i] = len(cols)
+            cols.append(((i,), 1 if rel == "<=" else -1))
+    for i, rel in enumerate(rels):
+        if rel != "<=":
+            basis[i] = len(cols)
+            cols.append(((i,), 1))
+    ncols = len(cols)
+    M = [[int(i == k) for k in range(m)] + [b[i]] for i in range(m)]
 
     d = 1
     keep = list(range(m))
     if ncols > art_start:
-        # Phase 1: maximize -(sum of artificials); its reduced costs are
-        # minus the column sums over the artificial rows, plus 1 on the
-        # (basic) artificial columns themselves.
-        z = [0] * (ncols + 1)
-        for i in range(m):
-            if basis[i] >= art_start:
-                z = [s - a for s, a in zip(z, T[i])]
-        for j in range(art_start, ncols):
-            z[j] += 1
-        T.append(z)
-        status, d = _run_simplex(T, basis, d, ncols)
+        # Phase 1: maximize -(sum of artificials), priced by u = c_B * R.
+        u = [-int(bi >= art_start) for bi in basis]
+        M.append(u + [sum(map(mul, u, b))])
+        cost = [0] * art_start + [-1] * (ncols - art_start)
+        status, d = _run_simplex(M, basis, d, cols, cost)
         if status != "optimal":
             raise SolverInvariantError(
                 f"phase 1 reported {status!r}; its objective is bounded above by 0"
             )
-        T.pop()
-        if sum(T[i][-1] for i in range(m) if basis[i] >= art_start) != 0:
+        M.pop()
+        if sum(M[i][-1] for i in range(m) if basis[i] >= art_start) != 0:
             return LpSolution(LpStatus.INFEASIBLE)
         # Drive leftover artificials out of the basis; drop redundant rows.
         keep = []
         for i in range(m):
             if basis[i] >= art_start:
-                col = next((j for j in range(art_start) if T[i][j] != 0), None)
+                col = next((j for j in range(art_start) if _dot(M[i], cols[j]) != 0), None)
                 if col is None:
                     continue  # all-zero row: redundant constraint
-                d = _pivot(T, basis, d, i, col)
+                d = _pivot(M, basis, d, i, col, _column(M, cols[col]))
             keep.append(i)
-        # Artificial columns stay only for the kept equality rows, as
-        # never-entering columns that carry those rows' duals.
-        eq_rows = [i for i in keep if rows[i][1] == "="]
-        cols = list(range(art_start)) + [dual_col[i] for i in eq_rows] + [ncols]
-        for k, i in enumerate(eq_rows):
-            dual_col[i] = art_start + k
-        T = [[T[i][j] for j in cols] for i in keep]
+        M = [M[i] for i in keep]
         basis = [basis[i] for i in keep]
 
-    # Phase 2 reduced-cost row, scaled by d and the objective's denominator.
+    # Phase 2, priced by u = c_B * R with the objective scaled to integers;
+    # artificial columns never enter again.
     obj_scale = _common_denominator(lp.objective)
     c = [flip * a.numerator * (obj_scale // a.denominator) for a in lp.objective]
-    z = [0] * (len(T[0]) if T else art_start + 1)
-    for i, bi in enumerate(basis):
+    u = [0] * (m + 1)
+    for r, bi in zip(M, basis):
         if bi < n and c[bi]:
-            z = [s + c[bi] * a for s, a in zip(z, T[i])]
-    for j in range(n):
-        z[j] -= c[j] * d
-    T.append(z)
-    status, d = _run_simplex(T, basis, d, art_start)
+            u = [s + c[bi] * x for s, x in zip(u, r)]
+    M.append(u)
+    status, d = _run_simplex(M, basis, d, cols[:art_start], c + [0] * (art_start - n))
     if status == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED)
+    u = M.pop()
+
+    # Re-check the answer in the scaled integers: every row holds at x, and
+    # the duals price the right-hand side at the objective value.
+    lhs = [0] * m
+    primal = 0
+    for r, bi in zip(M, basis):
+        xb = r[-1]
+        if xb < 0:
+            raise SolverInvariantError(f"basic variable {bi} is negative at the optimum")
+        if bi < n:
+            primal += c[bi] * xb
+            rows, vals = cols[bi]
+            if type(vals) is int:
+                vals = [vals] * len(rows)
+            for k, a in zip(rows, vals):
+                lhs[k] += a * xb
+    for i, rel in enumerate(rels):
+        bd = b[i] * d
+        if not (lhs[i] <= bd if rel == "<=" else lhs[i] >= bd if rel == ">=" else lhs[i] == bd):
+            raise SolverInvariantError(f"the optimum violates constraint {i}")
+    if sum(u[i] * b[i] for i in keep) != primal:
+        raise SolverInvariantError("the duals do not price the right-hand side at the optimum")
 
     x = [_ZERO] * n
-    for i, bi in enumerate(basis):
+    for r, bi in zip(M, basis):
         if bi < n:
-            x[bi] = Fraction(T[i][-1], d)
+            x[bi] = Fraction(r[-1], d)
     value = sum((lp.objective[j] * x[j] for j in range(n)), _ZERO)
-    z = T[-1]
+    # Row i's slack or artificial column is +-e_i, so the dual read from its
+    # reduced cost is u[i], up to the signs of the rhs flip and the sense.
     duals = [_ZERO] * m
     for i in keep:
-        duals[i] = Fraction(flip * dual_sign[i] * scale * z[dual_col[i]], d * obj_scale)
+        duals[i] = Fraction(flip * dual_sign[i] * scale * u[i], d * obj_scale)
     return LpSolution(LpStatus.OPTIMAL, value, tuple(x), tuple(duals))

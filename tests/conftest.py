@@ -56,6 +56,14 @@ def random_hypergraph(rng, max_links=10, max_edges=6, min_size=2, max_size=5,
     return minimalize(n, raw)
 
 
+def wall_instance(n):
+    """Random hypergraph of the size-wall measurements: ``random.Random(n)``,
+    n to 2n edges of 2-4 links, minimalized."""
+    rng = random.Random(n)
+    raw = [rng.sample(range(n), rng.randint(2, 4)) for _ in range(rng.randint(n, 2 * n))]
+    return minimalize(n, raw)
+
+
 def random_graph(rng, max_links=10, max_edges=8):
     """2-uniform hypergraph with at least one edge."""
     n = rng.randint(2, max_links)

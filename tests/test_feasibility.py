@@ -1,6 +1,7 @@
 """Feasibility semantics: maximal-set incidence, chi_f LP, schedule validation."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from hypersched import (
     LpStatus,
     NotIndependent,
     Schedule,
+    SizeLimitExceeded,
     SolverInvariantError,
     enumerate_maximal_independent_sets,
     fractional_chromatic_number,
@@ -25,7 +27,7 @@ from hypersched import (
     validate_schedule,
 )
 from hypersched import feasibility
-from conftest import permute_demand, random_demand, random_hypergraph, zeros
+from conftest import permute_demand, random_demand, random_hypergraph, wall_instance, zeros
 
 F = Fraction
 
@@ -286,3 +288,22 @@ class TestSolverInvariant:
         )
         with pytest.raises(SolverInvariantError, match="infeasible"):
             fractional_chromatic_number(triangle, DemandVector((1, 1, 1)))
+
+
+class TestSizeWall:
+    """Past the default size limit, chi_f on the N = 26 wall instance (863
+    maximal-set columns) solves exactly, with a valid witness, far below the
+    bound."""
+
+    def test_chi_f_n26(self):
+        h = wall_instance(26)
+        tau = DemandVector((Fraction(1, 2),) * 26)
+        with pytest.raises(SizeLimitExceeded):
+            fractional_chromatic_number(h, tau)
+        start = time.perf_counter()
+        value, witness = fractional_chromatic_number(h, tau, limit=26)
+        validate_schedule(h, witness, tau, max_total=value)
+        elapsed = time.perf_counter() - start
+        assert value == Fraction(7, 6)
+        assert len(witness.entries) == 7
+        assert elapsed < 5.0

@@ -30,7 +30,7 @@ from hypersched import (
     neighbors,
     validate_hypergraph,
 )
-from conftest import random_hypergraph
+from conftest import random_hypergraph, wall_instance
 
 
 def brute_independent_sets(h):
@@ -66,14 +66,6 @@ def maximal_filter(h):
         for s in sets
         if all(s | {v} not in known for v in range(h.num_links) if v not in s)
     ]
-
-
-def wall_instance(n):
-    """Random hypergraph of the size-wall measurements: ``random.Random(n)``,
-    n to 2n edges of 2-4 links, minimalized."""
-    rng = random.Random(n)
-    raw = [rng.sample(range(n), rng.randint(2, 4)) for _ in range(rng.randint(n, 2 * n))]
-    return minimalize(n, raw)
 
 
 def brute_automorphisms(h):

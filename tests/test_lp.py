@@ -1,13 +1,24 @@
 """Exact simplex: golden cases, exactness invariants, duality spot-check,
-dual certificates."""
+dual certificates, and agreement with the dense reference solver."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from hypersched import LinearProgram, LpStatus, SolverInvariantError, solve_lp
+from hypersched import (
+    DemandVector,
+    LinearProgram,
+    LpStatus,
+    SolverInvariantError,
+    fractional_chromatic_number,
+    solve_lp,
+)
+from hypersched import feasibility
 from hypersched import lp as lp_module
+
+import lp_reference
+from conftest import random_hypergraph
 
 
 def check_exact(lp, sol):
@@ -45,6 +56,26 @@ def check_duals(lp, sense, sol):
     for j, c in enumerate(lp.objective):
         column = sum(v * coeffs[j] for v, (coeffs, _, _) in zip(y, lp.constraints))
         assert s * column >= s * c
+
+
+def random_mixed_lp(rng, size):
+    """Up to ``size`` variables and ``size`` random rows with fractional
+    coefficients, all three relations and right-hand sides of either sign;
+    about a fifth of the rows are followed by a multiple of themselves as an
+    equality row."""
+    n = rng.randint(1, size)
+
+    def value():
+        return Fraction(rng.randint(-4, 6), rng.choice((1, 2, 3, 5)))
+
+    cons = []
+    for _ in range(rng.randint(1, size)):
+        row = tuple(value() for _ in range(n))
+        cons.append((row, rng.choice(("<=", ">=", "=")), value()))
+        if rng.random() < 0.2:
+            k = rng.randint(1, 3)
+            cons.append((tuple(k * a for a in row), "=", k * cons[-1][2]))
+    return LinearProgram(n, tuple(value() for _ in range(n)), tuple(cons))
 
 
 class TestGoldens:
@@ -202,19 +233,7 @@ class TestRandomized:
         rng = random.Random(37)
         optimal = 0
         for _ in range(200):
-            n = rng.randint(1, 5)
-
-            def value():
-                return Fraction(rng.randint(-4, 6), rng.choice((1, 2, 3, 5)))
-
-            cons = []
-            for _ in range(rng.randint(1, 5)):
-                row = tuple(value() for _ in range(n))
-                cons.append((row, rng.choice(("<=", ">=", "=")), value()))
-                if rng.random() < 0.2:
-                    k = rng.randint(1, 3)
-                    cons.append((tuple(k * a for a in row), "=", k * cons[-1][2]))
-            lp = LinearProgram(n, tuple(value() for _ in range(n)), tuple(cons))
+            lp = random_mixed_lp(rng, 5)
             sense = rng.choice(("max", "min"))
             sol = solve_lp(lp, sense)
             if sol.status is LpStatus.OPTIMAL:
@@ -228,10 +247,100 @@ class TestRandomized:
 
 class TestSolverInvariants:
     def test_phase_one_unbounded_raises(self, monkeypatch):
-        def unbounded(T, basis, d, ncols):
+        def unbounded(M, basis, d, cols, cost):
             return "unbounded", d
 
         monkeypatch.setattr(lp_module, "_run_simplex", unbounded)
         lp = LinearProgram(1, (1,), (((1,), ">=", 1),))
         with pytest.raises(SolverInvariantError, match="phase 1"):
             solve_lp(lp, "max")
+
+    @pytest.mark.parametrize(
+        "lp, sense, entry, match",
+        [
+            (
+                LinearProgram(2, (1, 1), (((1, 2), ">=", 3), ((2, 1), ">=", 3))),
+                "min",
+                1,
+                "violates constraint",
+            ),
+            (
+                LinearProgram(
+                    2, (3, 2), (((1, 1), "<=", 4), ((1, 3), "<=", 6), ((1, 0), "<=", 3))
+                ),
+                "max",
+                0,
+                "duals",
+            ),
+        ],
+    )
+    def test_corrupted_inverse_raises(self, monkeypatch, lp, sense, entry, match):
+        # One wrong entry of R = d * B^-1 after the first pivot feeds the
+        # later columns, the basic solution and the pricing row; the re-check
+        # before returning catches the wrong answer.
+        real = lp_module._pivot
+        pivots = []
+
+        def corrupting(M, basis, d, row, col, a):
+            d = real(M, basis, d, row, col, a)
+            if not pivots:
+                M[row][entry] += 1
+            pivots.append(col)
+            if len(pivots) > 50:
+                pytest.fail("the corrupted solve does not terminate")
+            return d
+
+        monkeypatch.setattr(lp_module, "_pivot", corrupting)
+        with pytest.raises(SolverInvariantError, match=match):
+            solve_lp(lp, sense)
+        assert len(pivots) > 1
+
+
+class TestReferenceSolver:
+    """The revised solver makes the dense reference's pivots and returns its
+    answers.  Pivots are compared by (leaving variable, entering column):
+    the reference compacts its rows when it drops a redundant one."""
+
+    @pytest.fixture
+    def solve_both(self, monkeypatch):
+        logs = {lp_module: [], lp_reference: []}
+        for module, log in logs.items():
+            def traced(T, basis, d, row, col, *rest, real=module._pivot, log=log):
+                log.append((basis[row], col))
+                return real(T, basis, d, row, col, *rest)
+
+            monkeypatch.setattr(module, "_pivot", traced)
+
+        def solve(lp, sense):
+            for log in logs.values():
+                log.clear()
+            sol = lp_module.solve_lp(lp, sense)
+            assert sol == lp_reference.solve_lp(lp, sense)
+            assert logs[lp_module] == logs[lp_reference]
+            return sol, len(logs[lp_module])
+
+        return solve
+
+    def test_random_mixed_relations(self, solve_both):
+        rng = random.Random(41)
+        statuses = {status: 0 for status in LpStatus}
+        pivots = 0
+        for _ in range(2000):
+            lp = random_mixed_lp(rng, 6)
+            sol, count = solve_both(lp, rng.choice(("max", "min")))
+            statuses[sol.status] += 1
+            pivots += count
+        assert min(statuses.values()) >= 100
+        assert pivots >= 4000
+
+    def test_chi_f_lps(self, solve_both, monkeypatch):
+        monkeypatch.setattr(feasibility, "solve_lp", lambda lp, sense: solve_both(lp, sense)[0])
+        rng = random.Random(43)
+        for _ in range(300):
+            h = random_hypergraph(rng, max_links=8, max_edges=6)
+            den = rng.choice((2, 3, 4, 6))
+            tau = DemandVector(tuple(Fraction(rng.randint(0, den), den) for _ in range(h.num_links)))
+            assert (
+                fractional_chromatic_number(h, tau).value
+                == fractional_chromatic_number(h, tau, columns="all").value
+            )

@@ -113,7 +113,7 @@ def main():
             steps = []
             try:
                 assigned = greedy_schedule(
-                    h, w, tau, order,
+                    h, tau, order,
                     step_callback=lambda link, a: steps.append(
                         greedy_step_bound(h, w, a, link)
                     ),

@@ -18,7 +18,6 @@ from hypersched import (
     beta_by_enumeration,
     beta_star_formula,
     check_delta_condition,
-    delta_matrix,
     fractional_chromatic_number,
     greedy_schedule,
     interference_metrics,
@@ -71,7 +70,7 @@ def main():
     small = DemandVector((F(1, 4),) * 7)
     holds, _ = check_delta_condition(h, small)
     print(f"greedy run for {format_demand_line(small)} (condition holds: {holds})")
-    assigned = greedy_schedule(h, delta_matrix(h), small)
+    assigned = greedy_schedule(h, small)
     for i, js in enumerate(assigned):
         print(f"  link {i + 1}: {format_interval_set(js)}")
     validate_schedule(h, intervals_to_schedule(assigned), small)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -45,6 +46,7 @@ from .greedy import (
     check_weighted_condition,
     delta_matrix,
     greedy_schedule,
+    validate_weight_matrix,
 )
 from .hypergraph import (
     automorphisms,
@@ -60,10 +62,6 @@ from .metrics import (
     is_beta_star,
     symmetrize_demand,
 )
-
-
-def _labels(links) -> str:
-    return " ".join(str(v + 1) for v in sorted(links))
 
 
 def _size_limit():
@@ -99,13 +97,13 @@ def _load_hypergraph(path, do_minimalize=False):
         validate_hypergraph(h)
     except EdgeTooSmall as e:
         line = edge_lines.get(tuple(e.edge), 1)
-        raise ParseError(path, line, f"edge {_labels(e.edge)} has fewer than 2 links") from None
+        raise ParseError(path, line, f"edge {format_set(e.edge)} has fewer than 2 links") from None
     except NotAntichain as e:
         line = edge_lines.get(tuple(e.edge), 1)
         raise ParseError(
             path,
             line,
-            f"edge {_labels(e.edge)} is contained in edge {_labels(e.superset)}"
+            f"edge {format_set(e.edge)} is contained in edge {format_set(e.superset)}"
             " (run `validate --minimalize` to reduce)",
         ) from None
     return h
@@ -122,7 +120,7 @@ def _weight_fault(e):
     """(0-based row, message with 1-based labels) of a weight-matrix fault."""
     if isinstance(e, EdgeRowSumTooSmall):
         return e.link, (
-            f"sum of W[{e.link + 1}][j] over edge {_labels(e.edge)} is {e.total}, must be >= 1"
+            f"sum of W[{e.link + 1}][j] over edge {format_set(e.edge)} is {e.total}, must be >= 1"
         )
     if isinstance(e, NonzeroDiagonal):
         return e.i, f"W[{e.i + 1}][{e.i + 1}] = {e.value}, diagonal must be zero"
@@ -136,12 +134,12 @@ def _weight_fault(e):
 
 @contextlib.contextmanager
 def _weights(path, h):
-    """The weight matrix of the file at ``path``, or the delta matrix when
-    ``path`` is None.  A weight-matrix fault raised while parsing the file
-    or inside the ``with`` block becomes a ParseError naming the file and the
-    line of the offending row."""
+    """The weight matrix of the file at ``path``, or None when ``path`` is
+    None.  A weight-matrix fault raised while parsing the file or inside the
+    ``with`` block becomes a ParseError naming the file and the line of the
+    offending row."""
     if path is None:
-        yield delta_matrix(h)
+        yield None
         return
     text = _read(path)
     try:
@@ -171,7 +169,7 @@ def cmd_validate(args):
     print(f"OK: {h.num_links} links, {len(h.edges)} edges{suffix}")
     if args.minimalize:
         for e in h.edges:
-            print("edge " + _labels(e))
+            print("edge " + format_set(e))
     return 0
 
 
@@ -208,7 +206,7 @@ def cmd_chi_f(args):
     print(f"chi_f = {value}")
     print("schedule:")
     for s, d in witness.entries:
-        print(f"{_labels(s)} : {d}")
+        print(f"{format_set(s)} : {d}")
     return 0
 
 
@@ -238,10 +236,12 @@ def _parse_order(text, n):
 def cmd_schedule(args):
     h = _load_hypergraph(args.file)
     tau = _load_demand(args.demand, h)
+    with _weights(args.w, h) as w:
+        order = _parse_order(args.order, h.num_links) if args.order else None
+        if w is not None:
+            validate_weight_matrix(h, w)
     try:
-        with _weights(args.w, h) as w:
-            order = _parse_order(args.order, h.num_links) if args.order else None
-            assigned = greedy_schedule(h, w, tau, order)
+        assigned = greedy_schedule(h, tau, order)
     except ScheduleStuck as e:
         if args.json:
             _emit_json(
@@ -281,7 +281,7 @@ def cmd_check(args):
         report = check_delta_condition(h, tau)
     else:
         with _weights(args.w, h) as w:
-            report = check_weighted_condition(h, w, tau)
+            report = check_weighted_condition(h, delta_matrix(h) if w is None else w, tau)
     if args.json:
         _emit_json(
             {
@@ -407,6 +407,7 @@ def cmd_symmetrize(args):
     return 0
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hypersched",
@@ -432,7 +433,9 @@ def build_parser():
     add("feasible", cmd_feasible, "test feasibility of a demand vector", demand=True)
     sp = add("schedule", cmd_schedule, "greedy interval assignment", demand=True)
     sp.add_argument("--order", metavar="p1,p2,...", help="1-based processing order")
-    sp.add_argument("--w", metavar="WFILE", help="weight matrix file (default: delta matrix)")
+    sp.add_argument(
+        "--w", metavar="WFILE", help="weight matrix file, checked for admissibility only"
+    )
     sp = add("check", cmd_check, "evaluate a sufficient feasibility condition", demand=True)
     sp.add_argument("--rule", required=True, choices=["lemma1", "cor4", "thm3"])
     sp.add_argument("--w", metavar="WFILE", help="weight matrix for --rule thm3")
@@ -447,16 +450,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except SizeLimitExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except HyperschedError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (HyperschedError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -202,26 +202,21 @@ def _blocked_time(h: Hypergraph, assigned, link) -> IntervalSet:
     return union_all(pieces)
 
 
-def greedy_schedule(
-    h: Hypergraph,
-    w: WeightMatrix,
-    tau,
-    order=None,
-    step_callback=None,
-) -> tuple:
+def greedy_schedule(h: Hypergraph, tau, order=None, step_callback=None) -> tuple:
     """Assign each link an interval set of measure tau[i] such that no edge
     is ever fully active.
 
     Links are processed in ``order`` (default 0..N-1); each placement is the
     leftmost fit avoiding the currently blocked slots, so the result is
-    deterministic.  ``step_callback(link, assigned)`` is invoked before each
-    placement with a snapshot of the partial assignment (None = unscheduled),
-    which is how the per-step accounting inequality gets instrumented.
+    deterministic.  The placement reads no weights: weights enter only the
+    analysis (the weighted condition and :func:`greedy_step_bound`).
+    ``step_callback(link, assigned)`` is invoked before each placement with a
+    snapshot of the partial assignment (None = unscheduled), which is how the
+    per-step accounting inequality gets instrumented.
 
     Raises ScheduleStuck when a link cannot be placed; that cannot happen if
-    the weighted condition holds for ``w``.
+    the weighted condition holds for some admissible weight matrix.
     """
-    validate_weight_matrix(h, w)
     tau = as_demand(h, tau)
     order = _normalize_order(h, order)
     assigned: list = [None] * h.num_links

@@ -15,7 +15,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .feasibility import DemandVector, as_demand
-from .greedy import _link_sums, delta_matrix
+from .greedy import check_delta_condition, delta_matrix
 from .hypergraph import (
     DEFAULT_SIZE_LIMIT,
     Hypergraph,
@@ -40,7 +40,7 @@ class BBound(NamedTuple):
 
 def b_bound(h: Hypergraph, tau) -> BBound:
     """Per link i: tau[i] + sum_j Delta[i][j] * tau[j]; value is the max."""
-    per = _link_sums(delta_matrix(h), as_demand(h, tau))
+    per = check_delta_condition(h, tau).per_link
     return BBound(max(per), per)
 
 
@@ -50,17 +50,14 @@ class LinkMetric(NamedTuple):
 
 
 def _delta_int_rows(h: Hypergraph):
-    """Delta matrix scaled to integers by the lcm of its denominators.
+    """Delta matrix scaled to integers by the lcm of its denominators, as one
+    ``{j: int}`` map per link over its neighbors.
 
     Exact speed trick: the subset searches below then run on plain ints.
     """
     d = delta_matrix(h).rows
     den = lcm(1, *(v.denominator for row in d for v in row.values()))
-    rows = [[0] * h.num_links for _ in d]
-    for row, out in zip(d, rows):
-        for j, v in row.items():
-            out[j] = v.numerator * (den // v.denominator)
-    return den, rows
+    return den, [{j: v.numerator * (den // v.denominator) for j, v in row.items()} for row in d]
 
 
 def _setup(h: Hypergraph, limit):
@@ -153,13 +150,12 @@ def beta_by_enumeration(h: Hypergraph, limit: int | None = None) -> BetaWitness:
     _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
     n = h.num_links
     den, rows = _delta_int_rows(h)
-    width = (den + max(map(sum, rows)) + 1).bit_length() + 1
+    width = (den + max(sum(row.values()) for row in rows) + 1).bit_length() + 1
     field = (1 << width) - 1
     weights = [0] * n
     for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                weights[j] += v << (i * width)
+        for j, v in row.items():
+            weights[j] += v << (i * width)
         weights[i] += den << (i * width)
     guard = sum(1 << (i * width + width - 1) for i in range(n))
     best = [0] * n

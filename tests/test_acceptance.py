@@ -110,7 +110,7 @@ def greedy_runs(pair_suite):
 
             outcome = None
             try:
-                assigned = greedy_schedule(h, w, tau, order, step_callback=watch)
+                assigned = greedy_schedule(h, tau, order, step_callback=watch)
                 outcome = assigned
             except ScheduleStuck:
                 pass

@@ -10,7 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from hypersched import DemandVector, IntervalSet, LpSolution, LpStatus, ParseError, feasibility
+from hypersched import (
+    DemandVector,
+    IntervalSet,
+    LpSolution,
+    LpStatus,
+    ParseError,
+    cli,
+    feasibility,
+    greedy,
+)
 from hypersched.cli import main
 from hypersched.formats import (
     format_demand_line,
@@ -502,6 +511,46 @@ class TestWeightFileErrors:
     def test_nonzero_diagonal(self, files, capsys):
         err = self.run_weights(capsys, files, "0 1 0\n1 0 1\n0 1 1/3\n")
         assert err == "error: W:3: W[3][3] = 1/3, diagonal must be zero\n"
+
+
+class TestScheduleWeights:
+    """The greedy placement reads no weights: `schedule` builds none without
+    --w, and a --w file is only checked for admissibility."""
+
+    @pytest.fixture
+    def tri(self, files):
+        dfile = files["dir"] / "tri.demand"
+        dfile.write_text("demand 1/2 1/2 1/2\n")
+        return ["schedule", files["triangle"], "--demand", str(dfile)]
+
+    def test_no_weight_matrix_without_w(self, tri, capsys, monkeypatch):
+        def boom(*args):
+            raise AssertionError("weights built or checked")
+
+        for module, name in [
+            (cli, "delta_matrix"),
+            (cli, "validate_weight_matrix"),
+            (greedy, "validate_weight_matrix"),
+        ]:
+            monkeypatch.setattr(module, name, boom)
+        code, out, err = run(capsys, *tri)
+        assert (code, err) == (0, "")
+        assert out == "link 1: [0,1/2)\nlink 2: [0,1/2)\nlink 3: [1/2,1)\n"
+
+    def test_admissible_w_does_not_change_the_schedule(self, tri, files, capsys):
+        wfile = files["dir"] / "ones.w"
+        wfile.write_text("0 1 1\n1 0 1\n1 1 0\n")
+        for extra in ([], ["--json"]):
+            plain = run(capsys, *tri, *extra)
+            assert run(capsys, *tri, *extra, "--w", str(wfile)) == plain
+            assert plain[0] == 0
+
+    def test_order_fault_before_admissibility_fault(self, tri, files, capsys):
+        wfile = files["dir"] / "zeros.w"
+        wfile.write_text("0 0 0\n0 0 0\n0 0 0\n")
+        code, out, err = run(capsys, *tri, "--w", str(wfile), "--order", "1,1,2")
+        assert (code, out) == (2, "")
+        assert err == "error: --order must be a permutation of 1..3\n"
 
 
 class TestLargeSparse:

@@ -142,44 +142,38 @@ class TestConditions:
 class TestGreedySchedule:
     def test_triangle_hand_simulation(self, triangle):
         tau = DemandVector((F(1, 2),) * 3)
-        assigned = greedy_schedule(triangle, delta_matrix(triangle), tau)
+        assigned = greedy_schedule(triangle, tau)
         assert assigned[0] == IntervalSet(((F(0), F(1, 2)),))
         assert assigned[1] == IntervalSet(((F(0), F(1, 2)),))
         assert assigned[2] == IntervalSet(((F(1, 2), F(1)),))
 
     def test_zero_demand(self, star2x4):
-        assigned = greedy_schedule(
-            star2x4, delta_matrix(star2x4), zeros(7)
-        )
+        assigned = greedy_schedule(star2x4, zeros(7))
         assert all(js == IntervalSet.empty() for js in assigned)
 
     def test_independent_set_demand(self, star2x4):
         tau = DemandVector.characteristic(7, {1, 2, 3, 4, 5, 6})
-        assigned = greedy_schedule(star2x4, delta_matrix(star2x4), tau)
+        assigned = greedy_schedule(star2x4, tau)
         assert assigned[0] == IntervalSet.empty()
         for i in range(1, 7):
             assert assigned[i] == IntervalSet(((0, 1),))
 
     def test_stuck_on_triangle_full_demand(self, triangle):
         with pytest.raises(ScheduleStuck) as err:
-            greedy_schedule(triangle, delta_matrix(triangle), DemandVector((1, 1, 1)))
+            greedy_schedule(triangle, DemandVector((1, 1, 1)))
         assert err.value.link == 2
         assert err.value.demanded == 1
         assert err.value.available == 0
 
     def test_order_parameter(self, triangle):
         tau = DemandVector((F(1, 2),) * 3)
-        assigned = greedy_schedule(
-            triangle, delta_matrix(triangle), tau, order=(2, 1, 0)
-        )
+        assigned = greedy_schedule(triangle, tau, order=(2, 1, 0))
         assert assigned[2] == IntervalSet(((F(0), F(1, 2)),))
         assert assigned[0] == IntervalSet(((F(1, 2), F(1)),))
 
     def test_bad_order_rejected(self, triangle):
         with pytest.raises(ValueError):
-            greedy_schedule(
-                triangle, delta_matrix(triangle), zeros(3), order=(0, 0, 1)
-            )
+            greedy_schedule(triangle, zeros(3), order=(0, 0, 1))
 
     def test_edge_never_fully_active(self):
         rng = random.Random(61)
@@ -187,7 +181,7 @@ class TestGreedySchedule:
             h = random_hypergraph(rng, max_links=7)
             tau = random_demand(rng, h.num_links, small=True)
             try:
-                assigned = greedy_schedule(h, delta_matrix(h), tau)
+                assigned = greedy_schedule(h, tau)
             except ScheduleStuck:
                 continue
             for i in range(h.num_links):
@@ -223,7 +217,7 @@ class TestGreedySchedule:
                 tuple(rng.sample(range(h.num_links), h.num_links)) for _ in range(4)
             ]
             for order in orders:
-                assigned = greedy_schedule(h, w, tau, order)
+                assigned = greedy_schedule(h, tau, order)
                 sched = intervals_to_schedule(assigned)
                 validate_schedule(h, sched, tau)
         assert checked >= 15
@@ -254,7 +248,6 @@ class TestStepBound:
             try:
                 greedy_schedule(
                     h,
-                    delta_matrix(h),
                     tau,
                     order,
                     step_callback=lambda link, assigned: events.append((link, assigned)),
@@ -295,7 +288,7 @@ class TestStepBound:
             tau = random_demand(rng, h.num_links)
             w = delta_matrix(h)
             try:
-                greedy_schedule(h, w, tau, step_callback=watch(h, w))
+                greedy_schedule(h, tau, step_callback=watch(h, w))
             except ScheduleStuck:
                 pass
         assert violations == []
@@ -304,7 +297,7 @@ class TestStepBound:
 class TestIntervalsToSchedule:
     def test_triangle_run(self, triangle):
         tau = DemandVector((F(1, 2),) * 3)
-        assigned = greedy_schedule(triangle, delta_matrix(triangle), tau)
+        assigned = greedy_schedule(triangle, tau)
         sched = intervals_to_schedule(assigned)
         assert set(
             (tuple(sorted(s)), d) for s, d in sched.entries

@@ -305,7 +305,7 @@ def reference_beta(h):
     for i in range(h.num_links):
         row = rows[i]
         for s in sets:
-            v = sum(row[j] for j in s) + (den if i in s else 0)
+            v = sum(row.get(j, 0) for j in s) + (den if i in s else 0)
             if best is None or v > best:
                 best, link, members = v, i, s
     return F(best, den), link, DemandVector.characteristic(h.num_links, members).values

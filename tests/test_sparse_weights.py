@@ -133,7 +133,7 @@ def test_step_bound_matches_dense(seed):
         order = tuple(rng.sample(range(h.num_links), h.num_links))
         steps = []
         try:
-            greedy_schedule(h, w, tau, order, step_callback=lambda k, a: steps.append((k, a)))
+            greedy_schedule(h, tau, order, step_callback=lambda k, a: steps.append((k, a)))
         except ScheduleStuck:
             pass
         assert steps

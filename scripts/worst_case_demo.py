@@ -47,6 +47,7 @@ def main():
 
     bound, per = b_bound(h, tau)
     rep = interference_metrics(h)
+    worst = beta_by_enumeration(h)
     print(f"per-link bound B = {bound}  (at the center: {per[0]})")
     print(f"degree estimate Delta = {rep.delta}")
     print(f"=> the bound overshoots a feasible demand by more than Delta: {bound} > {rep.delta}")
@@ -54,17 +55,17 @@ def main():
 
     print("the exact worst-case ratio, four ways:")
     print(f"  interference degree sigma     = {rep.sigma}")
-    print(f"  enumeration over demands      = {beta_by_enumeration(h).beta}")
+    print(f"  enumeration over demands      = {worst.beta}")
     profile = is_beta_star(h)
     print(f"  star closed form              = {beta_star_formula(profile)}")
     lp = solve_lp(LinearProgram(2, (21, 2), (((9, 1), "<=", 1),)), "max")
     print(f"  schedule-family LP            = {lp.value}")
     print()
 
-    worst = beta_by_enumeration(h).demand
-    print(f"worst-case 0/1 demand: {format_demand_line(worst)}")
-    sym = symmetrize_demand(h, worst)
-    print(f"symmetrized over the {len(automorphisms(h))} automorphisms: {format_demand_line(sym)}")
+    print(f"worst-case 0/1 demand: {format_demand_line(worst.demand)}")
+    auts = automorphisms(h)
+    sym = symmetrize_demand(h, worst.demand, auts)
+    print(f"symmetrized over the {len(auts)} automorphisms: {format_demand_line(sym)}")
     print()
 
     small = DemandVector((F(1, 4),) * 7)

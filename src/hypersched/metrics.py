@@ -23,8 +23,8 @@ from .hypergraph import (
     _completion_table,
     _independent_subsets,
     _members,
-    automorphisms,
-    # Unused here; kept because perfbench/tracing.py wraps this name.
+    # Unused here; kept because perfbench/tracing.py wraps these names.
+    automorphisms,  # noqa: F401
     enumerate_independent_sets,  # noqa: F401
     neighbors,
 )
@@ -180,13 +180,13 @@ def beta_by_enumeration(h: Hypergraph, limit: int | None = None) -> BetaWitness:
     )
 
 
-def symmetrize_demand(h: Hypergraph, tau, limit: int | None = None) -> DemandVector:
-    """Average of ``tau`` over the automorphism group; constant on orbits.
+def symmetrize_demand(h: Hypergraph, tau, auts) -> DemandVector:
+    """Average of ``tau`` over the group ``auts``, the image-tuple list that
+    ``automorphisms(h, limit)`` returns; constant on orbits.
 
     By orbit-stabilizer every link of an orbit is hit equally often, so the
     group average at link i is the mean of ``tau`` over i's orbit."""
     tau = as_demand(h, tau)
-    auts = automorphisms(h, limit)
     out = [None] * h.num_links
     for i in range(h.num_links):
         if out[i] is None:

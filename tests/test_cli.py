@@ -1,5 +1,6 @@
 """CLI contract: byte-exact reports, exit codes, round-trips, --json."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ from hypersched import (
     cli,
     feasibility,
     greedy,
+    metrics,
 )
 from hypersched.cli import main
 from hypersched.formats import (
@@ -106,6 +108,18 @@ class TestGoldenOutputs:
         )
         assert code == 1
 
+    def test_check_thm3_without_w_is_cor4(self, files, capsys, monkeypatch):
+        def boom(*args):
+            raise AssertionError("delta matrix built or checked for thm3")
+
+        monkeypatch.setattr(cli, "delta_matrix", boom)
+        monkeypatch.setattr(greedy, "validate_weight_matrix", boom)
+        argv = ["check", files["star"], "--demand", files["demand"], "--rule"]
+        thm3 = run(capsys, *argv, "thm3")
+        assert thm3 == run(capsys, *argv, "cor4")
+        assert thm3[0] == 1
+        assert thm3[1].endswith("link 7: 4/3\nFAILS\n")
+
     def test_indep_sets_maximal(self, files, capsys):
         code, out, err = run(capsys, "indep-sets", files["triangle"], "--maximal")
         assert out == "1 2\n1 3\n2 3\n"
@@ -143,6 +157,22 @@ class TestGoldenOutputs:
         )
         assert out == "aut_order = 72\ndemand 1 2/3 2/3 2/3 2/3 2/3 2/3\n"
         assert code == 0
+
+    def test_symmetrize_searches_the_group_once(self, files, capsys, monkeypatch):
+        calls = []
+        for module in (cli, metrics):
+            real = module.automorphisms
+
+            def counted(*args, real=real):
+                calls.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(module, "automorphisms", counted)
+        dfile = files["dir"] / "ones.demand"
+        dfile.write_text("demand 1 1 1 0 1 1 0\n")
+        code, out, _ = run(capsys, "symmetrize", files["star"], "--demand", str(dfile))
+        assert (code, out) == (0, "aut_order = 72\ndemand 1 2/3 2/3 2/3 2/3 2/3 2/3\n")
+        assert len(calls) == 1
 
     def test_schedule(self, files, capsys):
         dfile = files["dir"] / "tri.demand"
@@ -276,6 +306,19 @@ class TestExitCodes:
         assert out == ""
         assert "coverage LP" in err
 
+    def test_beta_differing_from_sigma_exits_2(self, files, capsys, monkeypatch):
+        real = cli.interference_metrics
+
+        def off_by_one(h, limit=None):
+            rep = real(h, limit)
+            return dataclasses.replace(rep, sigma=rep.sigma + 1)
+
+        monkeypatch.setattr(cli, "interference_metrics", off_by_one)
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, "beta", files["star"], *extra)
+            assert (code, out) == (2, "")
+            assert err == "error: beta = 7/3 differs from sigma = 10/3; this is a library bug\n"
+
     def test_missing_file(self, files, capsys):
         code, _, err = run(capsys, "metrics", str(files["dir"] / "nope.hg"))
         assert code == 2
@@ -331,6 +374,28 @@ class TestExitCodes:
 
 
 class TestJson:
+    def test_symmetrize_json(self, files, capsys):
+        dfile = files["dir"] / "ones.demand"
+        dfile.write_text("demand 1 1 1 0 1 1 0\n")
+        code, out, err = run(
+            capsys, "symmetrize", files["star"], "--demand", str(dfile), "--json"
+        )
+        assert out == """\
+{
+  "aut_order": 72,
+  "demand": [
+    "1",
+    "2/3",
+    "2/3",
+    "2/3",
+    "2/3",
+    "2/3",
+    "2/3"
+  ]
+}
+"""
+        assert (code, err) == (0, "")
+
     def test_beta_json(self, files, capsys):
         code, out, _ = run(capsys, "beta", files["star"], "--json")
         assert code == 0

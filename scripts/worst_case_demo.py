@@ -63,9 +63,9 @@ def main():
     print()
 
     print(f"worst-case 0/1 demand: {format_demand_line(worst.demand)}")
-    auts = automorphisms(h)
-    sym = symmetrize_demand(h, worst.demand, auts)
-    print(f"symmetrized over the {len(auts)} automorphisms: {format_demand_line(sym)}")
+    order, orbits = automorphisms(h)
+    sym = symmetrize_demand(h, worst.demand, orbits)
+    print(f"symmetrized over the {order} automorphisms: {format_demand_line(sym)}")
     print()
 
     small = DemandVector((F(1, 4),) * 7)

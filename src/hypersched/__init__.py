@@ -46,7 +46,6 @@ from .feasibility import (
     DemandVector,
     Schedule,
     fractional_chromatic_number,
-    is_feasible,
     validate_schedule,
 )
 from .greedy import (

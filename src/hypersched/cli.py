@@ -397,12 +397,12 @@ def cmd_star(args):
 def cmd_symmetrize(args):
     h = _load_hypergraph(args.file)
     tau = _load_demand(args.demand, h)
-    auts = automorphisms(h, _size_limit())
-    avg = symmetrize_demand(h, tau, auts)
+    order, orbits = automorphisms(h, _size_limit())
+    avg = symmetrize_demand(h, tau, orbits)
     if args.json:
-        _emit_json({"aut_order": len(auts), "demand": [str(v) for v in avg]})
+        _emit_json({"aut_order": order, "demand": [str(v) for v in avg]})
     else:
-        print(f"aut_order = {len(auts)}")
+        print(f"aut_order = {order}")
         print(format_demand_line(avg))
     return 0
 

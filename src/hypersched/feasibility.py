@@ -85,9 +85,6 @@ class Schedule:
     def total_duration(self) -> Fraction:
         return sum((d for _, d in self.entries), _ZERO)
 
-    def coverage(self, link: int) -> Fraction:
-        return sum((d for s, d in self.entries if link in s), _ZERO)
-
 
 class ChiFResult(NamedTuple):
     value: Fraction
@@ -130,15 +127,10 @@ def fractional_chromatic_number(
     return ChiFResult(sol.value, witness)
 
 
-def is_feasible(h: Hypergraph, tau, limit: int | None = None) -> bool:
-    """True iff some schedule of total duration <= 1 satisfies ``tau``."""
-    tau = as_demand(h, tau)
-    return fractional_chromatic_number(h, tau, limit).value <= 1
-
-
 def validate_schedule(h: Hypergraph, schedule: Schedule, tau, max_total=_ONE) -> None:
     """Raise unless every entry's set is independent, the total duration is
-    within ``max_total``, and each link's coverage meets its demand."""
+    within ``max_total``, and each link's coverage meets its demand.  Links
+    outside ``h`` in an entry cover nothing."""
     tau = as_demand(h, tau)
     for links, _ in schedule.entries:
         if not is_independent(h, links):
@@ -146,7 +138,11 @@ def validate_schedule(h: Hypergraph, schedule: Schedule, tau, max_total=_ONE) ->
     total = schedule.total_duration
     if total > Fraction(max_total):
         raise DurationExceedsOne(total, Fraction(max_total))
-    for i in range(h.num_links):
-        covered = schedule.coverage(i)
-        if covered < tau[i]:
-            raise DemandUnmet(i, covered, tau[i])
+    covered = dict.fromkeys(range(h.num_links), _ZERO)
+    for links, d in schedule.entries:
+        for i in links:
+            if i in covered:
+                covered[i] += d
+    for i, c in covered.items():
+        if c < tau[i]:
+            raise DemandUnmet(i, c, tau[i])

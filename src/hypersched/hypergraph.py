@@ -68,10 +68,6 @@ class Hypergraph:
                 inc[v].append(k)
         return tuple(tuple(ks) for ks in inc)
 
-    @property
-    def links(self) -> range:
-        return range(self.num_links)
-
 
 def _check_edges(h: Hypergraph) -> None:
     for edge in h.edges:
@@ -237,14 +233,16 @@ def enumerate_maximal_independent_sets(h: Hypergraph, limit: int | None = None) 
     return [frozenset(_members(s)) for s, _ in walk]
 
 
-def automorphisms(h: Hypergraph, limit: int | None = None) -> list:
-    """All permutations of the links mapping the edge family onto itself,
-    each as its image tuple (``image[i]`` is the image of link i).
+def automorphisms(h: Hypergraph, limit: int | None = None) -> tuple:
+    """Order and orbits of the group of link permutations mapping the edge
+    family onto itself, as ``(order, orbits)``; ``orbits`` holds sorted
+    tuples, ordered by their least link.
 
-    Exhaustive backtracking; candidate images are pruned by the multiset of
-    incident-edge sizes, and partially built maps are rejected as soon as a
-    fully assigned edge fails to land on an edge.  Results come out in
-    lexicographic order of the mapping tuple.
+    A stabilizer-chain search that lists no map: for k = n-1 down to 0, with
+    links 0..k-1 fixed, it finds one map sending k to each candidate image
+    not yet in k's orbit.  Orbits are those of the maps found; the order is
+    the product of k's orbit lengths.  Candidates must match k's multiset of
+    incident-edge sizes, and every fully assigned edge must land on an edge.
     """
     _check_limit(h, limit, DEFAULT_AUTOMORPHISM_LIMIT)
     n = h.num_links
@@ -257,25 +255,34 @@ def automorphisms(h: Hypergraph, limit: int | None = None) -> list:
     for es in h.edge_sets:
         edges_closed_at[max(es)].append(es)
 
-    found = []
-    _assign(0, [0] * n, [False] * n, candidates, edges_closed_at, family, found)
-    return found
+    orbit = [frozenset((v,)) for v in range(n)]
+    order = 1
+    for k in range(n - 1, -1, -1):
+        for w in candidates[k]:
+            if w < k or w in orbit[k]:
+                continue
+            used = [v < k for v in range(n)]  # links 0..k-1 map to themselves
+            found = _assign(k, (w,), list(range(n)), used, candidates, edges_closed_at, family)
+            for v, u in enumerate(found or ()):
+                merged = orbit[v] | orbit[u]
+                for x in merged:
+                    orbit[x] = merged
+        order *= len(orbit[k])
+    return order, tuple(sorted({tuple(sorted(o)) for o in orbit}))
 
 
-def _assign(k, image, used, candidates, edges_closed_at, family, found):
-    """Extend the partial map ``image[:k]`` in every way, appending each
-    complete map to ``found``.  A module-level function rather than a
-    closure: a closure that calls itself is a reference cycle, which would
-    keep ``found`` alive until the next full garbage collection."""
-    if k == len(image):
-        found.append(tuple(image))
-        return
-    for w in candidates[k]:
-        if used[w]:
-            continue
+def _assign(k, choices, image, used, candidates, closing, family):
+    """The first map, as its image tuple, that extends ``image[:k]`` with
+    ``image[k]`` in ``choices``; None if there is none.  ``closing[k]`` holds
+    the edges whose largest link is k."""
+    for w in choices:
         image[k] = w
-        if all(frozenset(image[v] for v in es) in family for es in edges_closed_at[k]):
+        if not used[w] and all(frozenset(image[v] for v in es) in family for es in closing[k]):
+            if k + 1 == len(image):
+                return tuple(image)
             used[w] = True
-            _assign(k + 1, image, used, candidates, edges_closed_at, family, found)
+            found = _assign(k + 1, candidates[k + 1], image, used, candidates, closing, family)
             used[w] = False
-    image[k] = 0
+            if found:
+                return found
+    return None

@@ -180,20 +180,18 @@ def beta_by_enumeration(h: Hypergraph, limit: int | None = None) -> BetaWitness:
     )
 
 
-def symmetrize_demand(h: Hypergraph, tau, auts) -> DemandVector:
-    """Average of ``tau`` over the group ``auts``, the image-tuple list that
-    ``automorphisms(h, limit)`` returns; constant on orbits.
+def symmetrize_demand(h: Hypergraph, tau, orbits) -> DemandVector:
+    """Average of ``tau`` over the automorphism group of ``h``, given by the
+    ``orbits`` that ``automorphisms(h, limit)`` returns; constant on orbits.
 
     By orbit-stabilizer every link of an orbit is hit equally often, so the
     group average at link i is the mean of ``tau`` over i's orbit."""
     tau = as_demand(h, tau)
     out = [None] * h.num_links
-    for i in range(h.num_links):
-        if out[i] is None:
-            orbit = {perm[i] for perm in auts}
-            mean = sum((tau[j] for j in orbit), _ZERO) / len(orbit)
-            for j in orbit:
-                out[j] = mean
+    for orbit in orbits:
+        mean = sum((tau[j] for j in orbit), _ZERO) / len(orbit)
+        for j in orbit:
+            out[j] = mean
     return DemandVector(tuple(out))
 
 

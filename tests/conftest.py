@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from hypersched import DemandVector, Hypergraph, minimalize
+from hypersched import DemandVector, Hypergraph, fractional_chromatic_number, minimalize
 
 # The running examples used throughout the tests:
 #  - triangle: three links, one forbidden triple.
@@ -38,6 +39,29 @@ def zeros(n):
     return DemandVector((Fraction(0),) * n)
 
 
+def is_feasible(h, tau):
+    """True iff some schedule of total duration <= 1 satisfies ``tau``."""
+    return fractional_chromatic_number(h, tau).value <= 1
+
+
+def brute_automorphisms(h):
+    """Every link permutation mapping the edge family onto itself, as its
+    image tuple, by scanning all N! permutations."""
+    family = set(h.edge_sets)
+    out = []
+    for p in permutations(range(h.num_links)):
+        if {frozenset(p[v] for v in es) for es in h.edge_sets} == family:
+            out.append(p)
+    return out
+
+
+def order_and_orbits(auts, n):
+    """``(order, orbits)`` of a group listed as image tuples on n links, in
+    the form ``automorphisms`` returns."""
+    orbits = {tuple(sorted({p[i] for p in auts})) for i in range(n)}
+    return len(auts), tuple(sorted(orbits))
+
+
 def permute_demand(perm, tau):
     """Demand vector with link perm[i] demanding what link i did."""
     out = [Fraction(0)] * len(perm)
@@ -62,6 +86,16 @@ def wall_instance(n):
     rng = random.Random(n)
     raw = [rng.sample(range(n), rng.randint(2, 4)) for _ in range(rng.randint(n, 2 * n))]
     return minimalize(n, raw)
+
+
+def built_star(petal_sizes):
+    """Beta-star with center 0 and one edge of each given size."""
+    edges = []
+    nxt = 1
+    for size in petal_sizes:
+        edges.append((0,) + tuple(range(nxt, nxt + size - 1)))
+        nxt += size - 1
+    return Hypergraph(nxt, tuple(edges))
 
 
 def random_graph(rng, max_links=10, max_edges=8):

@@ -174,6 +174,18 @@ class TestGoldenOutputs:
         assert (code, out) == (0, "aut_order = 72\ndemand 1 2/3 2/3 2/3 2/3 2/3 2/3\n")
         assert len(calls) == 1
 
+    def test_symmetrize_edgeless_ten_links(self, files, capsys):
+        """The default automorphism limit admits 10 links; the group of an
+        edgeless file (10! maps) is summarized, not listed."""
+        hg = files["dir"] / "edgeless10.hg"
+        hg.write_text("links 10\n")
+        dfile = files["dir"] / "one.demand"
+        dfile.write_text("demand 1" + " 0" * 9 + "\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "symmetrize", str(hg), "--demand", str(dfile))
+        assert (code, out) == (0, "aut_order = 3628800\ndemand" + " 1/10" * 10 + "\n")
+        assert time.perf_counter() - start < 5.0
+
     def test_schedule(self, files, capsys):
         dfile = files["dir"] / "tri.demand"
         dfile.write_text("demand 1/2 1/2 1/2\n")

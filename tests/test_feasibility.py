@@ -20,14 +20,20 @@ from hypersched import (
     SolverInvariantError,
     enumerate_maximal_independent_sets,
     fractional_chromatic_number,
-    is_feasible,
     minimalize,
     solve_lp,
-    automorphisms,
     validate_schedule,
 )
 from hypersched import feasibility
-from conftest import permute_demand, random_demand, random_hypergraph, wall_instance, zeros
+from conftest import (
+    brute_automorphisms,
+    is_feasible,
+    permute_demand,
+    random_demand,
+    random_hypergraph,
+    wall_instance,
+    zeros,
+)
 
 F = Fraction
 
@@ -38,7 +44,7 @@ class TestIncidenceMatrix:
     def test_triangle(self, triangle):
         sets = enumerate_maximal_independent_sets(triangle)
         assert len(sets) == 3
-        for i in triangle.links:
+        for i in range(triangle.num_links):
             assert sum(i in s for s in sets) == 2
 
     def test_edgeless(self):
@@ -99,7 +105,7 @@ class TestChiF:
             h = random_hypergraph(rng, max_links=6)
             tau = random_demand(rng, h.num_links)
             value = fractional_chromatic_number(h, tau).value
-            for perm in automorphisms(h):
+            for perm in brute_automorphisms(h):
                 assert fractional_chromatic_number(h, permute_demand(perm, tau)).value == value
 
     def test_maximal_columns_match_all_columns(self):
@@ -151,6 +157,29 @@ class TestValidateSchedule:
         assert err.value.link == 0
         assert err.value.covered == 0
         assert err.value.required == F(1, 2)
+
+    def test_first_unmet_link_matches_per_link_scan(self):
+        """Coverage is summed in one pass over the entries; the fault is the
+        one a per-link scan finds first, and a link outside ``h`` covers
+        nothing."""
+        rng = random.Random(59)
+        faults = 0
+        for _ in range(200):
+            h = random_hypergraph(rng, max_links=6)
+            n = h.num_links
+            sets = enumerate_maximal_independent_sets(h)
+            entries = [(rng.choice(sets) | {n}, F(rng.randint(1, 4), 12)) for _ in range(3)]
+            tau = random_demand(rng, n)
+            covered = [sum((d for s, d in entries if i in s), F(0)) for i in range(n)]
+            unmet = [(i, covered[i], tau[i]) for i in range(n) if covered[i] < tau[i]]
+            try:
+                validate_schedule(h, Schedule(tuple(entries)), tau)
+            except DemandUnmet as err:
+                faults += 1
+                assert (err.link, err.covered, err.required) == unmet[0]
+            else:
+                assert not unmet
+        assert faults >= 100
 
     def test_duration_budget(self, triangle):
         sched = Schedule((({0, 1}, F(3, 4)), ({1, 2}, F(1, 2))))

@@ -27,7 +27,7 @@ from hypersched import (
     validate_schedule,
     validate_weight_matrix,
 )
-from conftest import random_demand, random_hypergraph, zeros
+from conftest import is_feasible, random_demand, random_hypergraph, zeros
 
 F = Fraction
 
@@ -191,7 +191,7 @@ class TestGreedySchedule:
                 assert common == IntervalSet.empty()
 
     def test_edge_min_condition_implies_feasible(self):
-        from hypersched import check_edge_min_condition, is_feasible
+        from hypersched import check_edge_min_condition
 
         rng = random.Random(63)
         triggered = 0

@@ -1,15 +1,14 @@
 """Hypergraph core: validation, enumeration, automorphisms.
 
-Brute-force oracles (filtering all 2^N subsets, scanning all N! permutations)
-live at the top; derived expected values in the golden tests were computed
-with them and are asserted against them again here.
+Brute-force oracles (filtering all 2^N subsets here, scanning all N!
+permutations in conftest) are the references; derived expected values in the
+golden tests were computed with them and are asserted against them again.
 """
 
-import gc
 import random
-import sys
 import time
-from itertools import combinations, permutations
+from itertools import combinations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +29,13 @@ from hypersched import (
     neighbors,
     validate_hypergraph,
 )
-from conftest import random_hypergraph, wall_instance
+from conftest import (
+    brute_automorphisms,
+    built_star,
+    order_and_orbits,
+    random_hypergraph,
+    wall_instance,
+)
 
 
 def brute_independent_sets(h):
@@ -66,15 +71,6 @@ def maximal_filter(h):
         for s in sets
         if all(s | {v} not in known for v in range(h.num_links) if v not in s)
     ]
-
-
-def brute_automorphisms(h):
-    family = set(h.edge_sets)
-    out = []
-    for p in permutations(range(h.num_links)):
-        if {frozenset(p[v] for v in es) for es in h.edge_sets} == family:
-            out.append(p)
-    return out
 
 
 def compose(p, q):
@@ -537,64 +533,63 @@ class TestSizeWall:
 
 class TestAutomorphisms:
     def test_star_group(self, star2x4):
-        auts = automorphisms(star2x4)
         brute = brute_automorphisms(star2x4)
-        assert sorted(auts) == sorted(brute)
-        assert len(auts) == 72
-        assert all(p[0] == 0 for p in auts)
+        assert automorphisms(star2x4) == order_and_orbits(brute, 7)
+        assert automorphisms(star2x4) == (72, ((0,), (1, 2, 3, 4, 5, 6)))
 
     def test_triangle_full_symmetry(self, triangle):
-        assert len(automorphisms(triangle)) == 6
+        brute = brute_automorphisms(triangle)
+        assert automorphisms(triangle) == order_and_orbits(brute, 3) == (6, ((0, 1, 2),))
 
     def test_path_graph(self):
         h = Hypergraph(3, ((0, 1), (1, 2)))
-        auts = automorphisms(h)
-        assert sorted(auts) == [(0, 1, 2), (2, 1, 0)]
+        assert sorted(brute_automorphisms(h)) == [(0, 1, 2), (2, 1, 0)]
+        assert automorphisms(h) == (2, ((0, 2), (1,)))
 
-    def test_edges_map_to_edges_and_closure(self):
+    def test_orbits_partition_the_links_and_each_automorphism_keeps_them(self):
         rng = random.Random(17)
         for _ in range(15):
             h = random_hypergraph(rng, max_links=6)
-            auts = automorphisms(h)
-            family = set(h.edge_sets)
-            mappings = set(auts)
-            for p in auts:
-                assert sorted(p) == list(range(h.num_links))
-                for es in h.edge_sets:
-                    assert map_set(p, es) in family
-                for q in auts:
-                    assert compose(p, q) in mappings
+            _, orbits = automorphisms(h)
+            assert sorted(v for o in orbits for v in o) == list(range(h.num_links))
+            assert all(list(o) == sorted(o) for o in orbits)
+            assert [o[0] for o in orbits] == sorted(o[0] for o in orbits)
+            for p in brute_automorphisms(h):
+                for o in orbits:
+                    assert map_set(p, o) == frozenset(o)
+
+    def test_star_order_formula(self):
+        """A star with n_k petals of size k: the petals of one size permute,
+        and so do the k - 1 leaves of each petal, so the order is the
+        product of n_k! (k-1)!^n_k; the center is an orbit of its own."""
+        for sizes in ((2, 2), (2, 3), (3, 3, 4), (4, 4, 4), (5, 5), (3, 3, 3, 3), (2,) * 8):
+            h = built_star(sizes)
+            order = 1
+            for size in set(sizes):
+                count = sizes.count(size)
+                order *= factorial(count) * factorial(size - 1) ** count
+            leaves = {
+                size: tuple(v for e in h.edges if len(e) == size for v in e[1:])
+                for size in set(sizes)
+            }
+            assert automorphisms(h) == (order, tuple(sorted([(0,), *leaves.values()])))
 
     def test_size_limit(self):
         with pytest.raises(SizeLimitExceeded):
             automorphisms(Hypergraph(11))
 
-    def test_result_freed_without_gc(self):
-        """Dropping the list frees it at once: the search leaves no
-        reference cycle that only the garbage collector could break."""
-        star = Hypergraph(9, tuple((0, k) for k in range(1, 9)))
-        assert len(automorphisms(star)) == 40320
-        gc.collect()
-        gc.disable()
-        try:
-            base = sys.getallocatedblocks()
-            auts = automorphisms(star)
-            assert len(auts) == 40320
-            del auts
-            held = sys.getallocatedblocks() - base
-        finally:
-            gc.enable()
-        # The tuple free list may keep up to 2000 of the freed 9-tuples; a
-        # list held by a cycle keeps all 40320 and more.
-        assert held < 10_000
+    def test_edgeless_ten_links(self):
+        """The default limit admits an edgeless 10-link input, whose group
+        of 10! maps is summarized without listing it."""
+        start = time.perf_counter()
+        assert automorphisms(Hypergraph(10)) == (3628800, (tuple(range(10)),))
+        assert time.perf_counter() - start < 1.0
 
     def test_matches_brute_force_random(self):
         rng = random.Random(19)
-        for _ in range(10):
-            h = random_hypergraph(rng, max_links=6)
-            assert sorted(automorphisms(h)) == sorted(
-                brute_automorphisms(h)
-            )
+        for _ in range(1000):
+            h = random_hypergraph(rng, max_links=7, max_edges=rng.randint(0, 8))
+            assert automorphisms(h) == order_and_orbits(brute_automorphisms(h), h.num_links)
 
 
 class TestPermutation:

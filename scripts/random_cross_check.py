@@ -9,7 +9,9 @@ Checks, on seeded random instances:
   - the maximal sets, in order, are the maximal ones among all independent
     sets,
   - the greedy pass succeeds under random orders whenever the weighted
-    condition holds, and its output converts to a valid schedule,
+    condition holds, and its interval assignment passes
+    ``validate_assignment`` (each link's measure equals its demand and no
+    edge is ever fully active),
   - the per-step accounting inequality never fails.
 
 Exits nonzero if any check fails.
@@ -34,8 +36,8 @@ from hypersched import (
     greedy_schedule,
     greedy_step_bound,
     interference_metrics,
-    intervals_to_schedule,
     minimalize,
+    validate_assignment,
     validate_schedule,
 )
 
@@ -118,9 +120,12 @@ def main():
                         greedy_step_bound(h, w, a, link)
                     ),
                 )
-                validate_schedule(h, intervals_to_schedule(assigned), tau)
+                validate_assignment(h, assigned, tau)
             except ScheduleStuck as e:
                 print(f"[{k}] greedy stuck despite condition: {e}")
+                failures += 1
+            except HyperschedError as e:
+                print(f"[{k}] greedy assignment rejected: {e}")
                 failures += 1
             if any(lhs > rhs for lhs, rhs in steps):
                 print(f"[{k}] step accounting violated")

@@ -21,10 +21,10 @@ from hypersched import (
     fractional_chromatic_number,
     greedy_schedule,
     interference_metrics,
-    intervals_to_schedule,
     is_beta_star,
     solve_lp,
     symmetrize_demand,
+    validate_assignment,
     validate_schedule,
 )
 from hypersched.formats import format_demand_line, format_interval_set
@@ -74,7 +74,7 @@ def main():
     assigned = greedy_schedule(h, small)
     for i, js in enumerate(assigned):
         print(f"  link {i + 1}: {format_interval_set(js)}")
-    validate_schedule(h, intervals_to_schedule(assigned), small)
+    validate_assignment(h, assigned, small)
     print("  -> converts to a valid schedule")
 
 

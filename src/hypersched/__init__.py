@@ -39,7 +39,7 @@ from .hypergraph import (
     neighbors,
     validate_hypergraph,
 )
-from .intervals import IntervalSet, earliest_fit, intersect_all, union_all
+from .intervals import IntervalSet, earliest_fit
 from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
 from .feasibility import (
     ChiFResult,
@@ -50,7 +50,6 @@ from .feasibility import (
 )
 from .greedy import (
     ConditionReport,
-    StepBound,
     WeightMatrix,
     check_delta_condition,
     check_edge_min_condition,
@@ -58,7 +57,7 @@ from .greedy import (
     delta_matrix,
     greedy_schedule,
     greedy_step_bound,
-    intervals_to_schedule,
+    validate_assignment,
     validate_weight_matrix,
 )
 from .metrics import (

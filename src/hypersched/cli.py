@@ -32,7 +32,7 @@ from .errors import (
     SizeLimitExceeded,
     SolverInvariantError,
 )
-from .feasibility import DemandVector, fractional_chromatic_number
+from .feasibility import DemandVector, fractional_chromatic_number, validate_schedule
 from .formats import (
     format_demand_line,
     format_interval_set,
@@ -49,6 +49,7 @@ from .greedy import (
     # Unused here; kept because perfbench/tracing.py wraps this name.
     delta_matrix,  # noqa: F401
     greedy_schedule,
+    validate_assignment,
     validate_weight_matrix,
 )
 from .hypergraph import (
@@ -195,6 +196,7 @@ def cmd_chi_f(args):
     h = _load_hypergraph(args.file)
     tau = _load_demand(args.demand, h)
     value, witness = fractional_chromatic_number(h, tau, _size_limit())
+    validate_schedule(h, witness, tau, max_total=value)
     if args.json:
         _emit_json(
             {
@@ -257,6 +259,7 @@ def cmd_schedule(args):
         else:
             print(f"STUCK at link {e.link + 1}")
         return 1
+    validate_assignment(h, assigned, tau)
     if args.json:
         _emit_json(
             {

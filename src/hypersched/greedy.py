@@ -13,23 +13,24 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import (
+    DemandUnmet,
     EdgeRowSumTooSmall,
     EntryOutOfRange,
     InsufficientRoom,
     NonNeighborNonzero,
     NonzeroDiagonal,
+    NotIndependent,
     NotSymmetric,
     ScheduleStuck,
 )
-from .feasibility import Schedule, as_demand
+from .feasibility import as_demand
 from .hypergraph import Hypergraph, neighbors
 from .intervals import IntervalSet, earliest_fit, intersect_all, union_all
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -231,12 +232,7 @@ def greedy_schedule(h: Hypergraph, tau, order=None, step_callback=None) -> tuple
     return tuple(assigned)
 
 
-class StepBound(NamedTuple):
-    lhs: Fraction
-    rhs: Fraction
-
-
-def greedy_step_bound(h: Hypergraph, w: WeightMatrix, assigned, link) -> StepBound:
+def greedy_step_bound(h: Hypergraph, w: WeightMatrix, assigned, link) -> tuple:
     """Both sides of the accounting inequality at the step that schedules
     ``link``: measure of the blocked slots vs. the weighted sum of the
     already-scheduled demands.  For admissible ``w``, lhs <= rhs always."""
@@ -245,29 +241,37 @@ def greedy_step_bound(h: Hypergraph, w: WeightMatrix, assigned, link) -> StepBou
         (v * assigned[j].measure for j, v in w.rows[link].items() if assigned[j] is not None),
         _ZERO,
     )
-    return StepBound(lhs, rhs)
+    return lhs, rhs
 
 
-def intervals_to_schedule(assigned: Sequence[IntervalSet]) -> Schedule:
-    """Convert a per-link interval assignment into a schedule over link sets
-    by sweeping the interval endpoints.  Slots where no link is active are
-    dropped, so the total duration can be below 1."""
-    points = {_ZERO, _ONE}
-    for js in assigned:
+def validate_assignment(h: Hypergraph, assigned, tau) -> None:
+    """Raise DemandUnmet unless each link's interval set has measure exactly
+    its demand, and NotIndependent if all links of an edge are ever active
+    at once.  Endpoints are scaled to ints over their common denominator, and
+    one sweep over the sorted (point, +1 start or -1 end, link) events counts
+    each edge's active links; ends sort first at a point, as pieces are
+    half-open.  O(P log P + sum over links of pieces * degree), P pieces."""
+    tau = as_demand(h, tau)
+    if len(assigned) != h.num_links:
+        raise ValueError(f"assignment has {len(assigned)} entries, expected {h.num_links}")
+    dens = {x.denominator for js in assigned for piece in js.intervals for x in piece}
+    den = lcm(*dens)
+    scale = {d: den // d for d in dens}
+    events = []
+    for i, (js, t) in enumerate(zip(assigned, tau)):
+        measure = 0
         for a, b in js.intervals:
-            points.add(a)
-            points.add(b)
-    cuts = sorted(points)
-    durations: dict = {}
-    active_order: list = []
-    for a, b in zip(cuts, cuts[1:]):
-        active = frozenset(
-            i for i, js in enumerate(assigned) if js.contains_point(a)
-        )
-        if not active:
-            continue
-        if active not in durations:
-            durations[active] = _ZERO
-            active_order.append(active)
-        durations[active] += b - a
-    return Schedule(tuple((s, durations[s]) for s in active_order))
+            a = a.numerator * scale[a.denominator]
+            b = b.numerator * scale[b.denominator]
+            measure += b - a
+            events += ((a, 1, i), (b, -1, i))
+        if measure * t.denominator != t.numerator * den:
+            raise DemandUnmet(i, Fraction(measure, den), t)
+    events.sort()
+    edges, incidence = h.edges, h.incidence
+    active = [0] * len(edges)
+    for _, step, i in events:
+        for k in incidence[i]:
+            active[k] += step
+            if active[k] == len(edges[k]):
+                raise NotIndependent(edges[k])

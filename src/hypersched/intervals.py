@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InsufficientRoom
+from .lp import _as_fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -30,7 +31,7 @@ class IntervalSet:
     def __post_init__(self):
         pieces = []
         for a, b in self.intervals:
-            a, b = Fraction(a), Fraction(b)
+            a, b = _as_fraction(a), _as_fraction(b)
             if a > b:
                 raise ValueError(f"interval [{a},{b}) has negative length")
             if not (_ZERO <= a and b <= _ONE):
@@ -71,10 +72,6 @@ class IntervalSet:
             else:
                 j += 1
         return IntervalSet(tuple(out))
-
-    def contains_point(self, x) -> bool:
-        x = Fraction(x)
-        return any(a <= x < b for a, b in self.intervals)
 
 
 def union_all(sets) -> IntervalSet:

@@ -209,10 +209,6 @@ class StarProfile:
     size_counts: tuple
     vacuous_center: bool = False
 
-    @property
-    def num_edges(self) -> int:
-        return sum(c for _, c in self.size_counts)
-
 
 def is_beta_star(h: Hypergraph):
     """The star profile of ``h`` if all edges pairwise meet in exactly one
@@ -247,4 +243,4 @@ def beta_star_formula(profile: StarProfile) -> Fraction:
         (count * Fraction(k - 2, k - 1) for k, count in profile.size_counts),
         _ONE,
     )
-    return max(Fraction(profile.num_edges), by_size)
+    return max(Fraction(sum(c for _, c in profile.size_counts)), by_size)

@@ -6,7 +6,13 @@ from itertools import permutations
 
 import pytest
 
-from hypersched import DemandVector, Hypergraph, fractional_chromatic_number, minimalize
+from hypersched import (
+    DemandVector,
+    Hypergraph,
+    Schedule,
+    fractional_chromatic_number,
+    minimalize,
+)
 
 # The running examples used throughout the tests:
 #  - triangle: three links, one forbidden triple.
@@ -42,6 +48,23 @@ def zeros(n):
 def is_feasible(h, tau):
     """True iff some schedule of total duration <= 1 satisfies ``tau``."""
     return fractional_chromatic_number(h, tau).value <= 1
+
+
+def intervals_to_schedule(assigned):
+    """The schedule over link sets of a per-link interval assignment: cut
+    [0, 1) at every endpoint and give each slot's active set its length.
+    Idle slots are dropped, so the total can be below 1.  Quadratic; the
+    differential oracle for ``validate_assignment``."""
+    points = {x for js in assigned for piece in js.intervals for x in piece}
+    cuts = sorted(points | {Fraction(0), Fraction(1)})
+    durations = {}
+    for a, b in zip(cuts, cuts[1:]):
+        active = frozenset(
+            i for i, js in enumerate(assigned) if any(lo <= a < hi for lo, hi in js.intervals)
+        )
+        if active:
+            durations[active] = durations.get(active, Fraction(0)) + b - a
+    return Schedule(tuple(durations.items()))
 
 
 def brute_automorphisms(h):

@@ -30,10 +30,10 @@ from hypersched import (
     greedy_schedule,
     greedy_step_bound,
     interference_metrics,
-    intervals_to_schedule,
     is_beta_star,
     solve_lp,
     symmetrize_demand,
+    validate_assignment,
     validate_schedule,
 )
 from hypersched.cli import main
@@ -131,8 +131,7 @@ def test_criterion_06b_delta_condition_implies_greedy_success(greedy_runs):
     assert len(greedy_runs) >= 30
     for h, tau, assigned, _ in greedy_runs:
         assert assigned is not None, "greedy got stuck despite the condition"
-        sched = intervals_to_schedule(assigned)
-        validate_schedule(h, sched, tau)
+        validate_assignment(h, assigned, tau)
 
 
 def test_criterion_06c_bound_sandwich(pair_suite):

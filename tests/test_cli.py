@@ -318,6 +318,44 @@ class TestExitCodes:
         assert out == ""
         assert "coverage LP" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    @pytest.mark.parametrize(
+        "last, message",
+        [
+            (IntervalSet(((0, F(1, 2)),)), "error: set (0, 1, 2) contains a forbidden edge\n"),
+            (IntervalSet(((F(1, 2), F(3, 4)),)), "error: link 2 covered for 1/4, demand is 1/2\n"),
+        ],
+        ids=["overlap", "measure"],
+    )
+    def test_corrupted_schedule_exits_2(self, files, capsys, monkeypatch, extra, last, message):
+        half = IntervalSet(((0, F(1, 2)),))
+        monkeypatch.setattr(cli, "greedy_schedule", lambda h, tau, order=None: (half, half, last))
+        dfile = files["dir"] / "tri.demand"
+        dfile.write_text("demand 1/2 1/2 1/2\n")
+        code, out, err = run(capsys, "schedule", files["triangle"], "--demand", str(dfile), *extra)
+        assert (code, out, err) == (2, "", message)
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    @pytest.mark.parametrize(
+        "value, entries, message",
+        [
+            (F(1), (({0, 1, 2}, F(1)),), "error: set (0, 1, 2) contains a forbidden edge\n"),
+            (F(1), (({0, 1}, F(1, 2)),), "error: link 2 covered for 0, demand is 1/2\n"),
+            (F(1, 2), (({0, 1}, F(1, 2)), ({2}, F(1, 2))),
+             "error: total duration 1 exceeds budget 1/2\n"),
+        ],
+        ids=["dependent", "uncovered", "over-value"],
+    )
+    def test_corrupted_chi_f_witness_exits_2(
+        self, files, capsys, monkeypatch, extra, value, entries, message
+    ):
+        bad = feasibility.ChiFResult(value, feasibility.Schedule(entries))
+        monkeypatch.setattr(cli, "fractional_chromatic_number", lambda h, tau, limit=None: bad)
+        dfile = files["dir"] / "tri.demand"
+        dfile.write_text("demand 1/2 1/2 1/2\n")
+        code, out, err = run(capsys, "chi-f", files["triangle"], "--demand", str(dfile), *extra)
+        assert (code, out, err) == (2, "", message)
+
     def test_beta_differing_from_sigma_exits_2(self, files, capsys, monkeypatch):
         real = cli.interference_metrics
 

@@ -1,11 +1,13 @@
 """Greedy interval scheduler, weight matrices, sufficient conditions."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from hypersched import (
+    DemandUnmet,
     DemandVector,
     EdgeRowSumTooSmall,
     EntryOutOfRange,
@@ -13,6 +15,7 @@ from hypersched import (
     IntervalSet,
     NonNeighborNonzero,
     NonzeroDiagonal,
+    NotIndependent,
     NotSymmetric,
     ScheduleStuck,
     WeightMatrix,
@@ -22,12 +25,19 @@ from hypersched import (
     delta_matrix,
     greedy_schedule,
     greedy_step_bound,
-    intersect_all,
-    intervals_to_schedule,
+    minimalize,
+    validate_assignment,
     validate_schedule,
     validate_weight_matrix,
 )
-from conftest import is_feasible, random_demand, random_hypergraph, zeros
+from hypersched.intervals import intersect_all
+from conftest import (
+    intervals_to_schedule,
+    is_feasible,
+    random_demand,
+    random_hypergraph,
+    zeros,
+)
 
 F = Fraction
 
@@ -217,9 +227,7 @@ class TestGreedySchedule:
                 tuple(rng.sample(range(h.num_links), h.num_links)) for _ in range(4)
             ]
             for order in orders:
-                assigned = greedy_schedule(h, tau, order)
-                sched = intervals_to_schedule(assigned)
-                validate_schedule(h, sched, tau)
+                validate_assignment(h, greedy_schedule(h, tau, order), tau)
         assert checked >= 15
 
 
@@ -308,3 +316,83 @@ class TestIntervalsToSchedule:
         assigned = (IntervalSet(((F(1, 4), F(1, 2)),)),)
         sched = intervals_to_schedule(assigned)
         assert sched.total_duration == F(1, 4)
+
+
+def random_assignment(rng, n, den):
+    """Per link, up to three random pieces with endpoints on the 1/den grid."""
+    out = []
+    for _ in range(n):
+        k = rng.randint(0, min(3, (den + 1) // 2))
+        ends = sorted(rng.sample(range(den + 1), 2 * k))
+        out.append(IntervalSet(tuple((F(a, den), F(b, den)) for a, b in zip(ends[::2], ends[1::2]))))
+    return tuple(out)
+
+
+class TestValidateAssignment:
+    def test_matches_schedule_oracle(self):
+        rng = random.Random(79)
+        outcomes = {True: 0, False: 0}
+        for _ in range(1200):
+            h = random_hypergraph(rng, max_links=7, max_edges=rng.randint(0, 8))
+            assigned = random_assignment(rng, h.num_links, rng.choice([2, 3, 4, 6, 12]))
+            tau = tuple(js.measure for js in assigned)
+            try:
+                validate_schedule(h, intervals_to_schedule(assigned), tau)
+                expected = False
+            except NotIndependent:
+                expected = True
+            try:
+                validate_assignment(h, assigned, tau)
+                got = False
+            except NotIndependent as err:
+                got = True
+                # The edge named is one whose links really share some time.
+                assert err.links in h.edge_sets
+                assert intersect_all([assigned[j] for j in err.links])
+            assert got == expected
+            outcomes[got] += 1
+        assert min(outcomes.values()) >= 200
+
+    def test_touching_pieces_are_not_overlap(self, triangle):
+        half, rest = IntervalSet(((0, F(1, 2)),)), IntervalSet(((F(1, 2), 1),))
+        validate_assignment(triangle, (half, half, rest), (F(1, 2),) * 3)
+        late = IntervalSet(((F(1, 3), 1),))
+        with pytest.raises(NotIndependent) as err:
+            validate_assignment(triangle, (half, half, late), (F(1, 2), F(1, 2), F(2, 3)))
+        assert err.value.links == frozenset({0, 1, 2})
+
+    @pytest.mark.parametrize("delta", [F(1, 12), -F(1, 12)])
+    def test_measure_off_demand(self, triangle, delta):
+        tau = DemandVector((F(1, 2),) * 3)
+        assigned = greedy_schedule(triangle, tau)
+        wrong = (F(1, 2), F(1, 2) + delta, F(1, 2))
+        with pytest.raises(DemandUnmet) as err:
+            validate_assignment(triangle, assigned, wrong)
+        assert (err.value.link, err.value.covered, err.value.required) == (1, F(1, 2), wrong[1])
+
+    def test_empty_set_for_positive_demand(self, triangle):
+        assigned = (IntervalSet.empty(),) * 3
+        with pytest.raises(DemandUnmet) as err:
+            validate_assignment(triangle, assigned, (0, 0, F(1, 7)))
+        assert (err.value.link, err.value.covered) == (2, 0)
+
+    def test_length_mismatch(self, triangle):
+        with pytest.raises(ValueError):
+            validate_assignment(triangle, (IntervalSet.empty(),) * 2, zeros(3))
+
+    def test_large_denominators_far_below_greedy_time(self):
+        # Demands over mixed denominators 40..97 give a huge common
+        # denominator; the check must still cost well under the schedule.
+        rng = random.Random(83)
+        n = 1000
+        h = minimalize(n, [rng.sample(range(n), rng.randint(2, 4)) for _ in range(n)])
+        tau = tuple(F(rng.randint(1, 10), rng.randint(40, 97)) for _ in range(n))
+        greedy_s = check_s = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            assigned = greedy_schedule(h, tau)
+            mid = time.perf_counter()
+            validate_assignment(h, assigned, tau)
+            end = time.perf_counter()
+            greedy_s, check_s = min(greedy_s, mid - start), min(check_s, end - mid)
+        assert check_s < greedy_s / 2

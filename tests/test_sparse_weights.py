@@ -25,10 +25,9 @@ from hypersched import (
     delta_matrix,
     greedy_schedule,
     greedy_step_bound,
-    intersect_all,
-    union_all,
     validate_weight_matrix,
 )
+from hypersched.intervals import intersect_all, union_all
 from conftest import random_demand, random_hypergraph
 
 F = Fraction

@@ -3,7 +3,8 @@
 Reports go to stdout, diagnostics to stderr.  Exit codes: 0 success/holds,
 1 semantic negative (infeasible / condition fails / not a star / stuck),
 2 input error or failed internal check, 3 size limit.  Link labels are
-1-based in files and reports, 0-based only inside the library.
+1-based in files, reports and error messages, 0-based only inside the
+library.
 HS_SIZE_LIMIT overrides the default size limits of the enumeration and
 automorphism operations.
 """
@@ -19,6 +20,7 @@ import sys
 
 from . import __version__
 from .errors import (
+    DemandUnmet,
     EdgeRowSumTooSmall,
     EdgeTooSmall,
     EntryOutOfRange,
@@ -26,6 +28,7 @@ from .errors import (
     InvalidWeightMatrix,
     NonzeroDiagonal,
     NotAntichain,
+    NotIndependent,
     NotSymmetric,
     ParseError,
     ScheduleStuck,
@@ -93,23 +96,45 @@ def _read(path):
         raise ParseError(path, line, f"not UTF-8 (byte 0x{data[e.start]:02x})") from None
 
 
+def _describe(e):
+    """The message of fault ``e`` with 1-based labels: hypergraph,
+    weight-matrix and re-check faults are rendered from their data, every
+    other fault keeps its own message."""
+    if isinstance(e, EdgeTooSmall):
+        return f"edge {format_set(e.edge)} has fewer than 2 links"
+    if isinstance(e, NotAntichain):
+        return (
+            f"edge {format_set(e.edge)} is contained in edge {format_set(e.superset)}"
+            " (run `validate --minimalize` to reduce)"
+        )
+    if isinstance(e, NotIndependent):
+        return f"set {format_set(e.links)} contains a forbidden edge"
+    if isinstance(e, DemandUnmet):
+        return f"link {e.link + 1} covered for {e.covered}, demand is {e.required}"
+    if isinstance(e, EdgeRowSumTooSmall):
+        return (
+            f"sum of W[{e.link + 1}][j] over edge {format_set(e.edge)} is {e.total}, must be >= 1"
+        )
+    if isinstance(e, NonzeroDiagonal):
+        return f"W[{e.i + 1}][{e.i + 1}] = {e.value}, diagonal must be zero"
+    if not isinstance(e, InvalidWeightMatrix):
+        return str(e)
+    i, j = e.i + 1, e.j + 1
+    if isinstance(e, NotSymmetric):
+        return f"W[{i}][{j}] != W[{j}][{i}]"
+    if isinstance(e, EntryOutOfRange):
+        return f"W[{i}][{j}] = {e.value} is outside [0, 1]"
+    return f"W[{i}][{j}] = {e.value} but links {i} and {j} share no edge"
+
+
 def _load_hypergraph(path, do_minimalize=False):
     h, edge_lines = parse_hypergraph_text(_read(path), path)
     try:
         if do_minimalize:
             h = minimalize(h.num_links, h.edges)
         validate_hypergraph(h)
-    except EdgeTooSmall as e:
-        line = edge_lines.get(tuple(e.edge), 1)
-        raise ParseError(path, line, f"edge {format_set(e.edge)} has fewer than 2 links") from None
-    except NotAntichain as e:
-        line = edge_lines.get(tuple(e.edge), 1)
-        raise ParseError(
-            path,
-            line,
-            f"edge {format_set(e.edge)} is contained in edge {format_set(e.superset)}"
-            " (run `validate --minimalize` to reduce)",
-        ) from None
+    except (EdgeTooSmall, NotAntichain) as e:
+        raise ParseError(path, edge_lines.get(e.edge, 1), _describe(e)) from None
     return h
 
 
@@ -118,22 +143,6 @@ def _load_demand(path, h):
     if len(values) != h.num_links:
         raise ParseError(path, lineno, f"expected {h.num_links} demand values, got {len(values)}")
     return DemandVector(values)
-
-
-def _weight_fault(e):
-    """(0-based row, message with 1-based labels) of a weight-matrix fault."""
-    if isinstance(e, EdgeRowSumTooSmall):
-        return e.link, (
-            f"sum of W[{e.link + 1}][j] over edge {format_set(e.edge)} is {e.total}, must be >= 1"
-        )
-    if isinstance(e, NonzeroDiagonal):
-        return e.i, f"W[{e.i + 1}][{e.i + 1}] = {e.value}, diagonal must be zero"
-    i, j = e.i + 1, e.j + 1
-    if isinstance(e, NotSymmetric):
-        return e.i, f"W[{i}][{j}] != W[{j}][{i}]"
-    if isinstance(e, EntryOutOfRange):
-        return e.i, f"W[{i}][{j}] = {e.value} is outside [0, 1]"
-    return e.i, f"W[{i}][{j}] = {e.value} but links {i} and {j} share no edge"
 
 
 @contextlib.contextmanager
@@ -149,16 +158,15 @@ def _weights(path, h):
     try:
         yield parse_weight_text(text, path, h.num_links)
     except InvalidWeightMatrix as e:
-        row, message = _weight_fault(e)
-        raise ParseError(path, weight_row_line(text, row), message) from None
+        row = e.link if isinstance(e, EdgeRowSumTooSmall) else e.i
+        raise ParseError(path, weight_row_line(text, row), _describe(e)) from None
 
 
 def _emit_json(obj):
     print(json.dumps(obj, indent=2))
 
 
-def cmd_validate(args):
-    h = _load_hypergraph(args.file, do_minimalize=args.minimalize)
+def cmd_validate(args, h):
     if args.json:
         _emit_json(
             {
@@ -177,8 +185,7 @@ def cmd_validate(args):
     return 0
 
 
-def cmd_indep_sets(args):
-    h = _load_hypergraph(args.file)
+def cmd_indep_sets(args, h):
     limit = _size_limit()
     if args.maximal:
         sets = enumerate_maximal_independent_sets(h, limit)
@@ -192,9 +199,7 @@ def cmd_indep_sets(args):
     return 0
 
 
-def cmd_chi_f(args):
-    h = _load_hypergraph(args.file)
-    tau = _load_demand(args.demand, h)
+def cmd_chi_f(args, h, tau):
     value, witness = fractional_chromatic_number(h, tau, _size_limit())
     validate_schedule(h, witness, tau, max_total=value)
     if args.json:
@@ -215,9 +220,7 @@ def cmd_chi_f(args):
     return 0
 
 
-def cmd_feasible(args):
-    h = _load_hypergraph(args.file)
-    tau = _load_demand(args.demand, h)
+def cmd_feasible(args, h, tau):
     value, _ = fractional_chromatic_number(h, tau, _size_limit())
     feasible = value <= 1
     if args.json:
@@ -238,9 +241,7 @@ def _parse_order(text, n):
     return tuple(v - 1 for v in labels)
 
 
-def cmd_schedule(args):
-    h = _load_hypergraph(args.file)
-    tau = _load_demand(args.demand, h)
+def cmd_schedule(args, h, tau):
     with _weights(args.w, h) as w:
         order = _parse_order(args.order, h.num_links) if args.order else None
         if w is not None:
@@ -278,9 +279,7 @@ def cmd_schedule(args):
     return 0
 
 
-def cmd_check(args):
-    h = _load_hypergraph(args.file)
-    tau = _load_demand(args.demand, h)
+def cmd_check(args, h, tau):
     if args.rule == "lemma1":
         report = check_edge_min_condition(h, tau)
     elif args.rule == "cor4" or args.w is None:
@@ -304,8 +303,7 @@ def cmd_check(args):
     return 0 if report.holds else 1
 
 
-def cmd_metrics(args):
-    h = _load_hypergraph(args.file)
+def cmd_metrics(args, h):
     rep = interference_metrics(h, _size_limit())
     if args.json:
         _emit_json(
@@ -341,8 +339,7 @@ def cmd_metrics(args):
     return 0
 
 
-def cmd_beta(args):
-    h = _load_hypergraph(args.file)
+def cmd_beta(args, h):
     limit = _size_limit()
     wit = beta_by_enumeration(h, limit)
     rep = interference_metrics(h, limit)
@@ -367,8 +364,7 @@ def cmd_beta(args):
     return 0
 
 
-def cmd_star(args):
-    h = _load_hypergraph(args.file)
+def cmd_star(args, h):
     profile = is_beta_star(h)
     if profile is None:
         if args.json:
@@ -397,9 +393,7 @@ def cmd_star(args):
     return 0
 
 
-def cmd_symmetrize(args):
-    h = _load_hypergraph(args.file)
-    tau = _load_demand(args.demand, h)
+def cmd_symmetrize(args, h, tau):
     order, orbits = automorphisms(h, _size_limit())
     avg = symmetrize_demand(h, tau, orbits)
     if args.json:
@@ -452,13 +446,13 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except SizeLimitExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        h = _load_hypergraph(args.file, getattr(args, "minimalize", False))
+        if getattr(args, "demand", None) is None:
+            return args.func(args, h)
+        return args.func(args, h, _load_demand(args.demand, h))
     except (HyperschedError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        print(f"error: {_describe(e)}", file=sys.stderr)
+        return 3 if isinstance(e, SizeLimitExceeded) else 2
 
 
 if __name__ == "__main__":

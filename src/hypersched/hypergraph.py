@@ -151,13 +151,13 @@ def _members(mask: int) -> list:
     return out
 
 
-def _independent_subsets(pool, completions, weights, total=0, chosen=0, *, maximal=False):
+def _independent_subsets(pool, completions, weights, chosen=0, *, maximal=False):
     """Walk the sets ``chosen | J`` for the subsets J of ``pool`` that keep
     them free of the forbidden family, in lexicographic order of J's sorted
     member tuples (pre-order DFS).  Sets are bitmasks, bit v for link v;
     ``completions`` is :func:`_completion_table`.
 
-    Yields ``(mask, total + sum of weights[v] over J)``.
+    Yields ``(mask, sum of weights[v] over J)``.
 
     Each step carries the mask of the links its set blocks (some edge lacks
     only that link), so a step costs the edges through the added link, not
@@ -176,7 +176,7 @@ def _independent_subsets(pool, completions, weights, total=0, chosen=0, *, maxim
     blocked = sum(1 << u for u, cs in enumerate(completions) if any(c & chosen == c for c in cs))
     # (set, links it blocks, pool links above its last, total, skipped links
     # not yet blocked)
-    stack = [(chosen, blocked, pool_mask, total, 0)]
+    stack = [(chosen, blocked, pool_mask, 0, 0)]
     while stack:
         current, blocked, above, total, skipped = stack.pop()
         if not maximal or current | blocked == pool_mask:

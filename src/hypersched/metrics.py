@@ -74,11 +74,11 @@ def _link_degree(setup, i, pool, double: bool) -> LinkMetric:
     which then adds 1.  Ties keep the lexicographically first J."""
     den, rows, completions = setup
     base, chosen = (den, 1 << i) if double else (0, 0)
-    best, witness = base, chosen
-    for s, total in _independent_subsets(pool, completions, rows[i], base, chosen):
+    best, witness = 0, chosen
+    for s, total in _independent_subsets(pool, completions, rows[i], chosen):
         if total > best:
             best, witness = total, s
-    return LinkMetric(Fraction(best, den), frozenset(_members(witness & ~chosen)))
+    return LinkMetric(Fraction(base + best, den), frozenset(_members(witness & ~chosen)))
 
 
 def delta_i_prime(h: Hypergraph, i: int, limit: int | None = None) -> LinkMetric:
@@ -147,9 +147,8 @@ def beta_by_enumeration(h: Hypergraph, limit: int | None = None) -> BetaWitness:
     field's value never reaches, so ``((total | guard) - thr) & guard``
     subtracts ``best + 1`` field by field without borrows and leaves the
     guard bit set exactly where a link beat its record."""
-    _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
+    den, rows, completions = _setup(h, limit)
     n = h.num_links
-    den, rows = _delta_int_rows(h)
     width = (den + max(sum(row.values()) for row in rows) + 1).bit_length() + 1
     field = (1 << width) - 1
     weights = [0] * n
@@ -161,7 +160,7 @@ def beta_by_enumeration(h: Hypergraph, limit: int | None = None) -> BetaWitness:
     best = [0] * n
     witness = [0] * n
     thr = sum(1 << (i * width) for i in range(n))
-    for s, total in _independent_subsets(range(n), _completion_table(h), weights):
+    for s, total in _independent_subsets(range(n), completions, weights):
         beat = ((total | guard) - thr) & guard
         while beat:
             i = (beat.bit_length() - 1) // width

@@ -284,9 +284,18 @@ class TestExitCodes:
         raw = files["dir"] / "raw.hg"
         raw.write_text("links 4\nedge 1 2 3 4\nedge 1 2\n")
         code, out, err = run(capsys, "validate", str(raw))
-        assert code == 2
-        assert "contained in" in err
-        assert f"{raw}:3:" in err
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {raw}:3: edge 1 2 is contained in edge 1 2 3 4"
+            " (run `validate --minimalize` to reduce)\n"
+        )
+
+    def test_edge_too_small_line(self, files, capsys):
+        raw = files["dir"] / "small.hg"
+        raw.write_text("links 3\nedge 1 2 3\nedge 2\n")
+        code, out, err = run(capsys, "validate", str(raw))
+        assert (code, out) == (2, "")
+        assert err == f"error: {raw}:3: edge 2 has fewer than 2 links\n"
 
     def test_size_limit_exit(self, files, capsys, monkeypatch):
         monkeypatch.setenv("HS_SIZE_LIMIT", "5")
@@ -322,8 +331,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "last, message",
         [
-            (IntervalSet(((0, F(1, 2)),)), "error: set (0, 1, 2) contains a forbidden edge\n"),
-            (IntervalSet(((F(1, 2), F(3, 4)),)), "error: link 2 covered for 1/4, demand is 1/2\n"),
+            (IntervalSet(((0, F(1, 2)),)), "error: set 1 2 3 contains a forbidden edge\n"),
+            (IntervalSet(((F(1, 2), F(3, 4)),)), "error: link 3 covered for 1/4, demand is 1/2\n"),
         ],
         ids=["overlap", "measure"],
     )
@@ -339,8 +348,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "value, entries, message",
         [
-            (F(1), (({0, 1, 2}, F(1)),), "error: set (0, 1, 2) contains a forbidden edge\n"),
-            (F(1), (({0, 1}, F(1, 2)),), "error: link 2 covered for 0, demand is 1/2\n"),
+            (F(1), (({0, 1, 2}, F(1)),), "error: set 1 2 3 contains a forbidden edge\n"),
+            (F(1), (({0, 1}, F(1, 2)),), "error: link 3 covered for 0, demand is 1/2\n"),
             (F(1, 2), (({0, 1}, F(1, 2)), ({2}, F(1, 2))),
              "error: total duration 1 exceeds budget 1/2\n"),
         ],
@@ -807,6 +816,18 @@ class TestExitCodeContract:
         for argv in _subcommands(hg, str(bad), w):
             if "--demand" in argv:
                 self.assert_input_error(capsys, argv, bad, 2)
+
+    @pytest.mark.parametrize("name", sorted(BAD_HYPERGRAPHS))
+    def test_hypergraph_fault_before_demand_fault(self, tmp_path, capsys, good, name):
+        data, line = self.BAD_HYPERGRAPHS[name]
+        bad = tmp_path / "bad.hg"
+        bad.write_bytes(data)
+        dem = tmp_path / "bad.demand"
+        dem.write_text("demand 1/2 x\n")
+        _, _, w = good
+        for argv in _subcommands(str(bad), str(dem), w):
+            if "--demand" in argv:
+                self.assert_input_error(capsys, argv, bad, line)
 
     def test_undecodable_weights(self, tmp_path, capsys, good):
         hg, dem, _ = good

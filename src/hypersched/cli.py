@@ -20,26 +20,21 @@ import sys
 
 from . import __version__
 from .errors import (
-    DemandUnmet,
     EdgeRowSumTooSmall,
     EdgeTooSmall,
-    EntryOutOfRange,
     HyperschedError,
     InvalidWeightMatrix,
-    NonzeroDiagonal,
     NotAntichain,
-    NotIndependent,
-    NotSymmetric,
     ParseError,
     ScheduleStuck,
     SizeLimitExceeded,
     SolverInvariantError,
+    format_set,
 )
 from .feasibility import DemandVector, fractional_chromatic_number, validate_schedule
 from .formats import (
     format_demand_line,
     format_interval_set,
-    format_set,
     parse_demand_text,
     parse_hypergraph_text,
     parse_weight_text,
@@ -96,37 +91,6 @@ def _read(path):
         raise ParseError(path, line, f"not UTF-8 (byte 0x{data[e.start]:02x})") from None
 
 
-def _describe(e):
-    """The message of fault ``e`` with 1-based labels: hypergraph,
-    weight-matrix and re-check faults are rendered from their data, every
-    other fault keeps its own message."""
-    if isinstance(e, EdgeTooSmall):
-        return f"edge {format_set(e.edge)} has fewer than 2 links"
-    if isinstance(e, NotAntichain):
-        return (
-            f"edge {format_set(e.edge)} is contained in edge {format_set(e.superset)}"
-            " (run `validate --minimalize` to reduce)"
-        )
-    if isinstance(e, NotIndependent):
-        return f"set {format_set(e.links)} contains a forbidden edge"
-    if isinstance(e, DemandUnmet):
-        return f"link {e.link + 1} covered for {e.covered}, demand is {e.required}"
-    if isinstance(e, EdgeRowSumTooSmall):
-        return (
-            f"sum of W[{e.link + 1}][j] over edge {format_set(e.edge)} is {e.total}, must be >= 1"
-        )
-    if isinstance(e, NonzeroDiagonal):
-        return f"W[{e.i + 1}][{e.i + 1}] = {e.value}, diagonal must be zero"
-    if not isinstance(e, InvalidWeightMatrix):
-        return str(e)
-    i, j = e.i + 1, e.j + 1
-    if isinstance(e, NotSymmetric):
-        return f"W[{i}][{j}] != W[{j}][{i}]"
-    if isinstance(e, EntryOutOfRange):
-        return f"W[{i}][{j}] = {e.value} is outside [0, 1]"
-    return f"W[{i}][{j}] = {e.value} but links {i} and {j} share no edge"
-
-
 def _load_hypergraph(path, do_minimalize=False):
     h, edge_lines = parse_hypergraph_text(_read(path), path)
     try:
@@ -134,7 +98,8 @@ def _load_hypergraph(path, do_minimalize=False):
             h = minimalize(h.num_links, h.edges)
         validate_hypergraph(h)
     except (EdgeTooSmall, NotAntichain) as e:
-        raise ParseError(path, edge_lines.get(e.edge, 1), _describe(e)) from None
+        hint = " (run `validate --minimalize` to reduce)" if isinstance(e, NotAntichain) else ""
+        raise ParseError(path, edge_lines.get(e.edge, 1), f"{e}{hint}") from None
     return h
 
 
@@ -159,7 +124,7 @@ def _weights(path, h):
         yield parse_weight_text(text, path, h.num_links)
     except InvalidWeightMatrix as e:
         row = e.link if isinstance(e, EdgeRowSumTooSmall) else e.i
-        raise ParseError(path, weight_row_line(text, row), _describe(e)) from None
+        raise ParseError(path, weight_row_line(text, row), str(e)) from None
 
 
 def _emit_json(obj):
@@ -199,9 +164,20 @@ def cmd_indep_sets(args, h):
     return 0
 
 
-def cmd_chi_f(args, h, tau):
+def _chi_f(h, tau):
+    """chi_f of ``tau`` and its witness, re-checked to be a schedule of
+    independent sets that covers ``tau`` and lasts exactly chi_f."""
     value, witness = fractional_chromatic_number(h, tau, _size_limit())
     validate_schedule(h, witness, tau, max_total=value)
+    if witness.total_duration != value:
+        raise SolverInvariantError(
+            f"chi_f = {value} but its witness lasts {witness.total_duration}; this is a library bug"
+        )
+    return value, witness
+
+
+def cmd_chi_f(args, h, tau):
+    value, witness = _chi_f(h, tau)
     if args.json:
         _emit_json(
             {
@@ -221,7 +197,7 @@ def cmd_chi_f(args, h, tau):
 
 
 def cmd_feasible(args, h, tau):
-    value, _ = fractional_chromatic_number(h, tau, _size_limit())
+    value, _ = _chi_f(h, tau)
     feasible = value <= 1
     if args.json:
         _emit_json({"feasible": feasible, "chi_f": str(value)})
@@ -451,7 +427,7 @@ def main(argv=None) -> int:
             return args.func(args, h)
         return args.func(args, h, _load_demand(args.demand, h))
     except (HyperschedError, OSError) as e:
-        print(f"error: {_describe(e)}", file=sys.stderr)
+        print(f"error: {e}", file=sys.stderr)
         return 3 if isinstance(e, SizeLimitExceeded) else 2
 
 

@@ -1,8 +1,16 @@
 """Structured errors raised across the package.
 
 Every error that a caller might want to branch on carries its data as
-attributes; the message is only for display.
+attributes, with 0-based link ids; the message is only for display and uses
+the 1-based labels of files and reports.
 """
+
+
+def format_set(links) -> str:
+    """Space-separated 1-based labels; `-` for the empty set."""
+    if not links:
+        return "-"
+    return " ".join(str(v + 1) for v in sorted(links))
 
 
 class HyperschedError(Exception):
@@ -16,14 +24,16 @@ class HypergraphInvalid(HyperschedError):
 class EdgeTooSmall(HypergraphInvalid):
     def __init__(self, edge):
         self.edge = tuple(edge)
-        super().__init__(f"edge {self.edge} has fewer than 2 links")
+        super().__init__(f"edge {format_set(self.edge)} has fewer than 2 links")
 
 
 class NotAntichain(HypergraphInvalid):
     def __init__(self, edge, superset):
         self.edge = tuple(edge)
         self.superset = tuple(superset)
-        super().__init__(f"edge {self.edge} is contained in edge {self.superset}")
+        super().__init__(
+            f"edge {format_set(self.edge)} is contained in edge {format_set(self.superset)}"
+        )
 
 
 class LinkOutOfRange(HypergraphInvalid):
@@ -32,7 +42,7 @@ class LinkOutOfRange(HypergraphInvalid):
         self.link = link
         self.num_links = num_links
         super().__init__(
-            f"edge {self.edge} mentions link {link}; valid ids are 0..{num_links - 1}"
+            f"edge {format_set(self.edge)} mentions link {link + 1}; labels are 1..{num_links}"
         )
 
 
@@ -50,7 +60,7 @@ class ScheduleInvalid(HyperschedError):
 class NotIndependent(ScheduleInvalid):
     def __init__(self, links):
         self.links = frozenset(links)
-        super().__init__(f"set {tuple(sorted(self.links))} contains a forbidden edge")
+        super().__init__(f"set {format_set(self.links)} contains a forbidden edge")
 
 
 class DurationExceedsOne(ScheduleInvalid):
@@ -65,7 +75,7 @@ class DemandUnmet(ScheduleInvalid):
         self.link = link
         self.covered = covered
         self.required = required
-        super().__init__(f"link {link} covered for {covered}, demand is {required}")
+        super().__init__(f"link {link + 1} covered for {covered}, demand is {required}")
 
 
 class InvalidWeightMatrix(HyperschedError):
@@ -75,25 +85,26 @@ class InvalidWeightMatrix(HyperschedError):
 class NotSymmetric(InvalidWeightMatrix):
     def __init__(self, i, j):
         self.i, self.j = i, j
-        super().__init__(f"W[{i}][{j}] != W[{j}][{i}]")
+        super().__init__(f"W[{i + 1}][{j + 1}] != W[{j + 1}][{i + 1}]")
 
 
 class EntryOutOfRange(InvalidWeightMatrix):
     def __init__(self, i, j, value):
         self.i, self.j, self.value = i, j, value
-        super().__init__(f"W[{i}][{j}] = {value} is outside [0, 1]")
+        super().__init__(f"W[{i + 1}][{j + 1}] = {value} is outside [0, 1]")
 
 
 class NonzeroDiagonal(InvalidWeightMatrix):
     def __init__(self, i, value):
         self.i, self.value = i, value
-        super().__init__(f"W[{i}][{i}] = {value}, diagonal must be zero")
+        super().__init__(f"W[{i + 1}][{i + 1}] = {value}, diagonal must be zero")
 
 
 class NonNeighborNonzero(InvalidWeightMatrix):
     def __init__(self, i, j, value):
         self.i, self.j, self.value = i, j, value
-        super().__init__(f"W[{i}][{j}] = {value} but links {i} and {j} share no edge")
+        a, b = i + 1, j + 1
+        super().__init__(f"W[{a}][{b}] = {value} but links {a} and {b} share no edge")
 
 
 class EdgeRowSumTooSmall(InvalidWeightMatrix):
@@ -102,7 +113,7 @@ class EdgeRowSumTooSmall(InvalidWeightMatrix):
         self.link = link
         self.total = total
         super().__init__(
-            f"sum of W[{link}][j] over edge {self.edge} is {total}, must be >= 1"
+            f"sum of W[{link + 1}][j] over edge {format_set(self.edge)} is {total}, must be >= 1"
         )
 
 
@@ -119,7 +130,7 @@ class ScheduleStuck(HyperschedError):
         self.demanded = demanded
         self.available = available
         super().__init__(
-            f"cannot place link {link}: demand {demanded}, free time {available}"
+            f"cannot place link {link + 1}: demand {demanded}, free time {available}"
         )
 
 

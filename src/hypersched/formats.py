@@ -1,4 +1,4 @@
-"""Text formats: hypergraph / demand / weight-matrix files and report pieces.
+"""Text formats: hypergraph / demand / weight-matrix files; demand and interval lines.
 
 Files use 1-based link labels; `#` starts a comment anywhere on a line.
 All rationals are written `p/q` in lowest terms (integers without `/1`),
@@ -128,13 +128,6 @@ def weight_row_line(text, row):
         if k == row:
             return lineno
     return 1
-
-
-def format_set(links) -> str:
-    """Space-separated 1-based labels; `-` for the empty set."""
-    if not links:
-        return "-"
-    return " ".join(str(v + 1) for v in sorted(links))
 
 
 def format_demand_line(values) -> str:

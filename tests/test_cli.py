@@ -346,23 +346,31 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("extra", [[], ["--json"]])
     @pytest.mark.parametrize(
-        "value, entries, message",
+        "command, value, entries, message",
         [
-            (F(1), (({0, 1, 2}, F(1)),), "error: set 1 2 3 contains a forbidden edge\n"),
-            (F(1), (({0, 1}, F(1, 2)),), "error: link 3 covered for 0, demand is 1/2\n"),
-            (F(1, 2), (({0, 1}, F(1, 2)), ({2}, F(1, 2))),
-             "error: total duration 1 exceeds budget 1/2\n"),
+            pytest.param(command, value, entries, message,
+                         id=name if command == "chi-f" else f"{command}-{name}")
+            for command in ("chi-f", "feasible")
+            for name, value, entries, message in [
+                ("dependent", F(1), (({0, 1, 2}, F(1)),),
+                 "error: set 1 2 3 contains a forbidden edge\n"),
+                ("uncovered", F(1), (({0, 1}, F(1, 2)),),
+                 "error: link 3 covered for 0, demand is 1/2\n"),
+                ("over-value", F(1, 2), (({0, 1}, F(1, 2)), ({2}, F(1, 2))),
+                 "error: total duration 1 exceeds budget 1/2\n"),
+                ("under-value", F(3, 2), (({0, 1}, F(1, 2)), ({2}, F(1, 2))),
+                 "error: chi_f = 3/2 but its witness lasts 1; this is a library bug\n"),
+            ]
         ],
-        ids=["dependent", "uncovered", "over-value"],
     )
     def test_corrupted_chi_f_witness_exits_2(
-        self, files, capsys, monkeypatch, extra, value, entries, message
+        self, files, capsys, monkeypatch, extra, command, value, entries, message
     ):
         bad = feasibility.ChiFResult(value, feasibility.Schedule(entries))
         monkeypatch.setattr(cli, "fractional_chromatic_number", lambda h, tau, limit=None: bad)
         dfile = files["dir"] / "tri.demand"
         dfile.write_text("demand 1/2 1/2 1/2\n")
-        code, out, err = run(capsys, "chi-f", files["triangle"], "--demand", str(dfile), *extra)
+        code, out, err = run(capsys, command, files["triangle"], "--demand", str(dfile), *extra)
         assert (code, out, err) == (2, "", message)
 
     def test_beta_differing_from_sigma_exits_2(self, files, capsys, monkeypatch):

@@ -69,8 +69,6 @@ from .metrics import (
     b_bound,
     beta_by_enumeration,
     beta_star_formula,
-    delta_i_doubleprime,
-    delta_i_prime,
     interference_metrics,
     is_beta_star,
     symmetrize_demand,

@@ -219,7 +219,7 @@ def _parse_order(text, n):
 
 def cmd_schedule(args, h, tau):
     with _weights(args.w, h) as w:
-        order = _parse_order(args.order, h.num_links) if args.order else None
+        order = _parse_order(args.order, h.num_links) if args.order is not None else None
         if w is not None:
             validate_weight_matrix(h, w)
     try:

@@ -14,6 +14,9 @@ from .greedy import WeightMatrix
 from .hypergraph import Hypergraph
 from .intervals import IntervalSet
 
+_MAX_DIGITS = 4300  # int() reads and prints no integer with more digits
+_TOO_LONG = 10**_MAX_DIGITS
+
 
 def _significant_lines(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -24,7 +27,13 @@ def _significant_lines(text):
 
 def _parse_fraction(token, path, lineno):
     try:
-        return Fraction(token)
+        exponent = token.lower().partition("e")[2]
+        if exponent and abs(int(exponent)) > _MAX_DIGITS:  # before Fraction expands it
+            raise ValueError(token)
+        v = Fraction(token)
+        if max(abs(v.numerator), v.denominator) >= _TOO_LONG:
+            raise ValueError(token)
+        return v
     except (ValueError, ZeroDivisionError):
         raise ParseError(path, lineno, f"bad rational {token!r}") from None
 

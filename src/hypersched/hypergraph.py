@@ -151,36 +151,32 @@ def _members(mask: int) -> list:
     return out
 
 
-def _independent_subsets(pool, completions, weights, chosen=0, *, maximal=False):
-    """Walk the sets ``chosen | J`` for the subsets J of ``pool`` that keep
-    them free of the forbidden family, in lexicographic order of J's sorted
-    member tuples (pre-order DFS).  Sets are bitmasks, bit v for link v;
-    ``completions`` is :func:`_completion_table`.
+def _independent_subsets(pool, completions, weights, *, maximal=False):
+    """Walk the independent subsets J of ``pool``, in lexicographic order of
+    their sorted member tuples (pre-order DFS).  Sets are bitmasks, bit v for
+    link v; ``completions`` is :func:`_completion_table`.
 
-    Yields ``(mask, sum of weights[v] over J)``.
+    Yields ``(J, sum of weights[v] over J, blocked)``, where ``blocked`` is
+    the mask of the links u outside J for which J holds every other link of
+    some edge through u.  Each step carries that mask, so a step costs the
+    edges through the added link, not a scan of the whole pool.
 
-    Each step carries the mask of the links its set blocks (some edge lacks
-    only that link), so a step costs the edges through the added link, not
-    a scan of the whole pool.
-
-    With ``maximal`` (pool = every link, nothing chosen) only the maximal
-    sets are yielded, and the walk cuts the branches that hold none.  A pool
-    link the walk has skipped never joins a set below the branch, so such a
-    set is maximal only if one of the link's completions lies inside it,
-    hence inside ``chosen | remaining pool``.  Once some skipped link has no
-    completion there, no set below is maximal.  Later siblings have more
-    skipped links and fewer remaining, so the scan of the siblings stops
-    there too.
+    With ``maximal`` (pool = every link) only the maximal sets are yielded,
+    and the walk cuts the branches that hold none.  A pool link the walk has
+    skipped never joins a set below the branch, so such a set is maximal
+    only if one of the link's completions lies inside it, hence inside
+    ``J | remaining pool``.  Once some skipped link has no completion there,
+    no set below is maximal.  Later siblings have more skipped links and
+    fewer remaining, so the scan of the siblings stops there too.
     """
     pool_mask = sum(1 << v for v in pool)
-    blocked = sum(1 << u for u, cs in enumerate(completions) if any(c & chosen == c for c in cs))
     # (set, links it blocks, pool links above its last, total, skipped links
     # not yet blocked)
-    stack = [(chosen, blocked, pool_mask, 0, 0)]
+    stack = [(0, 0, pool_mask, 0, 0)]
     while stack:
         current, blocked, above, total, skipped = stack.pop()
         if not maximal or current | blocked == pool_mask:
-            yield current, total
+            yield current, total, blocked
         free = above & ~blocked
         skipped &= ~blocked
         children = []
@@ -220,7 +216,7 @@ def enumerate_independent_sets(h: Hypergraph, limit: int | None = None) -> list:
     _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
     n = h.num_links
     walk = _independent_subsets(range(n), _completion_table(h), [0] * n)
-    return [frozenset(_members(s)) for s, _ in walk]
+    return [frozenset(_members(s)) for s, _, _ in walk]
 
 
 def enumerate_maximal_independent_sets(h: Hypergraph, limit: int | None = None) -> list:
@@ -230,7 +226,7 @@ def enumerate_maximal_independent_sets(h: Hypergraph, limit: int | None = None) 
     _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
     n = h.num_links
     walk = _independent_subsets(range(n), _completion_table(h), [0] * n, maximal=True)
-    return [frozenset(_members(s)) for s, _ in walk]
+    return [frozenset(_members(s)) for s, _, _ in walk]
 
 
 def automorphisms(h: Hypergraph, limit: int | None = None) -> tuple:

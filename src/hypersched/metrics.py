@@ -68,28 +68,33 @@ def _setup(h: Hypergraph, limit):
     return den, rows, _completion_table(h)
 
 
-def _link_degree(setup, i, pool, double: bool) -> LinkMetric:
-    """Largest Delta-weight of a subset J of ``pool`` (link i's neighbors)
-    that is independent, or with ``double`` independent together with i,
-    which then adds 1.  Ties keep the lexicographically first J."""
+def _link_degrees(setup, i, pool) -> tuple:
+    """Link i's Delta' and Delta'' from one walk of the independent subsets
+    J of ``pool`` (its neighbors): the largest Delta-weight of any J, and 1
+    plus the largest of a J that does not block i (J + i is independent).
+    Ties keep the lexicographically first J."""
     den, rows, completions = setup
-    base, chosen = (den, 1 << i) if double else (0, 0)
-    best, witness = 0, chosen
-    for s, total in _independent_subsets(pool, completions, rows[i], chosen):
+    best, witness, best2, witness2 = 0, 0, 0, 0
+    for s, total, blocked in _independent_subsets(pool, completions, rows[i]):
         if total > best:
             best, witness = total, s
-    return LinkMetric(Fraction(base + best, den), frozenset(_members(witness & ~chosen)))
+        if total > best2 and not blocked >> i & 1:
+            best2, witness2 = total, s
+    return (
+        LinkMetric(Fraction(best, den), frozenset(_members(witness))),
+        LinkMetric(Fraction(den + best2, den), frozenset(_members(witness2))),
+    )
 
 
 def delta_i_prime(h: Hypergraph, i: int, limit: int | None = None) -> LinkMetric:
     """Largest Delta-weight of an independent subset of link i's neighbors."""
-    return _link_degree(_setup(h, limit), i, neighbors(h, i), False)
+    return _link_degrees(_setup(h, limit), i, neighbors(h, i))[0]
 
 
 def delta_i_doubleprime(h: Hypergraph, i: int, limit: int | None = None) -> LinkMetric:
     """As delta_i_prime but the subset must stay independent together with
     link i itself, and i contributes 1."""
-    return _link_degree(_setup(h, limit), i, neighbors(h, i), True)
+    return _link_degrees(_setup(h, limit), i, neighbors(h, i))[1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,9 +115,8 @@ class MetricsReport:
 
 def interference_metrics(h: Hypergraph, limit: int | None = None) -> MetricsReport:
     setup = _setup(h, limit)
-    pools = [neighbors(h, i) for i in range(h.num_links)]
-    prime = tuple(_link_degree(setup, i, pool, False) for i, pool in enumerate(pools))
-    doubleprime = tuple(_link_degree(setup, i, pool, True) for i, pool in enumerate(pools))
+    degrees = [_link_degrees(setup, i, neighbors(h, i)) for i in range(h.num_links)]
+    prime, doubleprime = zip(*degrees)
     dp = max(m.value for m in prime)
     dpp = max(m.value for m in doubleprime)
     return MetricsReport(
@@ -160,7 +164,7 @@ def beta_by_enumeration(h: Hypergraph, limit: int | None = None) -> BetaWitness:
     best = [0] * n
     witness = [0] * n
     thr = sum(1 << (i * width) for i in range(n))
-    for s, total in _independent_subsets(range(n), completions, weights):
+    for s, total, _ in _independent_subsets(range(n), completions, weights):
         beat = ((total | guard) - thr) & guard
         while beat:
             i = (beat.bit_length() - 1) // width

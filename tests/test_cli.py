@@ -28,6 +28,7 @@ from hypersched.formats import (
     format_interval_set,
     parse_demand_text,
     parse_hypergraph_text,
+    parse_weight_text,
 )
 
 F = Fraction
@@ -598,6 +599,39 @@ class TestDemandParsing:
         assert stderr == f"error: {dfile}:2: {message}\n"
 
 
+class TestRationalDigitBound:
+    """int() reads and prints no integer of more than 4300 digits.  A
+    written-out literal past that is a bad rational, and so is an
+    exponent-form token whose value would be one: its exponent is bounded
+    before Fraction expands it."""
+
+    @pytest.mark.parametrize(
+        "token",
+        ["1e-5000", "1e-4300", "1E-4301", "0.5e-4300", "0e4301"]
+        + ["1" * 4000 + "e301", "1/1" + "0" * 4300],
+        ids=["1e-5000", "1e-4300", "1E-4301", "0.5e-4300", "0e4301", "e301_4301_digits", "4301_digits"],
+    )
+    def test_refused_in_demand_and_weight_files(self, token):
+        with pytest.raises(ParseError) as err:
+            parse_demand_text(f"demand {token} 1/2\n", "D")
+        assert str(err.value) == f"D:1: bad rational {token!r}"
+        with pytest.raises(ParseError) as err:
+            parse_weight_text(f"0 {token}\n{token} 0\n", "W")
+        assert str(err.value) == f"W:1: bad rational {token!r}"
+
+    def test_4300_digits_accepted(self):
+        values, _ = parse_demand_text("demand 1e-4299 1/" + "9" * 4300 + "\n")
+        assert values == (F(1, 10**4299), F(1, 10**4300 - 1))
+
+    def test_huge_exponent_refused_before_it_is_expanded(self):
+        """At 10**999999999 Fraction would build a billion-digit integer."""
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_demand_text("demand 1e-999999999\n", "D")
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == "D:1: bad rational '1e-999999999'"
+
+
 PATH_FILE = """\
 links 3
 edge 1 2
@@ -676,6 +710,13 @@ class TestScheduleWeights:
             plain = run(capsys, *tri, *extra)
             assert run(capsys, *tri, *extra, "--w", str(wfile)) == plain
             assert plain[0] == 0
+
+    def test_empty_order_refused(self, tri, capsys):
+        """An empty --order is refused, not read as the default order."""
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, *tri, *extra, "--order", "")
+            assert (code, out) == (2, "")
+            assert err == "error: bad --order '': expected comma-separated labels\n"
 
     def test_order_fault_before_admissibility_fault(self, tri, files, capsys):
         wfile = files["dir"] / "zeros.w"
@@ -844,6 +885,26 @@ class TestExitCodeContract:
         for argv in _subcommands(hg, dem, str(bad)):
             if "--w" in argv:
                 self.assert_input_error(capsys, argv, bad, 3)
+
+    def test_exponent_demand_past_digit_bound(self, tmp_path, capsys, good):
+        """A demand whose denominator would have 5001 digits, more than any
+        report can print, is refused on every --demand subcommand."""
+        hg, _, w = good
+        bad = tmp_path / "bad.demand"
+        bad.write_text("demand 1e-5000 1/2 1/2\n")
+        for argv in _subcommands(hg, str(bad), w):
+            if "--demand" in argv:
+                self.assert_input_error(capsys, argv, bad, 1)
+
+    def test_exponent_weight_past_digit_bound(self, tmp_path, capsys, good):
+        """Such a weight is refused by `check --rule thm3` and also by
+        `schedule --w`, which only checks the file."""
+        hg, dem, _ = good
+        bad = tmp_path / "bad.w"
+        bad.write_text("0 1 1\n1 0 1e-5000\n1 1e-5000 0\n")
+        for argv in _subcommands(hg, dem, str(bad)):
+            if "--w" in argv:
+                self.assert_input_error(capsys, argv, bad, 2)
 
     def test_no_traceback_from_the_module_entry_point(self, tmp_path):
         bad = tmp_path / "bad.hg"

@@ -511,6 +511,45 @@ class TestMaximalWalkWork:
         assert weights.reads <= steps
 
 
+def filtered_subsets(pool, h):
+    """The independent subsets of ``pool``, as sorted tuples in
+    lexicographic order, by filtering every subset."""
+    members = sorted(pool)
+    return sorted(
+        combo
+        for r in range(len(members) + 1)
+        for combo in combinations(members, r)
+        if is_independent(h, combo)
+    )
+
+
+class TestWalkYields:
+    """Every ``(J, total, blocked)`` the walk yields, checked from scratch:
+    J runs over the pool's independent subsets in lexicographic order,
+    ``total`` is J's weight, and ``blocked`` holds exactly the links u
+    outside J for which J holds every other link of an edge through u."""
+
+    def test_random_hypergraphs_every_link_and_each_neighborhood(self):
+        rng = random.Random(113)
+        for _ in range(40):
+            h = random_hypergraph(rng, max_links=9, max_edges=8)
+            n = h.num_links
+            weights = [rng.randint(0, 9) for _ in range(n)]
+            table = hypergraph._completion_table(h)
+            for pool in [range(n)] + [neighbors(h, i) for i in range(n)]:
+                walk = list(hypergraph._independent_subsets(pool, table, weights))
+                sets = [hypergraph._members(s) for s, _, _ in walk]
+                assert [tuple(j) for j in sets] == filtered_subsets(pool, h)
+                for j, (_, total, blocked) in zip(sets, walk):
+                    assert total == sum(weights[v] for v in j)
+                    assert blocked == sum(
+                        1 << u
+                        for u in range(n)
+                        if u not in j
+                        and any(u in es and es - {u} <= set(j) for es in h.edge_sets)
+                    )
+
+
 class TestSizeWall:
     """Past the default size limit, the maximal-set walk costs time in the
     number of maximal sets, not of all independent sets: the N = 28 wall

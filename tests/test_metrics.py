@@ -19,8 +19,6 @@ from hypersched import (
     b_bound,
     beta_by_enumeration,
     beta_star_formula,
-    delta_i_doubleprime,
-    delta_i_prime,
     delta_matrix,
     enumerate_independent_sets,
     fractional_chromatic_number,
@@ -34,6 +32,7 @@ from hypersched import (
     metrics,
     minimalize,
 )
+from hypersched.metrics import delta_i_doubleprime, delta_i_prime
 from conftest import (
     brute_automorphisms,
     built_star,
@@ -222,6 +221,23 @@ class TestDegreeSearch:
         monkeypatch.setattr(metrics, "delta_matrix", counted)
         interference_metrics(star2x4)
         assert len(calls) == 1
+
+    def test_one_walk_per_link(self, monkeypatch, star2x4):
+        """Delta' and Delta'' of a link come from one walk of its neighbors."""
+        pools = []
+        original = metrics._independent_subsets
+
+        def counted(pool, *args, **kwargs):
+            pools.append(frozenset(pool))
+            return original(pool, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "_independent_subsets", counted)
+        rng = random.Random(107)
+        randoms = [random_hypergraph(rng, max_links=9, max_edges=8) for _ in range(10)]
+        for h in [star2x4, *randoms]:
+            pools.clear()
+            interference_metrics(h)
+            assert pools == [neighbors(h, i) for i in range(h.num_links)]
 
     def test_size_limit(self):
         h = Hypergraph(5, ((0, 1),))

@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Reports go to stdout, diagnostics to stderr.  Exit codes: 0 success/holds,
-1 semantic negative (infeasible / condition fails / not a star / stuck),
-2 input error or failed internal check, 3 size limit.  Link labels are
-1-based in files, reports and error messages, 0-based only inside the
-library.
+Each command returns its exit code and report; ``main`` prints the report to
+stdout once the command has returned, and diagnostics go to stderr.  Exit
+codes: 0 success/holds, 1 semantic negative (infeasible / condition fails /
+not a star / stuck), 2 input error or failed internal check, 3 size limit, or
+a result with more digits than the interpreter will print (4300 by default).
+Stdout stays empty on exit 2 or 3.  Link labels are 1-based in files, reports
+and error messages, 0-based only inside the library.
 HS_SIZE_LIMIT overrides the default size limits of the enumeration and
 automorphism operations.
 """
@@ -127,27 +129,19 @@ def _weights(path, h):
         raise ParseError(path, weight_row_line(text, row), str(e)) from None
 
 
-def _emit_json(obj):
-    print(json.dumps(obj, indent=2))
-
-
 def cmd_validate(args, h):
     if args.json:
-        _emit_json(
-            {
-                "ok": True,
-                "links": h.num_links,
-                "edges": [[v + 1 for v in e] for e in h.edges],
-                "minimalized": bool(args.minimalize),
-            }
-        )
-        return 0
+        return 0, {
+            "ok": True,
+            "links": h.num_links,
+            "edges": [[v + 1 for v in e] for e in h.edges],
+            "minimalized": bool(args.minimalize),
+        }
     suffix = " (minimalized)" if args.minimalize else ""
-    print(f"OK: {h.num_links} links, {len(h.edges)} edges{suffix}")
+    lines = [f"OK: {h.num_links} links, {len(h.edges)} edges{suffix}"]
     if args.minimalize:
-        for e in h.edges:
-            print("edge " + format_set(e))
-    return 0
+        lines += ["edge " + format_set(e) for e in h.edges]
+    return 0, lines
 
 
 def cmd_indep_sets(args, h):
@@ -157,11 +151,8 @@ def cmd_indep_sets(args, h):
     else:
         sets = enumerate_independent_sets(h, limit)
     if args.json:
-        _emit_json({"sets": [[v + 1 for v in sorted(s)] for s in sets]})
-        return 0
-    for s in sets:
-        print(format_set(s))
-    return 0
+        return 0, {"sets": [[v + 1 for v in sorted(s)] for s in sets]}
+    return 0, [format_set(s) for s in sets]
 
 
 def _chi_f(h, tau):
@@ -179,32 +170,28 @@ def _chi_f(h, tau):
 def cmd_chi_f(args, h, tau):
     value, witness = _chi_f(h, tau)
     if args.json:
-        _emit_json(
-            {
-                "chi_f": str(value),
-                "schedule": [
-                    {"set": [v + 1 for v in sorted(s)], "duration": str(d)}
-                    for s, d in witness.entries
-                ],
-            }
-        )
-        return 0
-    print(f"chi_f = {value}")
-    print("schedule:")
-    for s, d in witness.entries:
-        print(f"{format_set(s)} : {d}")
-    return 0
+        return 0, {
+            "chi_f": str(value),
+            "schedule": [
+                {"set": [v + 1 for v in sorted(s)], "duration": str(d)}
+                for s, d in witness.entries
+            ],
+        }
+    return 0, [
+        f"chi_f = {value}",
+        "schedule:",
+        *(f"{format_set(s)} : {d}" for s, d in witness.entries),
+    ]
 
 
 def cmd_feasible(args, h, tau):
     value, _ = _chi_f(h, tau)
     feasible = value <= 1
+    code = 0 if feasible else 1
     if args.json:
-        _emit_json({"feasible": feasible, "chi_f": str(value)})
-    else:
-        word = "FEASIBLE" if feasible else "INFEASIBLE"
-        print(f"{word} (chi_f = {value})")
-    return 0 if feasible else 1
+        return code, {"feasible": feasible, "chi_f": str(value)}
+    word = "FEASIBLE" if feasible else "INFEASIBLE"
+    return code, [f"{word} (chi_f = {value})"]
 
 
 def _parse_order(text, n):
@@ -226,33 +213,24 @@ def cmd_schedule(args, h, tau):
         assigned = greedy_schedule(h, tau, order)
     except ScheduleStuck as e:
         if args.json:
-            _emit_json(
-                {
-                    "stuck_at": e.link + 1,
-                    "demanded": str(e.demanded),
-                    "available": str(e.available),
-                }
-            )
-        else:
-            print(f"STUCK at link {e.link + 1}")
-        return 1
+            return 1, {
+                "stuck_at": e.link + 1,
+                "demanded": str(e.demanded),
+                "available": str(e.available),
+            }
+        return 1, [f"STUCK at link {e.link + 1}"]
     validate_assignment(h, assigned, tau)
     if args.json:
-        _emit_json(
-            {
-                "intervals": [
-                    {
-                        "link": i + 1,
-                        "intervals": [[str(a), str(b)] for a, b in js.intervals],
-                    }
-                    for i, js in enumerate(assigned)
-                ]
-            }
-        )
-        return 0
-    for i, js in enumerate(assigned):
-        print(f"link {i + 1}: {format_interval_set(js)}")
-    return 0
+        return 0, {
+            "intervals": [
+                {
+                    "link": i + 1,
+                    "intervals": [[str(a), str(b)] for a, b in js.intervals],
+                }
+                for i, js in enumerate(assigned)
+            ]
+        }
+    return 0, [f"link {i + 1}: {format_interval_set(js)}" for i, js in enumerate(assigned)]
 
 
 def cmd_check(args, h, tau):
@@ -264,55 +242,51 @@ def cmd_check(args, h, tau):
     else:
         with _weights(args.w, h) as w:
             report = check_weighted_condition(h, w, tau)
+    code = 0 if report.holds else 1
     if args.json:
-        _emit_json(
-            {
-                "rule": args.rule,
-                "holds": report.holds,
-                "per_link": [str(v) for v in report.per_link],
-            }
-        )
-    else:
-        for i, v in enumerate(report.per_link):
-            print(f"link {i + 1}: {v}")
-        print("HOLDS" if report.holds else "FAILS")
-    return 0 if report.holds else 1
+        return code, {
+            "rule": args.rule,
+            "holds": report.holds,
+            "per_link": [str(v) for v in report.per_link],
+        }
+    return code, [
+        *(f"link {i + 1}: {v}" for i, v in enumerate(report.per_link)),
+        "HOLDS" if report.holds else "FAILS",
+    ]
 
 
 def cmd_metrics(args, h):
     rep = interference_metrics(h, _size_limit())
     if args.json:
-        _emit_json(
-            {
-                "per_link": [
-                    {
-                        "link": i + 1,
-                        "delta_prime": str(p.value),
-                        "witness_prime": [v + 1 for v in sorted(p.witness)],
-                        "delta_doubleprime": str(q.value),
-                        "witness_doubleprime": [v + 1 for v in sorted(q.witness)],
-                    }
-                    for i, (p, q) in enumerate(
-                        zip(rep.per_link_prime, rep.per_link_doubleprime)
-                    )
-                ],
-                "delta_prime": str(rep.delta_prime),
-                "delta_doubleprime": str(rep.delta_doubleprime),
-                "sigma": str(rep.sigma),
-                "delta": str(rep.delta),
-            }
-        )
-        return 0
-    for i, (p, q) in enumerate(zip(rep.per_link_prime, rep.per_link_doubleprime)):
-        print(
+        return 0, {
+            "per_link": [
+                {
+                    "link": i + 1,
+                    "delta_prime": str(p.value),
+                    "witness_prime": [v + 1 for v in sorted(p.witness)],
+                    "delta_doubleprime": str(q.value),
+                    "witness_doubleprime": [v + 1 for v in sorted(q.witness)],
+                }
+                for i, (p, q) in enumerate(
+                    zip(rep.per_link_prime, rep.per_link_doubleprime)
+                )
+            ],
+            "delta_prime": str(rep.delta_prime),
+            "delta_doubleprime": str(rep.delta_doubleprime),
+            "sigma": str(rep.sigma),
+            "delta": str(rep.delta),
+        }
+    return 0, [
+        *(
             f"link {i + 1}: Delta' = {p.value} (J = {format_set(p.witness)}),"
             f" Delta'' = {q.value} (J = {format_set(q.witness)})"
-        )
-    print(f"Delta' = {rep.delta_prime}")
-    print(f"Delta'' = {rep.delta_doubleprime}")
-    print(f"sigma = {rep.sigma}")
-    print(f"Delta = {rep.delta}")
-    return 0
+            for i, (p, q) in enumerate(zip(rep.per_link_prime, rep.per_link_doubleprime))
+        ),
+        f"Delta' = {rep.delta_prime}",
+        f"Delta'' = {rep.delta_doubleprime}",
+        f"sigma = {rep.sigma}",
+        f"Delta = {rep.delta}",
+    ]
 
 
 def cmd_beta(args, h):
@@ -324,60 +298,47 @@ def cmd_beta(args, h):
             f"beta = {wit.beta} differs from sigma = {rep.sigma}; this is a library bug"
         )
     if args.json:
-        _emit_json(
-            {
-                "beta": str(wit.beta),
-                "sigma": str(rep.sigma),
-                "witness_link": wit.link + 1,
-                "witness_demand": [str(v) for v in wit.demand],
-            }
-        )
-    else:
-        print(f"beta = {wit.beta}")
-        print(f"sigma = {rep.sigma}")
-        print(f"witness link: {wit.link + 1}")
-        print(format_demand_line(wit.demand))
-    return 0
+        return 0, {
+            "beta": str(wit.beta),
+            "sigma": str(rep.sigma),
+            "witness_link": wit.link + 1,
+            "witness_demand": [str(v) for v in wit.demand],
+        }
+    return 0, [
+        f"beta = {wit.beta}",
+        f"sigma = {rep.sigma}",
+        f"witness link: {wit.link + 1}",
+        format_demand_line(wit.demand),
+    ]
 
 
 def cmd_star(args, h):
     profile = is_beta_star(h)
     if profile is None:
-        if args.json:
-            _emit_json({"is_star": False})
-        else:
-            print("not a beta-star")
-        return 1
+        return 1, {"is_star": False} if args.json else ["not a beta-star"]
     value = beta_star_formula(profile)
     if args.json:
-        _emit_json(
-            {
-                "is_star": True,
-                "center": profile.center + 1,
-                "size_counts": {str(k): c for k, c in profile.size_counts},
-                "beta": str(value),
-                "vacuous_center": profile.vacuous_center,
-            }
-        )
-        return 0
-    print(f"beta-star: center {profile.center + 1}")
-    for k, c in profile.size_counts:
-        print(f"n_{k} = {c}")
-    print(f"beta = {value}")
+        return 0, {
+            "is_star": True,
+            "center": profile.center + 1,
+            "size_counts": {str(k): c for k, c in profile.size_counts},
+            "beta": str(value),
+            "vacuous_center": profile.vacuous_center,
+        }
+    lines = [f"beta-star: center {profile.center + 1}"]
+    lines += [f"n_{k} = {c}" for k, c in profile.size_counts]
+    lines.append(f"beta = {value}")
     if profile.vacuous_center:
-        print("note: single edge, any of its links is a valid center")
-    return 0
+        lines.append("note: single edge, any of its links is a valid center")
+    return 0, lines
 
 
 def cmd_symmetrize(args, h, tau):
     order, orbits = automorphisms(h, _size_limit())
     avg = symmetrize_demand(h, tau, orbits)
     if args.json:
-        _emit_json({"aut_order": order, "demand": [str(v) for v in avg]})
-    else:
-        print(f"aut_order = {order}")
-        print(format_demand_line(avg))
-    return 0
+        return 0, {"aut_order": order, "demand": [str(v) for v in avg]}
+    return 0, [f"aut_order = {order}", format_demand_line(avg)]
 
 
 @functools.cache
@@ -424,11 +385,25 @@ def main(argv=None) -> int:
     try:
         h = _load_hypergraph(args.file, getattr(args, "minimalize", False))
         if getattr(args, "demand", None) is None:
-            return args.func(args, h)
-        return args.func(args, h, _load_demand(args.demand, h))
+            code, report = args.func(args, h)
+        else:
+            code, report = args.func(args, h, _load_demand(args.demand, h))
+        # The report is a JSON object under --json, else a list of lines.  It
+        # is written inside the try, so a closed pipe is an exit-2 error line.
+        lines = [json.dumps(report, indent=2)] if args.json else report
+        print(*lines, sep="\n")
+        return code
     except (HyperschedError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3 if isinstance(e, SizeLimitExceeded) else 2
+    except ValueError as e:
+        # Only the interpreter's refusal to write out an int of more digits
+        # than its limit; any other ValueError is a bug and keeps its traceback.
+        if "for integer string conversion; use sys.set_int_max_str_digits()" not in str(e):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: a result has more than {limit} digits, too many to print", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -52,15 +52,16 @@ def parse_hypergraph_text(text, path="<input>"):
         if tokens[0] == "links":
             if num_links is not None:
                 raise ParseError(path, lineno, "duplicate links line")
-            if len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
+            count = tokens[1] if len(tokens) == 2 else ""
+            if not count.isdecimal() or len(count) > _MAX_DIGITS or int(count) < 1:
                 raise ParseError(path, lineno, "expected `links N` with N >= 1")
-            num_links = int(tokens[1])
+            num_links = int(count)
         elif tokens[0] == "edge":
             if num_links is None:
                 raise ParseError(path, lineno, "edge before links line")
             labels = []
             for tok in tokens[1:]:
-                if not tok.isdecimal():
+                if not tok.isdecimal() or len(tok) > _MAX_DIGITS:
                     raise ParseError(path, lineno, f"bad link label {tok!r}")
                 lab = int(tok)
                 if not 1 <= lab <= num_links:

@@ -828,6 +828,9 @@ class TestExitCodeContract:
         "superscript_links": ("links ²\n".encode(), 1),
         "superscript_label": ("links 3\nedge 1 ²\n".encode(), 2),
         "not_utf8": (b"links 3\n# caf\xe9\nedge 1 2 3\n", 2),
+        # More digits than int() reads.
+        "long_links_count": (b"links " + b"1" * 4301 + b"\n", 1),
+        "long_label": (b"links 3\nedge 1 2 " + b"0" * 4300 + b"3\n", 2),
     }
 
     @pytest.fixture
@@ -905,6 +908,52 @@ class TestExitCodeContract:
         for argv in _subcommands(hg, dem, str(bad)):
             if "--w" in argv:
                 self.assert_input_error(capsys, argv, bad, 2)
+
+    @pytest.fixture
+    def huge(self, tmp_path):
+        """The triangle with demands whose denominators have 1501 digits:
+        every input fits int()'s 4300-digit bound, but some results do not."""
+        hg = tmp_path / "t.hg"
+        hg.write_text(TRIANGLE_FILE)
+        dem = tmp_path / "huge.demand"
+        d = [F(1, 10**1500 + k) for k in (1, 3, 7)]
+        dem.write_text(format_demand_line(d) + "\n")
+        return str(hg), str(dem), d
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "--rule", "cor4"], ["chi-f"], ["feasible"], ["symmetrize"]],
+        ids=lambda argv: argv[-1],
+    )
+    def test_result_too_large_to_print(self, huge, capsys, argv, json_flag):
+        hg, dem, _ = huge
+        code, out, err = run(capsys, argv[0], hg, "--demand", dem, *argv[1:], *json_flag)
+        assert (code, out) == (3, "")
+        assert err == "error: a result has more than 4300 digits, too many to print\n"
+
+    def test_large_results_that_fit_still_print(self, huge, capsys):
+        hg, dem, (d1, d2, d3) = huge
+        code, out, _ = run(capsys, "check", hg, "--demand", dem, "--rule", "lemma1")
+        assert code == 0
+        assert out == f"link 1: {d1 + d3}\nlink 2: {d2 + d3}\nlink 3: {d2 + d3}\nHOLDS\n"
+        code, out, _ = run(capsys, "schedule", hg, "--demand", dem)
+        assert code == 0
+        assert out == f"link 1: [0,{d1})\nlink 2: [0,{d2})\nlink 3: [{d2},{d2 + d3})\n"
+
+    def test_failed_write_exits_2(self, good, capsys, monkeypatch):
+        """The report is written inside main's fault handling: a reader
+        that went away is an `error:` line and exit 2, not a traceback."""
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        hg, _, _ = good
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["indep-sets", hg])
+        assert code == 2
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
     def test_no_traceback_from_the_module_entry_point(self, tmp_path):
         bad = tmp_path / "bad.hg"

@@ -19,6 +19,8 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
+from math import lcm
 
 from . import __version__
 from .errors import (
@@ -46,8 +48,7 @@ from .greedy import (
     check_delta_condition,
     check_edge_min_condition,
     check_weighted_condition,
-    # Unused here; kept because perfbench/tracing.py wraps this name.
-    delta_matrix,  # noqa: F401
+    delta_matrix,
     greedy_schedule,
     validate_assignment,
     validate_weight_matrix,
@@ -56,10 +57,12 @@ from .hypergraph import (
     automorphisms,
     enumerate_independent_sets,
     enumerate_maximal_independent_sets,
+    is_independent,
     minimalize,
     validate_hypergraph,
 )
 from .metrics import (
+    b_bound,
     beta_by_enumeration,
     beta_star_formula,
     interference_metrics,
@@ -255,8 +258,41 @@ def cmd_check(args, h, tau):
     ]
 
 
+def _checked_metrics(h, limit):
+    """interference_metrics of ``h`` with every witness re-checked: each J
+    lies in its link's neighborhood and holds no edge, nor does J + i for
+    Delta'', and the Delta-weight of J, summed from delta_matrix over one
+    denominator (plus 1 for Delta''), is the reported value."""
+    rep = interference_metrics(h, limit)
+    masks = [sum(1 << v for v in e) for e in h.edges]
+    rows = delta_matrix(h).rows
+    den = lcm(1, *(w.denominator for row in rows for w in row.values()))
+    for i, row in enumerate(rows):
+        for name, m, extra in (
+            ("Delta'", rep.per_link_prime[i], 0),
+            ("Delta''", rep.per_link_doubleprime[i], 1 << i),
+        ):
+            s = extra | sum(1 << v for v in m.witness)
+            fault = None
+            if not m.witness <= row.keys():
+                fault = "lies outside the link's neighborhood"
+            elif any(e & s == e for e in masks):
+                fault = "holds an edge" + (" with the link" if extra else "")
+            else:
+                weight = sum(den // row[j].denominator * row[j].numerator for j in m.witness)
+                weight += den if extra else 0
+                if weight * m.value.denominator != m.value.numerator * den:
+                    fault = f"gives {Fraction(weight, den)}"
+            if fault:
+                raise SolverInvariantError(
+                    f"{name} of link {i + 1} is {m.value} but its J = {format_set(m.witness)}"
+                    f" {fault}; this is a library bug"
+                )
+    return rep
+
+
 def cmd_metrics(args, h):
-    rep = interference_metrics(h, _size_limit())
+    rep = _checked_metrics(h, _size_limit())
     if args.json:
         return 0, {
             "per_link": [
@@ -289,9 +325,29 @@ def cmd_metrics(args, h):
     ]
 
 
+def _checked_beta(h, limit):
+    """beta_by_enumeration of ``h`` with its witness re-checked: the demand
+    is the 0/1 vector of an independent set, and the per-link bound at the
+    witness link equals beta."""
+    wit = beta_by_enumeration(h, limit)
+    members = [v for v, x in enumerate(wit.demand) if x]
+    if any(x not in (0, 1) for x in wit.demand) or not is_independent(h, members):
+        raise SolverInvariantError(
+            f"beta's witness {format_demand_line(wit.demand)} is not the 0/1 vector"
+            " of an independent set; this is a library bug"
+        )
+    bound = b_bound(h, wit.demand).per_link[wit.link]
+    if bound != wit.beta:
+        raise SolverInvariantError(
+            f"beta = {wit.beta} but its witness bounds link {wit.link + 1} at {bound};"
+            " this is a library bug"
+        )
+    return wit
+
+
 def cmd_beta(args, h):
     limit = _size_limit()
-    wit = beta_by_enumeration(h, limit)
+    wit = _checked_beta(h, limit)
     rep = interference_metrics(h, limit)
     if wit.beta != rep.sigma:
         raise SolverInvariantError(

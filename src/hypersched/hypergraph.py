@@ -151,7 +151,7 @@ def _members(mask: int) -> list:
     return out
 
 
-def _independent_subsets(pool, completions, weights, *, maximal=False):
+def _independent_subsets(pool, completions, weights, *, maximal=False, cut=None):
     """Walk the independent subsets J of ``pool``, in lexicographic order of
     their sorted member tuples (pre-order DFS).  Sets are bitmasks, bit v for
     link v; ``completions`` is :func:`_completion_table`.
@@ -168,39 +168,65 @@ def _independent_subsets(pool, completions, weights, *, maximal=False):
     ``J | remaining pool``.  Once some skipped link has no completion there,
     no set below is maximal.  Later siblings have more skipped links and
     fewer remaining, so the scan of the siblings stops there too.
+
+    With ``cut``, a branch-and-bound: each set J on the stack carries the
+    bound ``total + the weights of the pool links above J's last member``,
+    which no set below J exceeds when the weights are nonnegative.  When a
+    set is popped, ``cut(bound, blocked)`` is asked; if it is true, J and
+    every set below it are dropped unyielded.  The question is asked at pop
+    time, so it sees every record the caller took from the sets yielded
+    before; ``blocked`` only grows down a branch.  Without ``cut`` no bound
+    is computed and every set is yielded, in the same order.
     """
     pool_mask = sum(1 << v for v in pool)
+    # Per pool link v, the weights of v and the pool links above it.
+    suffix, bound = {}, 0
+    if cut is not None:
+        for v in sorted(pool, reverse=True):
+            bound += weights[v]
+            suffix[v] = bound
     # (set, links it blocks, pool links above its last, total, skipped links
-    # not yet blocked)
-    stack = [(0, 0, pool_mask, 0, 0)]
+    # not yet blocked, bound)
+    stack = [(0, 0, pool_mask, 0, 0, bound)]
+    push = stack.append
     while stack:
-        current, blocked, above, total, skipped = stack.pop()
+        current, blocked, above, total, skipped, bound = stack.pop()
+        if cut is not None and cut(bound, blocked):
+            continue
         if not maximal or current | blocked == pool_mask:
             yield current, total, blocked
         free = above & ~blocked
         skipped &= ~blocked
-        children = []
-        while free:
-            low = free & -free
-            free ^= low
-            if maximal:
+        if maximal:
+            scan, skip = free, skipped
+            while scan:
+                low = scan & -scan
                 avail = current | (above & -low)
-                if not all(any(c & avail == c for c in completions[u]) for u in _members(skipped)):
+                if not all(any(c & avail == c for c in completions[u]) for u in _members(skip)):
+                    free &= low - 1
                     break
-            v = low.bit_length() - 1
+                skip |= low
+                scan ^= low
+        # Children go on the stack highest link first, so the lowest pops
+        # first; the links left in ``free`` are the ones each child skips.
+        while free:
+            v = free.bit_length() - 1
+            low = 1 << v
+            free ^= low
             child = current | low
             child_blocked = blocked
             for c in completions[v]:
                 rem = c & ~child
                 if not rem & (rem - 1):
                     child_blocked |= rem
-            children.append(
-                (child, child_blocked, above & -(low << 1), total + weights[v], skipped)
-            )
-            if maximal:
-                skipped |= low
-        children.reverse()
-        stack += children
+            push((
+                child,
+                child_blocked,
+                above & -(low << 1),
+                total + weights[v],
+                skipped | free,
+                total + suffix[v] if cut is not None else 0,
+            ))
 
 
 def _check_limit(h: Hypergraph, limit, default):

@@ -72,10 +72,19 @@ def _link_degrees(setup, i, pool) -> tuple:
     """Link i's Delta' and Delta'' from one walk of the independent subsets
     J of ``pool`` (its neighbors): the largest Delta-weight of any J, and 1
     plus the largest of a J that does not block i (J + i is independent).
-    Ties keep the lexicographically first J."""
+    Ties keep the lexicographically first J.
+
+    Records change only on a strict ``>``, so the walk drops a branch once
+    its bound is at most the Delta' record and either at most the Delta''
+    record or the branch already blocks i (then every set below it does)."""
     den, rows, completions = setup
     best, witness, best2, witness2 = 0, 0, 0, 0
-    for s, total, blocked in _independent_subsets(pool, completions, rows[i]):
+    bit = 1 << i
+
+    def cut(bound, blocked):
+        return bound <= best and (bound <= best2 or blocked & bit)
+
+    for s, total, blocked in _independent_subsets(pool, completions, rows[i], cut=cut):
         if total > best:
             best, witness = total, s
         if total > best2 and not blocked >> i & 1:

@@ -387,6 +387,53 @@ class TestExitCodes:
             assert (code, out) == (2, "")
             assert err == "error: beta = 7/3 differs from sigma = 10/3; this is a library bug\n"
 
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    @pytest.mark.parametrize(
+        "field, link, value, witness, message",
+        [
+            ("per_link_prime", 0, F(2), {1, 4}, "Delta' of link 1 is 2 but its J = 2 5 gives 2/3"),
+            ("per_link_doubleprime", 0, F(5, 3), {1, 2, 3},
+             "Delta'' of link 1 is 5/3 but its J = 2 3 4 holds an edge with the link"),
+            ("per_link_prime", 1, F(1, 3), {4},
+             "Delta' of link 2 is 1/3 but its J = 5 lies outside the link's neighborhood"),
+        ],
+        ids=["value", "dependent", "outside"],
+    )
+    def test_corrupted_metrics_witness_exits_2(
+        self, files, capsys, monkeypatch, extra, field, link, value, witness, message
+    ):
+        real = cli.interference_metrics
+
+        def corrupted(h, limit=None):
+            rep = real(h, limit)
+            entries = list(getattr(rep, field))
+            entries[link] = metrics.LinkMetric(value, frozenset(witness))
+            return dataclasses.replace(rep, **{field: tuple(entries)})
+
+        monkeypatch.setattr(cli, "interference_metrics", corrupted)
+        code, out, err = run(capsys, "metrics", files["star"], *extra)
+        assert (code, out, err) == (2, "", f"error: {message}; this is a library bug\n")
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    @pytest.mark.parametrize(
+        "beta, link, demand, message",
+        [
+            (F(3, 2), 0, (1, 1, 1),
+             "beta's witness demand 1 1 1 is not the 0/1 vector of an independent set"),
+            (F(3, 2), 0, (F(1, 2), 1, 0),
+             "beta's witness demand 1/2 1 0 is not the 0/1 vector of an independent set"),
+            (F(3, 2), 2, (1, 1, 0), "beta = 3/2 but its witness bounds link 3 at 1"),
+        ],
+        ids=["dependent", "fractional", "bound"],
+    )
+    def test_corrupted_beta_witness_exits_2(
+        self, files, capsys, monkeypatch, extra, beta, link, demand, message
+    ):
+        bad = metrics.BetaWitness(beta, link, DemandVector(tuple(F(v) for v in demand)))
+        monkeypatch.setattr(cli, "beta_by_enumeration", lambda h, limit=None: bad)
+        code, out, err = run(capsys, "beta", files["triangle"], *extra)
+        assert (code, out, err) == (2, "", f"error: {message}; this is a library bug\n")
+
     def test_missing_file(self, files, capsys):
         code, _, err = run(capsys, "metrics", str(files["dir"] / "nope.hg"))
         assert code == 2

@@ -29,6 +29,7 @@ from hypersched import (
     neighbors,
     validate_hypergraph,
 )
+import kernel_reference
 from conftest import (
     brute_automorphisms,
     built_star,
@@ -548,6 +549,58 @@ class TestWalkYields:
                         if u not in j
                         and any(u in es and es - {u} <= set(j) for es in h.edge_sets)
                     )
+
+
+class TestWalkOrder:
+    """Without ``cut`` the kernel yields the very sequence of the frozen
+    kernel in ``kernel_reference``, in both modes: ``chi-f``'s witness
+    schedules and ``beta``'s witness demand follow this order.  With
+    ``cut``, each popped set's bound and the subtrees it drops are checked
+    against that sequence."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(173)
+        for k in range(120):
+            h = random_hypergraph(rng, max_links=12, max_edges=6 if k % 2 else 14)
+            yield h, [rng.randint(0, 9) for _ in range(h.num_links)]
+
+    def test_same_sequence_as_the_frozen_kernel(self):
+        for h, weights in self.cases():
+            n = h.num_links
+            table = hypergraph._completion_table(h)
+            pools = [(range(n), False), (range(n), True)]
+            pools += [(neighbors(h, i), False) for i in range(n)]
+            for pool, maximal in pools:
+                got = hypergraph._independent_subsets(pool, table, weights, maximal=maximal)
+                want = kernel_reference.independent_subsets(pool, table, weights, maximal=maximal)
+                assert list(got) == list(want)
+
+    def test_bound_is_total_plus_the_pool_weights_above(self):
+        for h, weights in self.cases():
+            table = hypergraph._completion_table(h)
+            for pool in [range(h.num_links)] + [neighbors(h, i) for i in range(h.num_links)]:
+                bounds = []  # appending returns None, so nothing is cut
+                walk = list(hypergraph._independent_subsets(
+                    pool, table, weights, cut=lambda bound, blocked: bounds.append(bound)
+                ))
+                assert walk == list(kernel_reference.independent_subsets(pool, table, weights))
+                for (s, total, _), bound in zip(walk, bounds):
+                    top = s.bit_length()
+                    assert bound == total + sum(weights[v] for v in pool if v >= top)
+
+    def test_a_cut_set_takes_its_subtree_along(self):
+        """``blocked`` only grows down a branch, so cutting every set that
+        blocks link x leaves exactly the sets that do not block x."""
+        for h, weights in list(self.cases())[:40]:
+            n = h.num_links
+            table = hypergraph._completion_table(h)
+            for x in range(n):
+                got = hypergraph._independent_subsets(
+                    range(n), table, weights, cut=lambda bound, blocked: blocked >> x & 1
+                )
+                want = kernel_reference.independent_subsets(range(n), table, weights)
+                assert list(got) == [item for item in want if not item[2] >> x & 1]
 
 
 class TestSizeWall:

@@ -22,6 +22,7 @@ from hypersched import (
     delta_matrix,
     enumerate_independent_sets,
     fractional_chromatic_number,
+    hypergraph,
     interference_metrics,
     is_beta_star,
     is_independent,
@@ -613,3 +614,71 @@ class TestGraphSpecialization:
         for _ in range(25):
             h = random_graph(rng, max_links=8)
             assert interference_metrics(h).sigma == oracle_star_number(h)
+
+
+def roadmap_instance(n):
+    """The random instance of the size-wall figures for ``metrics``:
+    ``random.Random(n)``, 2n edges of 2-4 links, minimalized."""
+    rng = random.Random(n)
+    return minimalize(n, [rng.sample(range(n), rng.randint(2, 4)) for _ in range(2 * n)])
+
+
+def counted_walks(monkeypatch, bounded):
+    """Wrap the kernel that the degree searches call so that it counts the
+    sets its walks yield; unless ``bounded``, the walks get no cut.  Returns
+    the one-element count list."""
+    count = [0]
+
+    def counted(pool, completions, weights, cut=None):
+        walk = hypergraph._independent_subsets(
+            pool, completions, weights, cut=cut if bounded else None
+        )
+        for item in walk:
+            count[0] += 1
+            yield item
+
+    monkeypatch.setattr(metrics, "_independent_subsets", counted)
+    return count
+
+
+class TestBoundedDegreeSearch:
+    """The degree searches cut branches whose bound cannot beat a record;
+    values and witnesses must be those of the full walk."""
+
+    def test_n40_equals_the_unbounded_walk(self, monkeypatch):
+        h = roadmap_instance(40)
+        bounded = interference_metrics(h, limit=40)
+        counted_walks(monkeypatch, bounded=False)
+        unbounded = interference_metrics(h, limit=40)
+        # Every per-link value and witness, and the aggregates.
+        assert bounded == unbounded
+
+    def test_n40_walks_a_tenth_of_the_sets(self, monkeypatch):
+        """Work counted, not timed: the bounded walks of N = 40 yield
+        under a tenth of the sets that the unbounded ones yield."""
+        h = roadmap_instance(40)
+        unbounded = counted_walks(monkeypatch, bounded=False)
+        interference_metrics(h, limit=40)
+        bounded = counted_walks(monkeypatch, bounded=True)
+        interference_metrics(h, limit=40)
+        assert 0 < 10 * bounded[0] < unbounded[0]
+
+    @pytest.mark.parametrize("k, most", [(3, 12), (4, 8)])
+    def test_uniform_stars_equal_the_closed_form(self, k, most):
+        for p in range(2, most + 1):
+            h = built_star((k,) * p)
+            sigma = interference_metrics(h, limit=h.num_links).sigma
+            assert sigma == beta_star_formula(is_beta_star(h))
+
+    def test_tie_heavy_uniform_hypergraphs_match_brute_force(self):
+        """All edges of one size give every neighbor the same Delta-weight,
+        so many subsets tie and the first one must still win."""
+        rng = random.Random(179)
+        for k in (2, 3, 4):
+            for _ in range(25):
+                h = random_hypergraph(rng, max_links=9, max_edges=10, min_size=k,
+                                      max_size=k, min_links=k + 2)
+                rep = interference_metrics(h)
+                for i in range(h.num_links):
+                    assert tuple(rep.per_link_prime[i]) == brute_degree(h, i, False)
+                    assert tuple(rep.per_link_doubleprime[i]) == brute_degree(h, i, True)

@@ -264,19 +264,17 @@ def _checked_metrics(h, limit):
     Delta'', and the Delta-weight of J, summed from delta_matrix over one
     denominator (plus 1 for Delta''), is the reported value."""
     rep = interference_metrics(h, limit)
-    masks = [sum(1 << v for v in e) for e in h.edges]
     rows = delta_matrix(h).rows
     den = lcm(1, *(w.denominator for row in rows for w in row.values()))
     for i, row in enumerate(rows):
         for name, m, extra in (
-            ("Delta'", rep.per_link_prime[i], 0),
-            ("Delta''", rep.per_link_doubleprime[i], 1 << i),
+            ("Delta'", rep.per_link_prime[i], ()),
+            ("Delta''", rep.per_link_doubleprime[i], (i,)),
         ):
-            s = extra | sum(1 << v for v in m.witness)
             fault = None
             if not m.witness <= row.keys():
                 fault = "lies outside the link's neighborhood"
-            elif any(e & s == e for e in masks):
+            elif not is_independent(h, m.witness.union(extra)):
                 fault = "holds an edge" + (" with the link" if extra else "")
             else:
                 weight = sum(den // row[j].denominator * row[j].numerator for j in m.witness)

@@ -68,6 +68,14 @@ class Hypergraph:
                 inc[v].append(k)
         return tuple(tuple(ks) for ks in inc)
 
+    @cached_property
+    def completions(self) -> tuple:
+        """Per link v, in edge order, the bitmask of each edge through v less
+        v: the sets C with ``C ⊆ current ⟹ current + v dependent``.  Built
+        on first use, so only the size-limited walks pay for its N-bit masks."""
+        masks = [sum(1 << v for v in edge) for edge in self.edges]
+        return tuple(tuple(masks[k] ^ (1 << v) for k in ks) for v, ks in enumerate(self.incidence))
+
 
 def _check_edges(h: Hypergraph) -> None:
     for edge in h.edges:
@@ -81,10 +89,14 @@ def _check_edges(h: Hypergraph) -> None:
 def _containments(h: Hypergraph):
     """Yield ``(a, b)`` for every edge b that contains edge a, a ascending
     and b in edge order.  Such a b lies in ``incidence[v]`` for every link v
-    of a, so only the shortest of those lists is scanned."""
+    of a, so only the shortest of those lists is scanned.  Edges are
+    distinct, so none contains one of the largest size: those are skipped."""
     sets = h.edge_sets
     inc = h.incidence
+    top = max(map(len, h.edges), default=0)
     for a, edge in enumerate(h.edges):
+        if len(edge) == top:
+            continue
         shortest = inc[edge[0]]
         for v in edge:
             if len(inc[v]) < len(shortest):
@@ -129,18 +141,6 @@ def is_independent(h: Hypergraph, links: Iterable[int]) -> bool:
     return not any(es <= s for es in h.edge_sets)
 
 
-def _completion_table(h: Hypergraph) -> list:
-    """Per link v, in edge order, the bitmask of each edge through v less v:
-    the sets C with ``C ⊆ current ⟹ current + v dependent``.  A link in no
-    edge gets an empty list."""
-    table = [[] for _ in range(h.num_links)]
-    for edge in h.edges:
-        mask = sum(1 << v for v in edge)
-        for v in edge:
-            table[v].append(mask ^ (1 << v))
-    return table
-
-
 def _members(mask: int) -> list:
     """The links of a bitmask (bit v is link v), ascending."""
     out = []
@@ -154,7 +154,7 @@ def _members(mask: int) -> list:
 def _independent_subsets(pool, completions, weights, *, maximal=False, cut=None):
     """Walk the independent subsets J of ``pool``, in lexicographic order of
     their sorted member tuples (pre-order DFS).  Sets are bitmasks, bit v for
-    link v; ``completions`` is :func:`_completion_table`.
+    link v; ``completions`` is :attr:`Hypergraph.completions`.
 
     Yields ``(J, sum of weights[v] over J, blocked)``, where ``blocked`` is
     the mask of the links u outside J for which J holds every other link of
@@ -235,24 +235,25 @@ def _check_limit(h: Hypergraph, limit, default):
         raise SizeLimitExceeded(h.num_links, lim)
 
 
+def _enumerate(h: Hypergraph, limit, maximal) -> list:
+    _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
+    n = h.num_links
+    walk = _independent_subsets(range(n), h.completions, [0] * n, maximal=maximal)
+    return [frozenset(_members(s)) for s, _, _ in walk]
+
+
 def enumerate_independent_sets(h: Hypergraph, limit: int | None = None) -> list:
     """All independent sets of ``h`` (including the empty set), each once,
     in lexicographic order.  Backtracks with edge-completion pruning instead
     of filtering all 2^N subsets."""
-    _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
-    n = h.num_links
-    walk = _independent_subsets(range(n), _completion_table(h), [0] * n)
-    return [frozenset(_members(s)) for s, _, _ in walk]
+    return _enumerate(h, limit, maximal=False)
 
 
 def enumerate_maximal_independent_sets(h: Hypergraph, limit: int | None = None) -> list:
     """The inclusion-maximal independent sets, in lexicographic order.  The
     walk cuts every branch that a skipped link proves non-maximal, and keeps
     a set only when it blocks every link outside it."""
-    _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
-    n = h.num_links
-    walk = _independent_subsets(range(n), _completion_table(h), [0] * n, maximal=True)
-    return [frozenset(_members(s)) for s, _, _ in walk]
+    return _enumerate(h, limit, maximal=True)
 
 
 def automorphisms(h: Hypergraph, limit: int | None = None) -> tuple:

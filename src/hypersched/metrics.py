@@ -20,13 +20,12 @@ from .hypergraph import (
     DEFAULT_SIZE_LIMIT,
     Hypergraph,
     _check_limit,
-    _completion_table,
     _independent_subsets,
     _members,
     # Unused here; kept because perfbench/tracing.py wraps these names.
     automorphisms,  # noqa: F401
     enumerate_independent_sets,  # noqa: F401
-    neighbors,
+    neighbors,  # noqa: F401
 )
 
 _ZERO = Fraction(0)
@@ -65,14 +64,14 @@ def _setup(h: Hypergraph, limit):
     rows and the completion table."""
     _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
     den, rows = _delta_int_rows(h)
-    return den, rows, _completion_table(h)
+    return den, rows, h.completions
 
 
-def _link_degrees(setup, i, pool) -> tuple:
+def _link_degrees(setup, i) -> tuple:
     """Link i's Delta' and Delta'' from one walk of the independent subsets
-    J of ``pool`` (its neighbors): the largest Delta-weight of any J, and 1
-    plus the largest of a J that does not block i (J + i is independent).
-    Ties keep the lexicographically first J.
+    J of its neighbors, the keys of its delta row: the largest Delta-weight
+    of any J, and 1 plus the largest of a J that does not block i (J + i is
+    independent).  Ties keep the lexicographically first J.
 
     Records change only on a strict ``>``, so the walk drops a branch once
     its bound is at most the Delta' record and either at most the Delta''
@@ -84,7 +83,7 @@ def _link_degrees(setup, i, pool) -> tuple:
     def cut(bound, blocked):
         return bound <= best and (bound <= best2 or blocked & bit)
 
-    for s, total, blocked in _independent_subsets(pool, completions, rows[i], cut=cut):
+    for s, total, blocked in _independent_subsets(rows[i], completions, rows[i], cut=cut):
         if total > best:
             best, witness = total, s
         if total > best2 and not blocked >> i & 1:
@@ -97,13 +96,13 @@ def _link_degrees(setup, i, pool) -> tuple:
 
 def delta_i_prime(h: Hypergraph, i: int, limit: int | None = None) -> LinkMetric:
     """Largest Delta-weight of an independent subset of link i's neighbors."""
-    return _link_degrees(_setup(h, limit), i, neighbors(h, i))[0]
+    return _link_degrees(_setup(h, limit), i)[0]
 
 
 def delta_i_doubleprime(h: Hypergraph, i: int, limit: int | None = None) -> LinkMetric:
     """As delta_i_prime but the subset must stay independent together with
     link i itself, and i contributes 1."""
-    return _link_degrees(_setup(h, limit), i, neighbors(h, i))[1]
+    return _link_degrees(_setup(h, limit), i)[1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,7 +123,7 @@ class MetricsReport:
 
 def interference_metrics(h: Hypergraph, limit: int | None = None) -> MetricsReport:
     setup = _setup(h, limit)
-    degrees = [_link_degrees(setup, i, neighbors(h, i)) for i in range(h.num_links)]
+    degrees = [_link_degrees(setup, i) for i in range(h.num_links)]
     prime, doubleprime = zip(*degrees)
     dp = max(m.value for m in prime)
     dpp = max(m.value for m in doubleprime)

@@ -1,6 +1,7 @@
 """CLI contract: byte-exact reports, exit codes, round-trips, --json."""
 
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 
 from hypersched import (
     DemandVector,
+    Hypergraph,
     IntervalSet,
     LpSolution,
     LpStatus,
@@ -62,6 +64,13 @@ edge 1 5 6 7
 """
 
 STAR_DEMAND = "demand 1/2 1 1 1/2 1 1 1/2\n"
+
+PAIRS_TRIANGLE_FILE = """\
+links 3
+edge 1 2
+edge 1 3
+edge 2 3
+"""
 
 
 @pytest.fixture
@@ -174,6 +183,23 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, "symmetrize", files["star"], "--demand", str(dfile))
         assert (code, out) == (0, "aut_order = 72\ndemand 1 2/3 2/3 2/3 2/3 2/3 2/3\n")
         assert len(calls) == 1
+
+    def test_beta_builds_one_completion_table(self, files, capsys, monkeypatch):
+        """beta's full walk and its sigma cross-check share the table that
+        the hypergraph caches."""
+        built = []
+        real = Hypergraph.completions.func
+
+        def counted(h):
+            built.append(h)
+            return real(h)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(Hypergraph, "completions")
+        monkeypatch.setattr(Hypergraph, "completions", prop)
+        code, out, _ = run(capsys, "beta", files["star"])
+        assert (code, out.splitlines()[0]) == (0, "beta = 7/3")
+        assert len(built) == 1
 
     def test_symmetrize_edgeless_ten_links(self, files, capsys):
         """The default automorphism limit admits 10 links; the group of an
@@ -389,18 +415,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("extra", [[], ["--json"]])
     @pytest.mark.parametrize(
-        "field, link, value, witness, message",
+        "text, field, link, value, witness, message",
         [
-            ("per_link_prime", 0, F(2), {1, 4}, "Delta' of link 1 is 2 but its J = 2 5 gives 2/3"),
-            ("per_link_doubleprime", 0, F(5, 3), {1, 2, 3},
+            (STAR_FILE, "per_link_prime", 0, F(2), {1, 4},
+             "Delta' of link 1 is 2 but its J = 2 5 gives 2/3"),
+            (STAR_FILE, "per_link_doubleprime", 0, F(5, 3), {1, 2, 3},
              "Delta'' of link 1 is 5/3 but its J = 2 3 4 holds an edge with the link"),
-            ("per_link_prime", 1, F(1, 3), {4},
+            (STAR_FILE, "per_link_prime", 1, F(1, 3), {4},
              "Delta' of link 2 is 1/3 but its J = 5 lies outside the link's neighborhood"),
+            (PAIRS_TRIANGLE_FILE, "per_link_prime", 0, F(1), {1, 2},
+             "Delta' of link 1 is 1 but its J = 2 3 holds an edge"),
         ],
-        ids=["value", "dependent", "outside"],
+        ids=["value", "dependent", "outside", "prime-dependent"],
     )
     def test_corrupted_metrics_witness_exits_2(
-        self, files, capsys, monkeypatch, extra, field, link, value, witness, message
+        self, files, capsys, monkeypatch, extra, text, field, link, value, witness, message
     ):
         real = cli.interference_metrics
 
@@ -411,7 +440,9 @@ class TestExitCodes:
             return dataclasses.replace(rep, **{field: tuple(entries)})
 
         monkeypatch.setattr(cli, "interference_metrics", corrupted)
-        code, out, err = run(capsys, "metrics", files["star"], *extra)
+        path = files["dir"] / "metrics.hg"
+        path.write_text(text)
+        code, out, err = run(capsys, "metrics", str(path), *extra)
         assert (code, out, err) == (2, "", f"error: {message}; this is a library bug\n")
 
     @pytest.mark.parametrize("extra", [[], ["--json"]])

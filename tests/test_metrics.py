@@ -251,6 +251,19 @@ class TestDegreeSearch:
         assert (err.value.n, err.value.limit) == (5, 4)
 
 
+class TestDeltaRowPool:
+    """The degree searches walk link i's scaled delta row as their pool, so
+    its keys must be exactly the neighbors of i."""
+
+    def test_row_keys_are_the_neighbors(self):
+        rng = random.Random(131)
+        randoms = [random_hypergraph(rng, max_links=14, max_edges=12) for _ in range(60)]
+        stars = [built_star(sizes) for sizes in ([2], [2, 4], [3] * 12, [4] * 8, [2, 3, 4, 5, 6])]
+        for h in randoms + stars:
+            _, rows = metrics._delta_int_rows(h)
+            assert [set(row) for row in rows] == [neighbors(h, i) for i in range(h.num_links)]
+
+
 class TestSigma:
     def test_star_report(self, star2x4):
         rep = interference_metrics(star2x4)

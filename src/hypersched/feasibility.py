@@ -15,11 +15,20 @@ from typing import Iterable, NamedTuple
 from .errors import DemandUnmet, DurationExceedsOne, NotIndependent, SolverInvariantError
 from .hypergraph import (
     Hypergraph,
-    enumerate_independent_sets,
-    enumerate_maximal_independent_sets,
+    _independent_masks,
+    _members,
+    # Unused here, like solve_lp below; kept because perfbench/tracing.py
+    # wraps these names.
+    enumerate_independent_sets,  # noqa: F401
+    enumerate_maximal_independent_sets,  # noqa: F401
     is_independent,
 )
-from .lp import LinearProgram, LpStatus, solve_lp
+from .lp import (
+    LpStatus,
+    _common_denominator,
+    _solve_columns,
+    solve_lp,  # noqa: F401
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -104,27 +113,24 @@ def fractional_chromatic_number(
     optimum) or ``"all"`` (every independent set, used as a cross-check).
     """
     tau = as_demand(h, tau)
-    if columns == "maximal":
-        sets = enumerate_maximal_independent_sets(h, limit)
-    elif columns == "all":
-        sets = enumerate_independent_sets(h, limit)
-    else:
+    if columns not in ("maximal", "all"):
         raise ValueError(f"columns must be 'maximal' or 'all', got {columns!r}")
-    k = len(sets)
-    constraints = tuple(
-        (tuple(_ONE if i in s else _ZERO for s in sets), ">=", tau[i])
-        for i in range(h.num_links)
-    )
-    lp = LinearProgram(k, (_ONE,) * k, constraints)
-    sol = solve_lp(lp, "min")
+    sets = _independent_masks(h, limit, maximal=columns == "maximal")
+    # In integers: maximize -sum(y) with y >= 0 and, for each link i, the y
+    # of the sets through i summing to at least scale * tau_i; then
+    # x = y / scale.  A set's column is 1 on its members' rows.
+    scale = _common_denominator(tau)
+    b = [t.numerator * (scale // t.denominator) for t in tau]
+    cols = [(_members(s), 1) for s in sets]
+    sol = _solve_columns(cols, [">="] * h.num_links, b, [-1] * len(sets))
     if sol.status is not LpStatus.OPTIMAL:
         raise SolverInvariantError(
             f"coverage LP reported {sol.status.value}; it is always feasible and bounded"
         )
     witness = Schedule(
-        tuple((sets[j], t) for j, t in enumerate(sol.assignment) if t != 0)
+        tuple((cols[j][0], y / scale) for j, y in enumerate(sol.assignment) if y)
     )
-    return ChiFResult(sol.value, witness)
+    return ChiFResult(-sol.value / scale, witness)
 
 
 def validate_schedule(h: Hypergraph, schedule: Schedule, tau, max_total=_ONE) -> None:

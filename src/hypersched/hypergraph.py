@@ -164,10 +164,20 @@ def _independent_subsets(pool, completions, weights, *, maximal=False, cut=None)
     With ``maximal`` (pool = every link) only the maximal sets are yielded,
     and the walk cuts the branches that hold none.  A pool link the walk has
     skipped never joins a set below the branch, so such a set is maximal
-    only if one of the link's completions lies inside it, hence inside
-    ``J | remaining pool``.  Once some skipped link has no completion there,
-    no set below is maximal.  Later siblings have more skipped links and
-    fewer remaining, so the scan of the siblings stops there too.
+    only if one of the link's completions lies inside it.  The child that
+    adds sibling ``low`` keeps ``J`` plus the pool links from ``low`` up, so
+    a completion C inside ``J | remaining pool`` stays inside that child's
+    sets exactly when the lowest link of ``C - J`` is at least ``low``.
+    Hence the *reach* of a skipped or free link: the largest lowest link of
+    ``C - J`` over its completions C inside ``J | remaining pool``, 0 if
+    there is none.  Sibling ``low`` has a maximal set below it only if every
+    link skipped by then (the branch's skipped links, all below the
+    siblings, and the siblings below ``low``) reaches ``low``.  So one
+    upward scan of those links, each reach computed once per popped set,
+    stops at the first sibling above the least reach so far; later siblings
+    are cut too.  A set costs (skipped + siblings) x completions, and the
+    walk yields the same sets as checking every skipped link at every
+    sibling.
 
     With ``cut``, a branch-and-bound: each set J on the stack carries the
     bound ``total + the weights of the pool links above J's last member``,
@@ -197,16 +207,29 @@ def _independent_subsets(pool, completions, weights, *, maximal=False, cut=None)
             yield current, total, blocked
         free = above & ~blocked
         skipped &= ~blocked
-        if maximal:
-            scan, skip = free, skipped
+        if maximal and free:
+            # The skipped links all lie below the siblings, so one upward
+            # scan meets them first; it stops at the first link above the
+            # least reach of the links before it.
+            outside = ~(current | above)
+            least = pool_mask + 1
+            scan = skipped | free
             while scan:
                 low = scan & -scan
-                avail = current | (above & -low)
-                if not all(any(c & avail == c for c in completions[u]) for u in _members(skip)):
+                if low > least:
                     free &= low - 1
                     break
-                skip |= low
                 scan ^= low
+                if scan:
+                    reach = 0
+                    for c in completions[low.bit_length() - 1]:
+                        if not c & outside:
+                            c &= ~current
+                            c &= -c
+                            if c > reach:
+                                reach = c
+                    if reach < least:
+                        least = reach
         # Children go on the stack highest link first, so the lowest pops
         # first; the links left in ``free`` are the ones each child skips.
         while free:
@@ -235,25 +258,27 @@ def _check_limit(h: Hypergraph, limit, default):
         raise SizeLimitExceeded(h.num_links, lim)
 
 
-def _enumerate(h: Hypergraph, limit, maximal) -> list:
+def _independent_masks(h: Hypergraph, limit, maximal) -> list:
+    """The bitmasks of the independent sets of ``h`` (of the maximal ones
+    with ``maximal``), in lexicographic order, after the size-limit check."""
     _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
     n = h.num_links
     walk = _independent_subsets(range(n), h.completions, [0] * n, maximal=maximal)
-    return [frozenset(_members(s)) for s, _, _ in walk]
+    return [s for s, _, _ in walk]
 
 
 def enumerate_independent_sets(h: Hypergraph, limit: int | None = None) -> list:
     """All independent sets of ``h`` (including the empty set), each once,
     in lexicographic order.  Backtracks with edge-completion pruning instead
     of filtering all 2^N subsets."""
-    return _enumerate(h, limit, maximal=False)
+    return [frozenset(_members(s)) for s in _independent_masks(h, limit, maximal=False)]
 
 
 def enumerate_maximal_independent_sets(h: Hypergraph, limit: int | None = None) -> list:
     """The inclusion-maximal independent sets, in lexicographic order.  The
     walk cuts every branch that a skipped link proves non-maximal, and keeps
     a set only when it blocks every link outside it."""
-    return _enumerate(h, limit, maximal=True)
+    return [frozenset(_members(s)) for s in _independent_masks(h, limit, maximal=True)]
 
 
 def automorphisms(h: Hypergraph, limit: int | None = None) -> tuple:

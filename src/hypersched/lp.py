@@ -1,9 +1,19 @@
 """Exact linear programming over rationals.
 
 Revised integer-preserving two-phase simplex with Bland's anti-cycling rule,
-exact.  Every constraint row is scaled by one common integer, so the
-constraint matrix becomes sparse integer columns, built once.  The solver
-keeps no tableau of them: it keeps ``R = d * B^-1`` (``B`` the basis matrix,
+exact.  ``solve_lp`` scales every constraint row by one common integer, so
+the constraint matrix becomes sparse integer columns, built once, and hands
+them to the integer core ``_solve_columns`` (``fractional_chromatic_number``
+builds its 0/1 set columns for the core directly).
+
+The core first divides each structural column by the gcd of its entries.
+That rescales one variable by a positive factor, so the column's reduced
+cost and each ratio of its ratio test change by a positive factor too, and
+every entering choice, leaving choice and tie-break stays as it was; x, the
+value and the duals are scaled back at the end.  The pivot loop's minors
+shrink with the columns, and a 0/1 column is priced as a plain sum.
+
+The core keeps no tableau: it keeps ``R = d * B^-1`` (``B`` the basis matrix,
 ``d`` the common denominator), the scaled basic solution, and the pricing
 vector ``u = c_B * R`` with its objective entry.  Any other tableau entry is
 computed when it is needed, as ``R[i] . A_j``; it is a minor of the starting
@@ -148,7 +158,9 @@ def _run_simplex(M, basis, d, cols, cost):
         # Bland: the first column with a negative reduced cost enters (the
         # dot products are ``_dot``, inlined).
         for enter, (rows, vals) in enumerate(cols):
-            if type(vals) is int:
+            if vals == 1:
+                z = sum(map(g, rows))
+            elif type(vals) is int:
                 z = vals * sum(map(g, rows))
             else:
                 z = sum(map(mul, map(g, rows), vals))
@@ -171,39 +183,34 @@ def _run_simplex(M, basis, d, cols, cost):
         d = _pivot(M, basis, d, leave, enter, a)
 
 
-def solve_lp(lp: LinearProgram, sense: str = "max") -> LpSolution:
-    """Solve ``lp`` exactly.  ``sense`` is ``"max"`` or ``"min"``."""
-    if sense not in ("max", "min"):
-        raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
-    # A min problem is solved as the max of the negated objective.
-    flip = 1 if sense == "max" else -1
-    n = lp.num_vars
-    m = len(lp.constraints)
-    # One common scale for every row: per-row scales would weigh the
-    # phase-1 artificials differently and change the pivot sequence.
-    scale = _common_denominator(v for coeffs, _, rhs in lp.constraints for v in (*coeffs, rhs))
-    rels = []
-    dual_sign = []  # -1 where a row was negated to make its rhs nonnegative
-    b = []
-    cols = [([], []) for _ in range(n)]
-    for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
-        sign = 1
-        if rhs < 0:
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-            sign = -1
-        rels.append(rel)
-        dual_sign.append(sign)
-        b.append(sign * rhs.numerator * (scale // rhs.denominator))
-        for (rows, vals), a in zip(cols, coeffs):
-            if a:
-                rows.append(i)
-                vals.append(sign * a.numerator * (scale // a.denominator))
-    # A column whose entries are all equal (every chi_f set column) keeps
-    # just that value, which prices it with one multiplication.
-    cols = [
-        (rows, vals if vals.count(vals[0]) != len(vals) else vals[0]) if vals else (rows, 0)
-        for rows, vals in cols
-    ]
+def _divide_by_gcd(col):
+    """``(col divided by the gcd of its entries, that gcd)``.  A column kept
+    as one int (all entries equal) becomes +-1, priced as a plain sum."""
+    rows, vals = col
+    if type(vals) is int:
+        k = abs(vals) or 1
+        return (rows, vals // k), k
+    k = math.gcd(*vals)
+    return (rows, [v // k for v in vals]), k
+
+
+def _solve_columns(cols, rels, b, cost) -> LpSolution:
+    """Maximize ``cost . x`` over ``x >= 0`` subject to row ``i``:
+    ``sum_j A_ij x_j  rels[i]  b[i]``, all in integers.  Column ``j`` of ``A``
+    is the sparse ``cols[j] = (rows, values)``: ``values`` is a list of
+    nonzero ints, or one int when every entry is that int (0 for an empty
+    column); every ``b[i]`` is nonnegative.  Returns the exact LpSolution of
+    this problem; its duals price ``b``."""
+    n = len(cols)
+    m = len(rels)
+    # Column j divided by its gcd g_j is the variable g_j * x_j, and its cost
+    # becomes cost_j / g_j, scaled back to integers by one common k: the
+    # reduced costs and tableau columns change by positive factors only.
+    scaled = [_divide_by_gcd(col) for col in cols]
+    cols = [col for col, _ in scaled]
+    g = [gj for _, gj in scaled]
+    k = math.lcm(1, *(gj // math.gcd(cj, gj) for cj, gj in zip(cost, g) if gj != 1))
+    c = [cj * k // gj for cj, gj in zip(cost, g)]
 
     # Slack columns, then artificial ones; the starting basis is the
     # identity: the slack of each <= row, the artificial of every other row.
@@ -219,7 +226,7 @@ def solve_lp(lp: LinearProgram, sense: str = "max") -> LpSolution:
             basis[i] = len(cols)
             cols.append(((i,), 1))
     ncols = len(cols)
-    M = [[int(i == k) for k in range(m)] + [b[i]] for i in range(m)]
+    M = [[int(i == j) for j in range(m)] + [b[i]] for i in range(m)]
 
     d = 1
     keep = list(range(m))
@@ -227,8 +234,8 @@ def solve_lp(lp: LinearProgram, sense: str = "max") -> LpSolution:
         # Phase 1: maximize -(sum of artificials), priced by u = c_B * R.
         u = [-int(bi >= art_start) for bi in basis]
         M.append(u + [sum(map(mul, u, b))])
-        cost = [0] * art_start + [-1] * (ncols - art_start)
-        status, d = _run_simplex(M, basis, d, cols, cost)
+        phase1 = [0] * art_start + [-1] * (ncols - art_start)
+        status, d = _run_simplex(M, basis, d, cols, phase1)
         if status != "optimal":
             raise SolverInvariantError(
                 f"phase 1 reported {status!r}; its objective is bounded above by 0"
@@ -248,10 +255,7 @@ def solve_lp(lp: LinearProgram, sense: str = "max") -> LpSolution:
         M = [M[i] for i in keep]
         basis = [basis[i] for i in keep]
 
-    # Phase 2, priced by u = c_B * R with the objective scaled to integers;
-    # artificial columns never enter again.
-    obj_scale = _common_denominator(lp.objective)
-    c = [flip * a.numerator * (obj_scale // a.denominator) for a in lp.objective]
+    # Phase 2, priced by u = c_B * R; artificial columns never enter again.
     u = [0] * (m + 1)
     for r, bi in zip(M, basis):
         if bi < n and c[bi]:
@@ -275,8 +279,8 @@ def solve_lp(lp: LinearProgram, sense: str = "max") -> LpSolution:
             rows, vals = cols[bi]
             if type(vals) is int:
                 vals = [vals] * len(rows)
-            for k, a in zip(rows, vals):
-                lhs[k] += a * xb
+            for i, a in zip(rows, vals):
+                lhs[i] += a * xb
     for i, rel in enumerate(rels):
         bd = b[i] * d
         if not (lhs[i] <= bd if rel == "<=" else lhs[i] >= bd if rel == ">=" else lhs[i] == bd):
@@ -284,14 +288,57 @@ def solve_lp(lp: LinearProgram, sense: str = "max") -> LpSolution:
     if sum(u[i] * b[i] for i in keep) != primal:
         raise SolverInvariantError("the duals do not price the right-hand side at the optimum")
 
+    # Undo the column scaling: x_j is the basic value over d * g_j, and the
+    # objective and duals carry the factor k.
     x = [_ZERO] * n
     for r, bi in zip(M, basis):
         if bi < n:
-            x[bi] = Fraction(r[-1], d)
-    value = sum((lp.objective[j] * x[j] for j in range(n)), _ZERO)
-    # Row i's slack or artificial column is +-e_i, so the dual read from its
-    # reduced cost is u[i], up to the signs of the rhs flip and the sense.
+            x[bi] = Fraction(r[-1], d * g[bi])
+    # Row i's slack or artificial column is +-e_i, so its dual is read from
+    # that column's reduced cost, u[i].
     duals = [_ZERO] * m
     for i in keep:
-        duals[i] = Fraction(flip * dual_sign[i] * scale * u[i], d * obj_scale)
-    return LpSolution(LpStatus.OPTIMAL, value, tuple(x), tuple(duals))
+        duals[i] = Fraction(u[i], d * k)
+    return LpSolution(LpStatus.OPTIMAL, Fraction(primal, d * k), tuple(x), tuple(duals))
+
+
+def solve_lp(lp: LinearProgram, sense: str = "max") -> LpSolution:
+    """Solve ``lp`` exactly.  ``sense`` is ``"max"`` or ``"min"``."""
+    if sense not in ("max", "min"):
+        raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
+    # A min problem is solved as the max of the negated objective.
+    flip = 1 if sense == "max" else -1
+    n = lp.num_vars
+    # One common scale for every row: per-row scales would weigh the
+    # phase-1 artificials differently and change the pivot sequence.
+    scale = _common_denominator(v for coeffs, _, rhs in lp.constraints for v in (*coeffs, rhs))
+    rels = []
+    dual_sign = []  # -1 where a row was negated to make its rhs nonnegative
+    b = []
+    cols = [([], []) for _ in range(n)]
+    for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
+        sign = 1
+        if rhs < 0:
+            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+            sign = -1
+        rels.append(rel)
+        dual_sign.append(sign)
+        b.append(sign * rhs.numerator * (scale // rhs.denominator))
+        for (rows, vals), a in zip(cols, coeffs):
+            if a:
+                rows.append(i)
+                vals.append(sign * a.numerator * (scale // a.denominator))
+    # A column whose entries are all equal keeps just that value.
+    cols = [
+        (rows, vals if vals.count(vals[0]) != len(vals) else vals[0]) if vals else (rows, 0)
+        for rows, vals in cols
+    ]
+    obj_scale = _common_denominator(lp.objective)
+    cost = [flip * a.numerator * (obj_scale // a.denominator) for a in lp.objective]
+    sol = _solve_columns(cols, rels, b, cost)
+    if sol.status is not LpStatus.OPTIMAL:
+        return sol
+    # The integer problem's objective is flip * obj_scale times the caller's,
+    # and its row i is dual_sign[i] * scale times the caller's.
+    duals = tuple(y * (flip * sign * scale) / obj_scale for y, sign in zip(sol.duals, dual_sign))
+    return LpSolution(LpStatus.OPTIMAL, flip * sol.value / obj_scale, sol.assignment, duals)

@@ -25,6 +25,7 @@ from hypersched import (
     validate_schedule,
 )
 from hypersched import feasibility
+from hypersched import lp as lp_module
 from conftest import (
     brute_automorphisms,
     is_feasible,
@@ -313,10 +314,38 @@ class TestChiFDuals:
 class TestSolverInvariant:
     def test_non_optimal_coverage_lp_raises(self, triangle, monkeypatch):
         monkeypatch.setattr(
-            feasibility, "solve_lp", lambda lp, sense: LpSolution(LpStatus.INFEASIBLE)
+            feasibility,
+            "_solve_columns",
+            lambda cols, rels, b, cost: LpSolution(LpStatus.INFEASIBLE),
         )
         with pytest.raises(SolverInvariantError, match="infeasible"):
             fractional_chromatic_number(triangle, DemandVector((1, 1, 1)))
+
+
+class TestPivotCounts:
+    """chi_f at demand 1/2 on the wall instances past the default limit:
+    value, witness size and the number of simplex pivots.  The pivot count
+    pins the pivot sequence, which rescaling the columns must not change."""
+
+    @pytest.mark.parametrize(
+        "n, pivots, value, sets",
+        [(24, 699, F(9, 8), 9), (26, 823, F(7, 6), 7), (28, 403, F(1), 2)],
+        ids=["n24", "n26", "n28"],
+    )
+    def test_wall_instance(self, n, pivots, value, sets, monkeypatch):
+        real = lp_module._pivot
+        count = []
+
+        def counting(*args):
+            count.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(lp_module, "_pivot", counting)
+        h = wall_instance(n)
+        tau = DemandVector((F(1, 2),) * n)
+        result = fractional_chromatic_number(h, tau, limit=n)
+        validate_schedule(h, result.witness, tau, max_total=result.value)
+        assert (len(count), result.value, len(result.witness.entries)) == (pivots, value, sets)
 
 
 class TestSizeWall:

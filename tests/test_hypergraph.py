@@ -585,6 +585,21 @@ class TestWalkOrder:
                 want = kernel_reference.independent_subsets(pool, table, weights, maximal=maximal)
                 assert list(got) == list(want)
 
+    def test_maximal_walk_on_dense_families(self):
+        """14-16 links with 2n-4n edges of 2-3 links: many skipped links
+        per branch, so the sibling scan stops early at many sets."""
+        rng = random.Random(181)
+        for _ in range(12):
+            n = rng.randint(14, 16)
+            raw = [rng.sample(range(n), rng.randint(2, 3)) for _ in range(rng.randint(2 * n, 4 * n))]
+            h = minimalize(n, raw)
+            weights = [0] * n
+            got = hypergraph._independent_subsets(range(n), h.completions, weights, maximal=True)
+            want = kernel_reference.independent_subsets(
+                range(n), h.completions, weights, maximal=True
+            )
+            assert list(got) == list(want)
+
     def test_bound_is_total_plus_the_pool_weights_above(self):
         for h, weights in self.cases():
             table = h.completions

@@ -311,10 +311,12 @@ class TestReferenceSolver:
 
             monkeypatch.setattr(module, "_pivot", traced)
 
-        def solve(lp, sense):
+        def solve(lp, sense, solver=None):
+            """Solve ``lp`` with ``solver`` (default: ``solve_lp``) and
+            with the reference; returns the solution and its pivot count."""
             for log in logs.values():
                 log.clear()
-            sol = lp_module.solve_lp(lp, sense)
+            sol = solver() if solver else lp_module.solve_lp(lp, sense)
             assert sol == lp_reference.solve_lp(lp, sense)
             assert logs[lp_module] == logs[lp_reference]
             return sol, len(logs[lp_module])
@@ -333,8 +335,46 @@ class TestReferenceSolver:
         assert min(statuses.values()) >= 100
         assert pivots >= 4000
 
+    def test_columns_scaled_by_integers(self, solve_both):
+        # Each structural column times an integer in 2..12: the solver
+        # divides it back out by the column's gcd, the reference does not.
+        rng = random.Random(47)
+        statuses = {status: 0 for status in LpStatus}
+        pivots = 0
+        for _ in range(1000):
+            lp = random_mixed_lp(rng, 6)
+            k = [rng.randint(2, 12) for _ in range(lp.num_vars)]
+            scaled = LinearProgram(
+                lp.num_vars,
+                lp.objective,
+                tuple(
+                    (tuple(a * kj for a, kj in zip(coeffs, k)), rel, rhs)
+                    for coeffs, rel, rhs in lp.constraints
+                ),
+            )
+            sol, count = solve_both(scaled, rng.choice(("max", "min")))
+            statuses[sol.status] += 1
+            pivots += count
+        assert min(statuses.values()) >= 50
+        assert pivots >= 2000
+
     def test_chi_f_lps(self, solve_both, monkeypatch):
-        monkeypatch.setattr(feasibility, "solve_lp", lambda lp, sense: solve_both(lp, sense)[0])
+        # fractional_chromatic_number hands its 0/1 set columns straight to
+        # the integer core; every such call must match the reference on the
+        # equivalent LinearProgram.
+        core = lp_module._solve_columns
+        calls = []
+
+        def checked(cols, rels, b, cost):
+            rows = [[0] * len(cols) for _ in rels]
+            for j, (members, vals) in enumerate(cols):
+                for k, i in enumerate(members):
+                    rows[i][j] = vals if type(vals) is int else vals[k]
+            lp = LinearProgram(len(cols), cost, tuple(zip(map(tuple, rows), rels, b)))
+            calls.append(lp)
+            return solve_both(lp, "max", lambda: core(cols, rels, b, cost))[0]
+
+        monkeypatch.setattr(feasibility, "_solve_columns", checked)
         rng = random.Random(43)
         for _ in range(300):
             h = random_hypergraph(rng, max_links=8, max_edges=6)
@@ -344,3 +384,4 @@ class TestReferenceSolver:
                 fractional_chromatic_number(h, tau).value
                 == fractional_chromatic_number(h, tau, columns="all").value
             )
+        assert len(calls) == 600

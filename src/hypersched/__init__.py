@@ -40,7 +40,7 @@ from .hypergraph import (
     validate_hypergraph,
 )
 from .intervals import IntervalSet, earliest_fit
-from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
+from .lp import CoveringProgram, LinearProgram, LpSolution, LpStatus, solve_lp
 from .feasibility import (
     ChiFResult,
     DemandVector,

@@ -54,12 +54,10 @@ from .greedy import (
     validate_weight_matrix,
 )
 from .hypergraph import (
-    _independent_masks,
     _members,
     automorphisms,
-    # Unused here; kept because perfbench/tracing.py wraps these names.
-    enumerate_independent_sets,  # noqa: F401
-    enumerate_maximal_independent_sets,  # noqa: F401
+    enumerate_independent_sets,
+    enumerate_maximal_independent_sets,
     is_independent,
     minimalize,
     validate_hypergraph,
@@ -151,12 +149,14 @@ def cmd_validate(args, h):
 
 
 def cmd_indep_sets(args, h):
-    masks = _independent_masks(h, _size_limit(), args.maximal)
+    limit = _size_limit()
+    if args.maximal:
+        sets = enumerate_maximal_independent_sets(h, limit, masks=True)
+    else:
+        sets = enumerate_independent_sets(h, limit, masks=True)
     if args.json:
-        return 0, {"sets": [[v + 1 for v in _members(s)] for s in masks]}
-    labels = [str(v + 1) for v in range(h.num_links)]
-    # format_set on each set, read straight off its mask.
-    return 0, [" ".join(map(labels.__getitem__, _members(s))) or "-" for s in masks]
+        return 0, {"sets": [[v + 1 for v in _members(s)] for s in sets]}
+    return 0, [format_set(_members(s)) for s in sets]
 
 
 def _chi_f(h, tau):

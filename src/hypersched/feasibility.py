@@ -15,20 +15,12 @@ from typing import Iterable, NamedTuple
 from .errors import DemandUnmet, DurationExceedsOne, NotIndependent, SolverInvariantError
 from .hypergraph import (
     Hypergraph,
-    _independent_masks,
     _members,
-    # Unused here, like solve_lp below; kept because perfbench/tracing.py
-    # wraps these names.
-    enumerate_independent_sets,  # noqa: F401
-    enumerate_maximal_independent_sets,  # noqa: F401
+    enumerate_independent_sets,
+    enumerate_maximal_independent_sets,
     is_independent,
 )
-from .lp import (
-    LpStatus,
-    _common_denominator,
-    _solve_columns,
-    solve_lp,  # noqa: F401
-)
+from .lp import CoveringProgram, LpStatus, solve_lp
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -113,24 +105,23 @@ def fractional_chromatic_number(
     optimum) or ``"all"`` (every independent set, used as a cross-check).
     """
     tau = as_demand(h, tau)
-    if columns not in ("maximal", "all"):
+    if columns == "maximal":
+        sets = enumerate_maximal_independent_sets(h, limit, masks=True)
+    elif columns == "all":
+        sets = enumerate_independent_sets(h, limit, masks=True)
+    else:
         raise ValueError(f"columns must be 'maximal' or 'all', got {columns!r}")
-    sets = _independent_masks(h, limit, maximal=columns == "maximal")
-    # In integers: maximize -sum(y) with y >= 0 and, for each link i, the y
-    # of the sets through i summing to at least scale * tau_i; then
-    # x = y / scale.  A set's column is 1 on its members' rows.
-    scale = _common_denominator(tau)
-    b = [t.numerator * (scale // t.denominator) for t in tau]
-    cols = [(_members(s), 1) for s in sets]
-    sol = _solve_columns(cols, [">="] * h.num_links, b, [-1] * len(sets))
+    # One column per set, on the rows of its links.
+    members = [_members(s) for s in sets]
+    sol = solve_lp(CoveringProgram(members, tau.values), "min")
     if sol.status is not LpStatus.OPTIMAL:
         raise SolverInvariantError(
             f"coverage LP reported {sol.status.value}; it is always feasible and bounded"
         )
     witness = Schedule(
-        tuple((cols[j][0], y / scale) for j, y in enumerate(sol.assignment) if y)
+        tuple((members[j], t) for j, t in enumerate(sol.assignment) if t != 0)
     )
-    return ChiFResult(-sol.value / scale, witness)
+    return ChiFResult(sol.value, witness)
 
 
 def validate_schedule(h: Hypergraph, schedule: Schedule, tau, max_total=_ONE) -> None:

@@ -258,27 +258,31 @@ def _check_limit(h: Hypergraph, limit, default):
         raise SizeLimitExceeded(h.num_links, lim)
 
 
-def _independent_masks(h: Hypergraph, limit, maximal) -> list:
-    """The bitmasks of the independent sets of ``h`` (of the maximal ones
-    with ``maximal``), in lexicographic order, after the size-limit check."""
+def _enumerate(h: Hypergraph, limit, maximal, masks) -> list:
     _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
     n = h.num_links
     walk = _independent_subsets(range(n), h.completions, [0] * n, maximal=maximal)
-    return [s for s, _, _ in walk]
+    if masks:
+        return [s for s, _, _ in walk]
+    return [frozenset(_members(s)) for s, _, _ in walk]
 
 
-def enumerate_independent_sets(h: Hypergraph, limit: int | None = None) -> list:
+def enumerate_independent_sets(h: Hypergraph, limit: int | None = None, *, masks: bool = False) -> list:
     """All independent sets of ``h`` (including the empty set), each once,
     in lexicographic order.  Backtracks with edge-completion pruning instead
-    of filtering all 2^N subsets."""
-    return [frozenset(_members(s)) for s in _independent_masks(h, limit, maximal=False)]
+    of filtering all 2^N subsets.  With ``masks``, each set is the int
+    bitmask with bit ``i`` set for link ``i``, not a frozenset."""
+    return _enumerate(h, limit, maximal=False, masks=masks)
 
 
-def enumerate_maximal_independent_sets(h: Hypergraph, limit: int | None = None) -> list:
+def enumerate_maximal_independent_sets(
+    h: Hypergraph, limit: int | None = None, *, masks: bool = False
+) -> list:
     """The inclusion-maximal independent sets, in lexicographic order.  The
     walk cuts every branch that a skipped link proves non-maximal, and keeps
-    a set only when it blocks every link outside it."""
-    return [frozenset(_members(s)) for s in _independent_masks(h, limit, maximal=True)]
+    a set only when it blocks every link outside it.  ``masks`` as in
+    ``enumerate_independent_sets``."""
+    return _enumerate(h, limit, maximal=True, masks=masks)
 
 
 def automorphisms(h: Hypergraph, limit: int | None = None) -> tuple:

@@ -1,17 +1,13 @@
 """Exact linear programming over rationals.
 
 Revised integer-preserving two-phase simplex with Bland's anti-cycling rule,
-exact.  ``solve_lp`` scales every constraint row by one common integer, so
-the constraint matrix becomes sparse integer columns, built once, and hands
-them to the integer core ``_solve_columns`` (``fractional_chromatic_number``
-builds its 0/1 set columns for the core directly).
-
-The core first divides each structural column by the gcd of its entries.
-That rescales one variable by a positive factor, so the column's reduced
-cost and each ratio of its ratio test change by a positive factor too, and
-every entering choice, leaving choice and tie-break stays as it was; x, the
-value and the duals are scaled back at the end.  The pivot loop's minors
-shrink with the columns, and a 0/1 column is priced as a plain sum.
+exact.  ``solve_lp`` takes a ``LinearProgram`` (dense rows) or a
+``CoveringProgram`` (minimize the sum of x over set columns given as row
+lists, each row covered to its demand; the fractional chromatic number's
+LP).  Either is scaled to integers by one common factor for every row, so
+the constraint matrix becomes sparse integer columns, and handed to the
+integer core ``_solve_columns``.  A covering column is built straight from
+its row list with the value 1, and priced as a plain sum.
 
 The core keeps no tableau: it keeps ``R = d * B^-1`` (``B`` the basis matrix,
 ``d`` the common denominator), the scaled basic solution, and the pricing
@@ -43,6 +39,7 @@ from .errors import SolverInvariantError
 RELATIONS = ("<=", ">=", "=")
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class LpStatus(Enum):
@@ -82,6 +79,88 @@ class LinearProgram:
             rows.append((row, rel, _as_fraction(rhs)))
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "constraints", tuple(rows))
+
+    def _integer_form(self):
+        """The core's integer problem (see ``solve_lp``)."""
+        # One common scale for every row: per-row scales would weigh the
+        # phase-1 artificials differently and change the pivot sequence.
+        scale = _common_denominator(v for coeffs, _, rhs in self.constraints for v in (*coeffs, rhs))
+        rels = []
+        row_scales = []  # negative where a row was negated to make its rhs nonnegative
+        b = []
+        cols = [([], []) for _ in range(self.num_vars)]
+        for i, (coeffs, rel, rhs) in enumerate(self.constraints):
+            sign = 1
+            if rhs < 0:
+                rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+                sign = -1
+            rels.append(rel)
+            row_scales.append(sign * scale)
+            b.append(sign * rhs.numerator * (scale // rhs.denominator))
+            for (rows, vals), a in zip(cols, coeffs):
+                if a:
+                    rows.append(i)
+                    vals.append(sign * a.numerator * (scale // a.denominator))
+        # A column whose entries are all equal keeps just that value.
+        cols = [
+            (rows, vals if vals.count(vals[0]) != len(vals) else vals[0]) if vals else (rows, 0)
+            for rows, vals in cols
+        ]
+        obj_scale = _common_denominator(self.objective)
+        cost = [a.numerator * (obj_scale // a.denominator) for a in self.objective]
+        return cols, rels, b, row_scales, cost, obj_scale, 1
+
+
+class CoveringProgram:
+    """minimize (or maximize) the sum of x subject to, for every row ``i``,
+    the x of the columns through row ``i`` summing to at least ``demand[i]``.
+
+    Column ``j`` is ``columns[j]``, the ascending list of its rows (a set
+    of links, for the fractional chromatic number); ``demand`` holds one
+    nonnegative value per row.  ``num_vars``, ``objective`` and
+    ``constraints`` give the same program as a ``LinearProgram`` would;
+    ``solve_lp`` builds its integer columns from the row lists instead.
+    """
+
+    __slots__ = ("columns", "demand")
+
+    def __init__(self, columns, demand):
+        demand = tuple(map(_as_fraction, demand))
+        if any(t < 0 for t in demand):
+            raise ValueError("a covering demand is negative")
+        m = len(demand)
+        for rows in columns:
+            if list(rows) != sorted(set(rows)):
+                raise ValueError(f"column rows {list(rows)} are not ascending and distinct")
+            if rows and (rows[0] < 0 or rows[-1] >= m):
+                raise ValueError(f"column rows {list(rows)} outside 0..{m - 1}")
+        self.columns = tuple(columns)
+        self.demand = demand
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.columns)
+
+    @property
+    def objective(self) -> tuple:
+        return (_ONE,) * len(self.columns)
+
+    @property
+    def constraints(self) -> tuple:
+        dense = [[_ZERO] * len(self.columns) for _ in self.demand]
+        for j, rows in enumerate(self.columns):
+            for i in rows:
+                dense[i][j] = _ONE
+        return tuple((tuple(row), ">=", t) for row, t in zip(dense, self.demand))
+
+    def _integer_form(self):
+        """The core's integer problem (see ``solve_lp``): every row times
+        the demand's common denominator ``scale``, and every variable too,
+        so each column is 1 on its rows."""
+        scale = _common_denominator(self.demand)
+        b = [t.numerator * (scale // t.denominator) for t in self.demand]
+        cols = [(rows, 1) for rows in self.columns]
+        return cols, [">="] * len(b), b, [scale] * len(b), [1] * len(cols), scale, scale
 
 
 @dataclasses.dataclass(frozen=True)
@@ -183,34 +262,16 @@ def _run_simplex(M, basis, d, cols, cost):
         d = _pivot(M, basis, d, leave, enter, a)
 
 
-def _divide_by_gcd(col):
-    """``(col divided by the gcd of its entries, that gcd)``.  A column kept
-    as one int (all entries equal) becomes +-1, priced as a plain sum."""
-    rows, vals = col
-    if type(vals) is int:
-        k = abs(vals) or 1
-        return (rows, vals // k), k
-    k = math.gcd(*vals)
-    return (rows, [v // k for v in vals]), k
-
-
 def _solve_columns(cols, rels, b, cost) -> LpSolution:
     """Maximize ``cost . x`` over ``x >= 0`` subject to row ``i``:
     ``sum_j A_ij x_j  rels[i]  b[i]``, all in integers.  Column ``j`` of ``A``
     is the sparse ``cols[j] = (rows, values)``: ``values`` is a list of
-    nonzero ints, or one int when every entry is that int (0 for an empty
-    column); every ``b[i]`` is nonnegative.  Returns the exact LpSolution of
+    nonzero ints, or one int when every entry is that int (any int for an
+    empty column); every ``b[i]`` is nonnegative.  Returns the exact LpSolution of
     this problem; its duals price ``b``."""
     n = len(cols)
     m = len(rels)
-    # Column j divided by its gcd g_j is the variable g_j * x_j, and its cost
-    # becomes cost_j / g_j, scaled back to integers by one common k: the
-    # reduced costs and tableau columns change by positive factors only.
-    scaled = [_divide_by_gcd(col) for col in cols]
-    cols = [col for col, _ in scaled]
-    g = [gj for _, gj in scaled]
-    k = math.lcm(1, *(gj // math.gcd(cj, gj) for cj, gj in zip(cost, g) if gj != 1))
-    c = [cj * k // gj for cj, gj in zip(cost, g)]
+    cols = list(cols)
 
     # Slack columns, then artificial ones; the starting basis is the
     # identity: the slack of each <= row, the artificial of every other row.
@@ -258,10 +319,10 @@ def _solve_columns(cols, rels, b, cost) -> LpSolution:
     # Phase 2, priced by u = c_B * R; artificial columns never enter again.
     u = [0] * (m + 1)
     for r, bi in zip(M, basis):
-        if bi < n and c[bi]:
-            u = [s + c[bi] * x for s, x in zip(u, r)]
+        if bi < n and cost[bi]:
+            u = [s + cost[bi] * x for s, x in zip(u, r)]
     M.append(u)
-    status, d = _run_simplex(M, basis, d, cols[:art_start], c + [0] * (art_start - n))
+    status, d = _run_simplex(M, basis, d, cols[:art_start], [*cost, *[0] * (art_start - n)])
     if status == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED)
     u = M.pop()
@@ -275,7 +336,7 @@ def _solve_columns(cols, rels, b, cost) -> LpSolution:
         if xb < 0:
             raise SolverInvariantError(f"basic variable {bi} is negative at the optimum")
         if bi < n:
-            primal += c[bi] * xb
+            primal += cost[bi] * xb
             rows, vals = cols[bi]
             if type(vals) is int:
                 vals = [vals] * len(rows)
@@ -288,57 +349,34 @@ def _solve_columns(cols, rels, b, cost) -> LpSolution:
     if sum(u[i] * b[i] for i in keep) != primal:
         raise SolverInvariantError("the duals do not price the right-hand side at the optimum")
 
-    # Undo the column scaling: x_j is the basic value over d * g_j, and the
-    # objective and duals carry the factor k.
     x = [_ZERO] * n
     for r, bi in zip(M, basis):
         if bi < n:
-            x[bi] = Fraction(r[-1], d * g[bi])
+            x[bi] = Fraction(r[-1], d)
     # Row i's slack or artificial column is +-e_i, so its dual is read from
     # that column's reduced cost, u[i].
     duals = [_ZERO] * m
     for i in keep:
-        duals[i] = Fraction(u[i], d * k)
-    return LpSolution(LpStatus.OPTIMAL, Fraction(primal, d * k), tuple(x), tuple(duals))
+        duals[i] = Fraction(u[i], d)
+    return LpSolution(LpStatus.OPTIMAL, Fraction(primal, d), tuple(x), tuple(duals))
 
 
-def solve_lp(lp: LinearProgram, sense: str = "max") -> LpSolution:
-    """Solve ``lp`` exactly.  ``sense`` is ``"max"`` or ``"min"``."""
+def solve_lp(lp, sense: str = "max") -> LpSolution:
+    """Solve ``lp``, a ``LinearProgram`` or a ``CoveringProgram``, exactly.
+    ``sense`` is ``"max"`` or ``"min"``."""
     if sense not in ("max", "min"):
         raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
-    # A min problem is solved as the max of the negated objective.
+    # The integer problem's row i is row_scales[i] times the caller's, its
+    # objective is obj_scale times the caller's, and its variables are
+    # var_scale times the caller's; every b[i] >= 0.  A min problem is
+    # solved as the max of the negated objective.
+    cols, rels, b, row_scales, cost, obj_scale, var_scale = lp._integer_form()
     flip = 1 if sense == "max" else -1
-    n = lp.num_vars
-    # One common scale for every row: per-row scales would weigh the
-    # phase-1 artificials differently and change the pivot sequence.
-    scale = _common_denominator(v for coeffs, _, rhs in lp.constraints for v in (*coeffs, rhs))
-    rels = []
-    dual_sign = []  # -1 where a row was negated to make its rhs nonnegative
-    b = []
-    cols = [([], []) for _ in range(n)]
-    for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
-        sign = 1
-        if rhs < 0:
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-            sign = -1
-        rels.append(rel)
-        dual_sign.append(sign)
-        b.append(sign * rhs.numerator * (scale // rhs.denominator))
-        for (rows, vals), a in zip(cols, coeffs):
-            if a:
-                rows.append(i)
-                vals.append(sign * a.numerator * (scale // a.denominator))
-    # A column whose entries are all equal keeps just that value.
-    cols = [
-        (rows, vals if vals.count(vals[0]) != len(vals) else vals[0]) if vals else (rows, 0)
-        for rows, vals in cols
-    ]
-    obj_scale = _common_denominator(lp.objective)
-    cost = [flip * a.numerator * (obj_scale // a.denominator) for a in lp.objective]
-    sol = _solve_columns(cols, rels, b, cost)
+    sol = _solve_columns(cols, rels, b, [flip * c for c in cost])
     if sol.status is not LpStatus.OPTIMAL:
         return sol
-    # The integer problem's objective is flip * obj_scale times the caller's,
-    # and its row i is dual_sign[i] * scale times the caller's.
-    duals = tuple(y * (flip * sign * scale) / obj_scale for y, sign in zip(sol.duals, dual_sign))
-    return LpSolution(LpStatus.OPTIMAL, flip * sol.value / obj_scale, sol.assignment, duals)
+    x = sol.assignment
+    if var_scale != 1:
+        x = tuple(v / var_scale for v in x)
+    duals = tuple(y * (flip * s) / obj_scale for y, s in zip(sol.duals, row_scales))
+    return LpSolution(LpStatus.OPTIMAL, flip * sol.value / obj_scale, x, duals)

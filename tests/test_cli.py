@@ -347,9 +347,7 @@ class TestExitCodes:
 
     def test_solver_invariant_exit(self, files, capsys, monkeypatch):
         monkeypatch.setattr(
-            feasibility,
-            "_solve_columns",
-            lambda cols, rels, b, cost: LpSolution(LpStatus.INFEASIBLE),
+            feasibility, "solve_lp", lambda lp, sense: LpSolution(LpStatus.INFEASIBLE)
         )
         code, out, err = run(capsys, "chi-f", files["star"], "--demand", files["demand"])
         assert code == 2

@@ -314,9 +314,7 @@ class TestChiFDuals:
 class TestSolverInvariant:
     def test_non_optimal_coverage_lp_raises(self, triangle, monkeypatch):
         monkeypatch.setattr(
-            feasibility,
-            "_solve_columns",
-            lambda cols, rels, b, cost: LpSolution(LpStatus.INFEASIBLE),
+            feasibility, "solve_lp", lambda lp, sense: LpSolution(LpStatus.INFEASIBLE)
         )
         with pytest.raises(SolverInvariantError, match="infeasible"):
             fractional_chromatic_number(triangle, DemandVector((1, 1, 1)))

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hypersched import (
+    CoveringProgram,
     DemandVector,
     LinearProgram,
     LpStatus,
@@ -159,6 +160,41 @@ class TestValidation:
     def test_bad_sense(self):
         with pytest.raises(ValueError):
             solve_lp(LinearProgram(1, (1,)), "maximize")
+
+
+class TestCoveringProgram:
+    def test_dense_form(self):
+        lp = CoveringProgram(([0, 2], [1], []), (Fraction(1, 2), 1, 0))
+        assert (lp.num_vars, lp.objective) == (3, (1, 1, 1))
+        assert lp.constraints == (
+            ((1, 0, 0), ">=", Fraction(1, 2)),
+            ((0, 1, 0), ">=", 1),
+            ((1, 0, 0), ">=", 0),
+        )
+
+    def test_solves_as_its_dense_form(self):
+        rng = random.Random(53)
+        for _ in range(300):
+            m = rng.randint(1, 5)
+            columns = [sorted(rng.sample(range(m), rng.randint(0, m))) for _ in range(rng.randint(1, 6))]
+            columns.append(list(range(m)))  # some column covers every row
+            demand = [Fraction(rng.randint(0, 6), rng.choice((1, 2, 3))) for _ in range(m)]
+            lp = CoveringProgram(columns, demand)
+            dense = LinearProgram(lp.num_vars, lp.objective, lp.constraints)
+            for sense in ("min", "max"):
+                sol = solve_lp(lp, sense)
+                assert sol == solve_lp(dense, sense)
+            check_exact(dense, solve_lp(lp, "min"))
+            check_duals(dense, "min", solve_lp(lp, "min"))
+
+    @pytest.mark.parametrize(
+        "columns, demand",
+        [(([0],), (-1,)), (([1],), (1,)), (([-1, 0],), (1,)), (([1, 0],), (1, 1)), (([0, 0],), (1,))],
+        ids=["negative-demand", "row-past-end", "negative-row", "descending", "repeated"],
+    )
+    def test_rejects(self, columns, demand):
+        with pytest.raises(ValueError):
+            CoveringProgram(columns, demand)
 
 
 class TestRandomized:
@@ -336,8 +372,8 @@ class TestReferenceSolver:
         assert pivots >= 4000
 
     def test_columns_scaled_by_integers(self, solve_both):
-        # Each structural column times an integer in 2..12: the solver
-        # divides it back out by the column's gcd, the reference does not.
+        # Each structural column times an integer in 2..12, so the
+        # columns are no longer 0/+-1 and their entries differ in size.
         rng = random.Random(47)
         statuses = {status: 0 for status in LpStatus}
         pivots = 0
@@ -359,22 +395,19 @@ class TestReferenceSolver:
         assert pivots >= 2000
 
     def test_chi_f_lps(self, solve_both, monkeypatch):
-        # fractional_chromatic_number hands its 0/1 set columns straight to
-        # the integer core; every such call must match the reference on the
-        # equivalent LinearProgram.
-        core = lp_module._solve_columns
+        # fractional_chromatic_number solves a CoveringProgram, whose
+        # integer columns come straight from its row lists; every such call
+        # must match the reference on the same program as a LinearProgram.
+        real = feasibility.solve_lp
         calls = []
 
-        def checked(cols, rels, b, cost):
-            rows = [[0] * len(cols) for _ in rels]
-            for j, (members, vals) in enumerate(cols):
-                for k, i in enumerate(members):
-                    rows[i][j] = vals if type(vals) is int else vals[k]
-            lp = LinearProgram(len(cols), cost, tuple(zip(map(tuple, rows), rels, b)))
+        def checked(lp, sense):
+            assert isinstance(lp, CoveringProgram)
             calls.append(lp)
-            return solve_both(lp, "max", lambda: core(cols, rels, b, cost))[0]
+            dense = LinearProgram(lp.num_vars, lp.objective, lp.constraints)
+            return solve_both(dense, sense, lambda: real(lp, sense))[0]
 
-        monkeypatch.setattr(feasibility, "_solve_columns", checked)
+        monkeypatch.setattr(feasibility, "solve_lp", checked)
         rng = random.Random(43)
         for _ in range(300):
             h = random_hypergraph(rng, max_links=8, max_edges=6)

@@ -20,7 +20,7 @@ from .hypergraph import (
     enumerate_maximal_independent_sets,
     is_independent,
 )
-from .lp import CoveringProgram, LpStatus, solve_lp
+from .lp import CoveringProgram, LpStatus, _as_fraction, solve_lp
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -33,9 +33,9 @@ class DemandVector:
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.values)
+        vals = tuple(map(_as_fraction, self.values))
         for i, v in enumerate(vals):
-            if not (_ZERO <= v <= _ONE):
+            if not 0 <= v.numerator <= v.denominator:
                 raise ValueError(f"demand for link {i} is {v}, outside [0, 1]")
         object.__setattr__(self, "values", vals)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 from typing import NamedTuple
 
@@ -19,7 +20,6 @@ from .errors import (
     DemandUnmet,
     EdgeRowSumTooSmall,
     EntryOutOfRange,
-    InsufficientRoom,
     NonNeighborNonzero,
     NonzeroDiagonal,
     NotIndependent,
@@ -28,7 +28,9 @@ from .errors import (
 )
 from .feasibility import as_demand
 from .hypergraph import Hypergraph, neighbors
-from .intervals import IntervalSet, earliest_fit, intersect_all, union_all
+from .intervals import IntervalSet
+# Wrapped by name by the benchmark's span tracer; the pass itself runs on ints.
+from .intervals import earliest_fit, intersect_all, union_all  # noqa: F401
 
 _ZERO = Fraction(0)
 
@@ -158,14 +160,14 @@ def _link_sums(w: WeightMatrix, tau) -> tuple:
 def check_edge_min_condition(h: Hypergraph, tau) -> ConditionReport:
     """Per link: demand plus, for each edge through it, the smallest demand
     among the edge's other links.  Holds when every total is <= 1."""
-    tau = as_demand(h, tau)
+    den, scaled = _scaled_demand(as_demand(h, tau))
     edges = h.edges
     per = []
     for i, ks in enumerate(h.incidence):
-        terms = [tau[i].as_integer_ratio()]
+        total = scaled[i]
         for k in ks:
-            terms.append(min(tau[j] for j in edges[k] if j != i).as_integer_ratio())
-        per.append(_exact_sum(terms))
+            total += min(scaled[j] for j in edges[k] if j != i)
+        per.append(Fraction(total, den))
     return ConditionReport(all(v <= 1 for v in per), tuple(per))
 
 
@@ -192,15 +194,72 @@ def _normalize_order(h: Hypergraph, order) -> tuple:
     return order
 
 
-def _blocked_time(h: Hypergraph, assigned, link) -> IntervalSet:
-    """Union over the edges through ``link`` whose other links are all
-    scheduled of the slots those links share."""
-    pieces = []
+def _scaled_demand(tau) -> tuple:
+    """``(L, ints)``: L the lcm of the demand denominators and each demand
+    as an int over L."""
+    den = lcm(*(t.denominator for t in tau))
+    return den, [t.numerator * (den // t.denominator) for t in tau]
+
+
+def _to_ints(assigned) -> tuple:
+    """``(L, placed)``: L the lcm of the endpoint denominators of the interval
+    sets in ``assigned``, and each set as its list of ``(a, b)`` int pairs
+    over L (None stays None)."""
+    dens = {x.denominator for js in assigned if js is not None for piece in js.intervals for x in piece}
+    den = lcm(*dens)
+    scale = {d: den // d for d in dens}
+    placed = [
+        None if js is None else [
+            (a.numerator * scale[a.denominator], b.numerator * scale[b.denominator])
+            for a, b in js.intervals
+        ]
+        for js in assigned
+    ]
+    return den, placed
+
+
+def _intersect(p: list, q: list) -> list:
+    """Two-pointer intersection of two sorted lists of disjoint int pieces."""
+    out = []
+    i = j = 0
+    while i < len(p) and j < len(q):
+        a, b = p[i]
+        c, d = q[j]
+        lo = a if a > c else c
+        hi = b if b < d else d
+        if lo < hi:
+            out.append((lo, hi))
+        if b <= d:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
+def _blocked(h: Hypergraph, placed, link) -> list:
+    """The int pieces (unsorted, possibly overlapping) of the time blocked
+    for ``link``: for each edge through it whose other links are all placed,
+    the time those links share."""
+    out = []
+    edges = h.edges
     for k in h.incidence[link]:
-        others = [assigned[j] for j in h.edges[k] if j != link]
-        if all(js is not None for js in others):
-            pieces.append(intersect_all(others))
-    return union_all(pieces)
+        others = [placed[j] for j in edges[k] if j != link]
+        if None not in others:
+            out += reduce(_intersect, others)
+    return out
+
+
+def _gaps(blocked, end):
+    """The gaps of the union of the int pieces ``blocked`` inside [0, end),
+    left to right: one cursor over the pieces sorted by start."""
+    cursor = 0
+    for a, b in sorted(blocked):
+        if a > cursor:
+            yield cursor, a
+        if b > cursor:
+            cursor = b
+    if cursor < end:
+        yield cursor, end
 
 
 def greedy_schedule(h: Hypergraph, tau, order=None, step_callback=None) -> tuple:
@@ -215,28 +274,53 @@ def greedy_schedule(h: Hypergraph, tau, order=None, step_callback=None) -> tuple
     snapshot of the partial assignment (None = unscheduled), which is how the
     per-step accounting inequality gets instrumented.
 
+    The pass runs in ints over 1/L, L the lcm of the demand denominators:
+    every endpoint it makes is a multiple of 1/L, since a piece starts at 0
+    or at an endpoint of a blocked piece (an intersection of placed pieces)
+    and its length is the smaller of a gap and the link's remaining demand.
+    Each placed link keeps its sorted disjoint ``(a, b)`` int pairs, and
+    its interval set is built once, when it is placed, for the snapshots
+    and the result.
+
     Raises ScheduleStuck when a link cannot be placed; that cannot happen if
     the weighted condition holds for some admissible weight matrix.
     """
     tau = as_demand(h, tau)
     order = _normalize_order(h, order)
-    assigned: list = [None] * h.num_links
+    den, demand = _scaled_demand(tau)
+    placed: list = [None] * h.num_links
+    sets: list = [None] * h.num_links
     for link in order:
         if step_callback is not None:
-            step_callback(link, tuple(assigned))
-        forbidden = _blocked_time(h, assigned, link)
-        try:
-            assigned[link] = earliest_fit(tau[link], forbidden)
-        except InsufficientRoom as e:
-            raise ScheduleStuck(link, tau[link], e.available) from e
-    return tuple(assigned)
+            step_callback(link, tuple(sets))
+        todo = demand[link]
+        pieces = []
+        if todo:
+            for a, b in _gaps(_blocked(h, placed, link), den):
+                take = min(b - a, todo)
+                pieces.append((a, a + take))
+                todo -= take
+                if not todo:
+                    break
+            else:
+                # Every gap was taken whole, so they sum to demand - todo.
+                raise ScheduleStuck(link, tau[link], Fraction(demand[link] - todo, den))
+        placed[link] = pieces
+        # The pieces come out of the gaps sorted, nonempty and apart (blocked
+        # time of positive length lies between two gaps): already normalized.
+        sets[link] = IntervalSet._of_normalized((Fraction(a, den), Fraction(b, den)) for a, b in pieces)
+    return tuple(sets)
 
 
 def greedy_step_bound(h: Hypergraph, w: WeightMatrix, assigned, link) -> tuple:
     """Both sides of the accounting inequality at the step that schedules
     ``link``: measure of the blocked slots vs. the weighted sum of the
-    already-scheduled demands.  For admissible ``w``, lhs <= rhs always."""
-    lhs = _blocked_time(h, assigned, link).measure
+    already-scheduled demands.  For admissible ``w``, lhs <= rhs always.
+    The blocked slots are found as in :func:`greedy_schedule`, in ints over
+    the lcm of the snapshot's endpoint denominators."""
+    den, placed = _to_ints(assigned)
+    free = sum(b - a for a, b in _gaps(_blocked(h, placed, link), den))
+    lhs = Fraction(den - free, den)
     rhs = sum(
         (v * assigned[j].measure for j, v in w.rows[link].items() if assigned[j] is not None),
         _ZERO,
@@ -254,15 +338,11 @@ def validate_assignment(h: Hypergraph, assigned, tau) -> None:
     tau = as_demand(h, tau)
     if len(assigned) != h.num_links:
         raise ValueError(f"assignment has {len(assigned)} entries, expected {h.num_links}")
-    dens = {x.denominator for js in assigned for piece in js.intervals for x in piece}
-    den = lcm(*dens)
-    scale = {d: den // d for d in dens}
+    den, placed = _to_ints(assigned)
     events = []
-    for i, (js, t) in enumerate(zip(assigned, tau)):
+    for i, (pieces, t) in enumerate(zip(placed, tau)):
         measure = 0
-        for a, b in js.intervals:
-            a = a.numerator * scale[a.denominator]
-            b = b.numerator * scale[b.denominator]
+        for a, b in pieces:
             measure += b - a
             events += ((a, 1, i), (b, -1, i))
         if measure * t.denominator != t.numerator * den:

@@ -51,6 +51,15 @@ class IntervalSet:
     def empty(cls) -> "IntervalSet":
         return cls(())
 
+    @classmethod
+    def _of_normalized(cls, pieces) -> "IntervalSet":
+        """The set of ``pieces``: Fraction pairs already sorted, nonempty,
+        inside [0, 1] and neither overlapping nor touching, as the
+        constructor would leave them, so its checks and merge are skipped."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "intervals", tuple(pieces))
+        return s
+
     @cached_property
     def measure(self) -> Fraction:
         return sum((b - a for a, b in self.intervals), _ZERO)

@@ -582,6 +582,23 @@ class TestJson:
         data = json.loads(out)
         assert data["intervals"][2] == {"link": 3, "intervals": [["1/2", "1"]]}
 
+    def test_schedule_json_stuck_with_room_left(self, files, capsys):
+        """Link 4 is blocked by link 1 on [0, 1/2) and by link 3 on
+        [1/3, 7/12); 5/12 of the time is free, less than its demand."""
+        hg = files["dir"] / "two_pairs.hg"
+        hg.write_text("links 4\nedge 1 2 3\nedge 1 4\nedge 3 4\n")
+        dfile = files["dir"] / "two_pairs.demand"
+        dfile.write_text("demand 1/2 1/3 1/4 1/2\n")
+        code, out, err = run(capsys, "schedule", str(hg), "--demand", str(dfile), "--json")
+        assert out == """\
+{
+  "stuck_at": 4,
+  "demanded": "1/2",
+  "available": "5/12"
+}
+"""
+        assert (code, err) == (1, "")
+
     def test_validate_json(self, files, capsys):
         code, out, _ = run(capsys, "validate", files["star"], "--json")
         assert json.loads(out) == {

@@ -19,8 +19,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
-from math import lcm
 
 from . import __version__
 from .errors import (
@@ -62,6 +60,7 @@ from .hypergraph import (
     minimalize,
     validate_hypergraph,
 )
+from .lp import _exact_sum
 from .metrics import (
     b_bound,
     beta_by_enumeration,
@@ -262,12 +261,10 @@ def cmd_check(args, h, tau):
 def _checked_metrics(h, limit):
     """interference_metrics of ``h`` with every witness re-checked: each J
     lies in its link's neighborhood and holds no edge, nor does J + i for
-    Delta'', and the Delta-weight of J, summed from delta_matrix over one
-    denominator (plus 1 for Delta''), is the reported value."""
+    Delta'', and the Delta-weight of J, summed exactly from delta_matrix
+    (plus 1 for Delta''), is the reported value."""
     rep = interference_metrics(h, limit)
-    rows = delta_matrix(h).rows
-    den = lcm(1, *(w.denominator for row in rows for w in row.values()))
-    for i, row in enumerate(rows):
+    for i, row in enumerate(delta_matrix(h).rows):
         for name, m, extra in (
             ("Delta'", rep.per_link_prime[i], ()),
             ("Delta''", rep.per_link_doubleprime[i], (i,)),
@@ -278,10 +275,9 @@ def _checked_metrics(h, limit):
             elif not is_independent(h, m.witness.union(extra)):
                 fault = "holds an edge" + (" with the link" if extra else "")
             else:
-                weight = sum(den // row[j].denominator * row[j].numerator for j in m.witness)
-                weight += den if extra else 0
-                if weight * m.value.denominator != m.value.numerator * den:
-                    fault = f"gives {Fraction(weight, den)}"
+                weight = _exact_sum([(1, 1)] * len(extra) + [row[j].as_integer_ratio() for j in m.witness])
+                if weight != m.value:
+                    fault = f"gives {weight}"
             if fault:
                 raise SolverInvariantError(
                     f"{name} of link {i + 1} is {m.value} but its J = {format_set(m.witness)}"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import (
@@ -31,6 +31,7 @@ from .hypergraph import Hypergraph, neighbors
 from .intervals import IntervalSet
 # Wrapped by name by the benchmark's span tracer; the pass itself runs on ints.
 from .intervals import earliest_fit, intersect_all, union_all  # noqa: F401
+from .lp import _as_fraction, _exact_sum, _over_lcm
 
 _ZERO = Fraction(0)
 
@@ -58,9 +59,7 @@ class WeightMatrix:
         for i, row in enumerate(self.rows):
             kept = {}
             for j in sorted(row):
-                v = row[j]
-                if type(v) is not Fraction:
-                    v = Fraction(v)
+                v = _as_fraction(row[j])
                 if v:
                     if not 0 <= j < n:
                         raise ValueError(f"column {j} outside 0..{n - 1}")
@@ -87,15 +86,6 @@ class WeightMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i].get(j, _ZERO)
-
-
-def _exact_sum(terms) -> Fraction:
-    """Sum of ``(numerator, denominator)`` pairs, taken in ints over their
-    common denominator and normalized once, instead of adding Fractions one
-    by one (each addition normalizes)."""
-    terms = list(terms)
-    den = lcm(*(d for _, d in terms))
-    return Fraction(sum(n * (den // d) for n, d in terms), den)
 
 
 def validate_weight_matrix(h: Hypergraph, w: WeightMatrix) -> None:
@@ -160,7 +150,7 @@ def _link_sums(w: WeightMatrix, tau) -> tuple:
 def check_edge_min_condition(h: Hypergraph, tau) -> ConditionReport:
     """Per link: demand plus, for each edge through it, the smallest demand
     among the edge's other links.  Holds when every total is <= 1."""
-    den, scaled = _scaled_demand(as_demand(h, tau))
+    den, scaled = _over_lcm(as_demand(h, tau))
     edges = h.edges
     per = []
     for i, ks in enumerate(h.incidence):
@@ -194,28 +184,14 @@ def _normalize_order(h: Hypergraph, order) -> tuple:
     return order
 
 
-def _scaled_demand(tau) -> tuple:
-    """``(L, ints)``: L the lcm of the demand denominators and each demand
-    as an int over L."""
-    den = lcm(*(t.denominator for t in tau))
-    return den, [t.numerator * (den // t.denominator) for t in tau]
-
-
 def _to_ints(assigned) -> tuple:
     """``(L, placed)``: L the lcm of the endpoint denominators of the interval
     sets in ``assigned``, and each set as its list of ``(a, b)`` int pairs
     over L (None stays None)."""
-    dens = {x.denominator for js in assigned if js is not None for piece in js.intervals for x in piece}
-    den = lcm(*dens)
-    scale = {d: den // d for d in dens}
-    placed = [
-        None if js is None else [
-            (a.numerator * scale[a.denominator], b.numerator * scale[b.denominator])
-            for a, b in js.intervals
-        ]
-        for js in assigned
-    ]
-    return den, placed
+    den, ints = _over_lcm(x for js in assigned if js is not None for piece in js.intervals for x in piece)
+    it = iter(ints)
+    pairs = zip(it, it)
+    return den, [None if js is None else list(islice(pairs, len(js.intervals))) for js in assigned]
 
 
 def _intersect(p: list, q: list) -> list:
@@ -287,7 +263,7 @@ def greedy_schedule(h: Hypergraph, tau, order=None, step_callback=None) -> tuple
     """
     tau = as_demand(h, tau)
     order = _normalize_order(h, order)
-    den, demand = _scaled_demand(tau)
+    den, demand = _over_lcm(tau)
     placed: list = [None] * h.num_links
     sets: list = [None] * h.num_links
     for link in order:
@@ -321,9 +297,11 @@ def greedy_step_bound(h: Hypergraph, w: WeightMatrix, assigned, link) -> tuple:
     den, placed = _to_ints(assigned)
     free = sum(b - a for a, b in _gaps(_blocked(h, placed, link), den))
     lhs = Fraction(den - free, den)
-    rhs = sum(
-        (v * assigned[j].measure for j, v in w.rows[link].items() if assigned[j] is not None),
-        _ZERO,
+    rhs = _exact_sum(
+        (v.numerator * m.numerator, v.denominator * m.denominator)
+        for j, v in w.rows[link].items()
+        if assigned[j] is not None
+        for m in (assigned[j].measure,)
     )
     return lhs, rhs
 

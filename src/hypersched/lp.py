@@ -53,6 +53,23 @@ def _as_fraction(v) -> Fraction:
     return v if type(v) is Fraction else Fraction(v)
 
 
+def _over_lcm(values) -> tuple:
+    """``(L, ints)``: L the lcm of the denominators of the Fractions
+    ``values`` (1 if there are none), and each value as an int over L."""
+    values = tuple(values)
+    den = math.lcm(1, *(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def _exact_sum(terms) -> Fraction:
+    """Sum of ``(numerator, denominator)`` pairs, taken in ints over their
+    common denominator and normalized once, instead of adding Fractions one
+    by one (each addition normalizes)."""
+    terms = list(terms)
+    den = math.lcm(*(d for _, d in terms))
+    return Fraction(sum(n * (den // d) for n, d in terms), den)
+
+
 @dataclasses.dataclass(frozen=True)
 class LinearProgram:
     """maximize (or minimize) objective . x subject to the constraint rows.
@@ -84,30 +101,26 @@ class LinearProgram:
         """The core's integer problem (see ``solve_lp``)."""
         # One common scale for every row: per-row scales would weigh the
         # phase-1 artificials differently and change the pivot sequence.
-        scale = _common_denominator(v for coeffs, _, rhs in self.constraints for v in (*coeffs, rhs))
+        scale, flat = _over_lcm(v for coeffs, _, rhs in self.constraints for v in (*coeffs, rhs))
+        width = self.num_vars + 1
         rels = []
         row_scales = []  # negative where a row was negated to make its rhs nonnegative
         b = []
         cols = [([], []) for _ in range(self.num_vars)]
-        for i, (coeffs, rel, rhs) in enumerate(self.constraints):
+        for i, (_, rel, rhs) in enumerate(self.constraints):
+            ints = flat[i * width:(i + 1) * width]
             sign = 1
             if rhs < 0:
                 rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
                 sign = -1
             rels.append(rel)
             row_scales.append(sign * scale)
-            b.append(sign * rhs.numerator * (scale // rhs.denominator))
-            for (rows, vals), a in zip(cols, coeffs):
+            b.append(sign * ints[-1])
+            for (rows, vals), a in zip(cols, ints):
                 if a:
                     rows.append(i)
-                    vals.append(sign * a.numerator * (scale // a.denominator))
-        # A column whose entries are all equal keeps just that value.
-        cols = [
-            (rows, vals if vals.count(vals[0]) != len(vals) else vals[0]) if vals else (rows, 0)
-            for rows, vals in cols
-        ]
-        obj_scale = _common_denominator(self.objective)
-        cost = [a.numerator * (obj_scale // a.denominator) for a in self.objective]
+                    vals.append(sign * a)
+        obj_scale, cost = _over_lcm(self.objective)
         return cols, rels, b, row_scales, cost, obj_scale, 1
 
 
@@ -157,8 +170,7 @@ class CoveringProgram:
         """The core's integer problem (see ``solve_lp``): every row times
         the demand's common denominator ``scale``, and every variable too,
         so each column is 1 on its rows."""
-        scale = _common_denominator(self.demand)
-        b = [t.numerator * (scale // t.denominator) for t in self.demand]
+        scale, b = _over_lcm(self.demand)
         cols = [(rows, 1) for rows in self.columns]
         return cols, [">="] * len(b), b, [scale] * len(b), [1] * len(cols), scale, scale
 
@@ -176,13 +188,10 @@ class LpSolution:
     duals: tuple | None = None
 
 
-def _common_denominator(values) -> int:
-    return math.lcm(1, *(v.denominator for v in values))
-
-
 def _dot(r, col):
     """``r . col`` for the sparse column ``col = (rows, values)``; ``values``
-    is one int when every entry of the column has that value."""
+    is one int for a covering, slack or artificial column, every entry of
+    which has that value."""
     rows, vals = col
     if type(vals) is int:
         return vals * sum(map(r.__getitem__, rows))
@@ -265,10 +274,10 @@ def _run_simplex(M, basis, d, cols, cost):
 def _solve_columns(cols, rels, b, cost) -> LpSolution:
     """Maximize ``cost . x`` over ``x >= 0`` subject to row ``i``:
     ``sum_j A_ij x_j  rels[i]  b[i]``, all in integers.  Column ``j`` of ``A``
-    is the sparse ``cols[j] = (rows, values)``: ``values`` is a list of
-    nonzero ints, or one int when every entry is that int (any int for an
-    empty column); every ``b[i]`` is nonnegative.  Returns the exact LpSolution of
-    this problem; its duals price ``b``."""
+    is the sparse ``cols[j] = (rows, values)``: ``values`` is the list of
+    its nonzero ints, or one int when every entry is that int (a covering,
+    slack or artificial column); every ``b[i]`` is nonnegative.  Returns the
+    exact LpSolution of this problem; its duals price ``b``."""
     n = len(cols)
     m = len(rels)
     cols = list(cols)

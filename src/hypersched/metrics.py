@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from .feasibility import DemandVector, as_demand
@@ -27,6 +26,7 @@ from .hypergraph import (
     enumerate_independent_sets,  # noqa: F401
     neighbors,  # noqa: F401
 )
+from .lp import _over_lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -55,8 +55,9 @@ def _delta_int_rows(h: Hypergraph):
     Exact speed trick: the subset searches below then run on plain ints.
     """
     d = delta_matrix(h).rows
-    den = lcm(1, *(v.denominator for row in d for v in row.values()))
-    return den, [{j: v.numerator * (den // v.denominator) for j, v in row.items()} for row in d]
+    den, ints = _over_lcm(v for row in d for v in row.values())
+    it = iter(ints)
+    return den, [dict(zip(row, it)) for row in d]
 
 
 def _setup(h: Hypergraph, limit):

@@ -10,12 +10,17 @@ test oracle, not a second solver path.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from hypersched.errors import SolverInvariantError
-from hypersched.lp import LinearProgram, LpSolution, LpStatus, _common_denominator
+from hypersched.lp import LinearProgram, LpSolution, LpStatus
 
 _ZERO = Fraction(0)
+
+
+def _common_denominator(values) -> int:
+    return math.lcm(1, *(v.denominator for v in values))
 
 
 def _pivot(T, basis, d, row, col):

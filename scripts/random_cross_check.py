@@ -2,7 +2,9 @@
 """Randomized agreement sweep over small hypergraphs.
 
 Checks, on seeded random instances:
-  - beta by enumeration == interference degree sigma,
+  - beta by enumeration == interference degree sigma, and its witness is
+    the first (link, independent set) of a brute-force scan that attains
+    the largest per-link bound,
   - chi_f <= B <= sigma * chi_f for nonzero demands,
   - chi_f over the maximal sets == chi_f over all independent sets, and
     each LP's witness is a valid schedule of total duration chi_f,
@@ -67,6 +69,19 @@ def maximal_filter(h):
     ]
 
 
+def brute_beta(h):
+    """The largest per-link bound b_bound over links x independent sets,
+    with the lexicographically first (link, set) attaining it: links
+    ascending, sets in enumeration order."""
+    n = h.num_links
+    demands = [DemandVector.characteristic(n, s) for s in enumerate_independent_sets(h)]
+    bounds = [b_bound(h, tau).per_link for tau in demands]
+    best = max(max(per) for per in bounds)
+    link = min(i for per in bounds for i in range(n) if per[i] == best)
+    demand = next(tau for tau, per in zip(demands, bounds) if per[link] == best)
+    return best, link, demand
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=100)
@@ -82,10 +97,14 @@ def main():
         h = random_hypergraph(rng, args.max_links, args.max_edges)
         tau = random_demand(rng, h.num_links)
 
-        beta = beta_by_enumeration(h).beta
+        worst = beta_by_enumeration(h)
+        beta = worst.beta
         sigma = interference_metrics(h).sigma
         if beta != sigma:
             print(f"[{k}] beta {beta} != sigma {sigma} on {h}")
+            failures += 1
+        if (beta, worst.link, worst.demand) != brute_beta(h):
+            print(f"[{k}] beta witness (link {worst.link + 1}) differs from the brute-force scan on {h}")
             failures += 1
 
         chi, witness = fractional_chromatic_number(h, tau)

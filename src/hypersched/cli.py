@@ -62,6 +62,7 @@ from .hypergraph import (
 )
 from .lp import _exact_sum
 from .metrics import (
+    _sigma,
     b_bound,
     beta_by_enumeration,
     beta_star_formula,
@@ -343,21 +344,21 @@ def _checked_beta(h, limit):
 def cmd_beta(args, h):
     limit = _size_limit()
     wit = _checked_beta(h, limit)
-    rep = interference_metrics(h, limit)
-    if wit.beta != rep.sigma:
+    sigma = _sigma(h, limit)
+    if wit.beta != sigma:
         raise SolverInvariantError(
-            f"beta = {wit.beta} differs from sigma = {rep.sigma}; this is a library bug"
+            f"beta = {wit.beta} differs from sigma = {sigma}; this is a library bug"
         )
     if args.json:
         return 0, {
             "beta": str(wit.beta),
-            "sigma": str(rep.sigma),
+            "sigma": str(sigma),
             "witness_link": wit.link + 1,
             "witness_demand": [str(v) for v in wit.demand],
         }
     return 0, [
         f"beta = {wit.beta}",
-        f"sigma = {rep.sigma}",
+        f"sigma = {sigma}",
         f"witness link: {wit.link + 1}",
         format_demand_line(wit.demand),
     ]

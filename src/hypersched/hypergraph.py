@@ -179,25 +179,24 @@ def _independent_subsets(pool, completions, weights, *, maximal=False, cut=None)
     walk yields the same sets as checking every skipped link at every
     sibling.
 
-    With ``cut``, a branch-and-bound: each set J on the stack carries the
-    bound ``total + the weights of the pool links above J's last member``,
-    which no set below J exceeds when the weights are nonnegative.  When a
-    set is popped, ``cut(bound, blocked)`` is asked; if it is true, J and
-    every set below it are dropped unyielded.  The question is asked at pop
-    time, so it sees every record the caller took from the sets yielded
-    before; ``blocked`` only grows down a branch.  Without ``cut`` no bound
-    is computed and every set is yielded, in the same order.
+    With ``cut``, a branch-and-bound.  The child that adds v carries the
+    bound ``total + weights[v] +`` the weights of its parent's free links
+    above v (pool links above the parent's last member that it does not
+    block): for nonnegative weights no set below the child exceeds it.
+    ``cut(bound, blocked)`` is asked before the child is built, with the
+    parent's ``blocked``, and when it is popped, with its own, so that it
+    sees the records the caller took from the sets yielded in between; if
+    either answer is true, the child and its subtree are dropped unyielded.
+    Asking early needs a monotone ``cut``: one that stays true as records
+    rise, as the bound falls and as ``blocked`` grows (down a branch it
+    does).  A ``maximal`` walk takes no cut: its sibling scan drops links
+    from ``free`` that sets below the remaining children may still hold.
+    Without ``cut`` every set is yielded, in the same order.
     """
     pool_mask = sum(1 << v for v in pool)
-    # Per pool link v, the weights of v and the pool links above it.
-    suffix, bound = {}, 0
-    if cut is not None:
-        for v in sorted(pool, reverse=True):
-            bound += weights[v]
-            suffix[v] = bound
     # (set, links it blocks, pool links above its last, total, skipped links
     # not yet blocked, bound)
-    stack = [(0, 0, pool_mask, 0, 0, bound)]
+    stack = [(0, 0, pool_mask, 0, 0, sum(weights[v] for v in pool) if cut is not None else 0)]
     push = stack.append
     while stack:
         current, blocked, above, total, skipped, bound = stack.pop()
@@ -232,24 +231,23 @@ def _independent_subsets(pool, completions, weights, *, maximal=False, cut=None)
                         least = reach
         # Children go on the stack highest link first, so the lowest pops
         # first; the links left in ``free`` are the ones each child skips.
+        # ``rest`` sums the weights of v and the free links above it.
+        rest = 0
         while free:
             v = free.bit_length() - 1
             low = 1 << v
             free ^= low
+            w = weights[v]
+            rest += w
+            if cut is not None and cut(total + rest, blocked):
+                continue
             child = current | low
             child_blocked = blocked
             for c in completions[v]:
                 rem = c & ~child
                 if not rem & (rem - 1):
                     child_blocked |= rem
-            push((
-                child,
-                child_blocked,
-                above & -(low << 1),
-                total + weights[v],
-                skipped | free,
-                total + suffix[v] if cut is not None else 0,
-            ))
+            push((child, child_blocked, above & -(low << 1), total + w, skipped | free, total + rest))
 
 
 def _check_limit(h: Hypergraph, limit, default):

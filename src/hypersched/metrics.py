@@ -68,7 +68,7 @@ def _setup(h: Hypergraph, limit):
     return den, rows, h.completions
 
 
-def _link_degrees(setup, i) -> tuple:
+def _link_degrees(setup, i, record=None) -> tuple:
     """Link i's Delta' and Delta'' from one walk of the independent subsets
     J of its neighbors, the keys of its delta row: the largest Delta-weight
     of any J, and 1 plus the largest of a J that does not block i (J + i is
@@ -76,9 +76,12 @@ def _link_degrees(setup, i) -> tuple:
 
     Records change only on a strict ``>``, so the walk drops a branch once
     its bound is at most the Delta' record and either at most the Delta''
-    record or the branch already blocks i (then every set below it does)."""
+    record or the branch already blocks i (then every set below it does).
+    Given a scaled ``record`` (``_sigma``), both degrees share one record
+    that starts there, and only the common value they return counts."""
     den, rows, completions = setup
-    best, witness, best2, witness2 = 0, 0, 0, 0
+    best = 0 if record is None else record
+    best2, witness, witness2 = best - den, 0, 0
     bit = 1 << i
 
     def cut(bound, blocked):
@@ -89,10 +92,22 @@ def _link_degrees(setup, i) -> tuple:
             best, witness = total, s
         if total > best2 and not blocked >> i & 1:
             best2, witness2 = total, s
+        if record is not None:
+            best, best2 = max(best, best2 + den), max(best2, best - den)
     return (
         LinkMetric(Fraction(best, den), frozenset(_members(witness))),
         LinkMetric(Fraction(den + best2, den), frozenset(_members(witness2))),
     )
+
+
+def _sigma(h: Hypergraph, limit: int | None = None) -> Fraction:
+    """``interference_metrics(h, limit).sigma`` by the same walks, each
+    only looking for a degree above the largest so far (at least 1)."""
+    setup = _setup(h, limit)
+    top = _ONE
+    for i in range(h.num_links):
+        top = max(m.value for m in _link_degrees(setup, i, int(top * setup[0])))
+    return top
 
 
 def delta_i_prime(h: Hypergraph, i: int, limit: int | None = None) -> LinkMetric:
@@ -159,7 +174,9 @@ def beta_by_enumeration(h: Hypergraph, limit: int | None = None) -> BetaWitness:
     every link's value at once.  Each field's top bit is a guard bit that a
     field's value never reaches, so ``((total | guard) - thr) & guard``
     subtracts ``best + 1`` field by field without borrows and leaves the
-    guard bit set exactly where a link beat its record."""
+    guard bit set exactly where a link beat its record.  The kernel's bound
+    packs every link's bound the same way, so one such test cuts a branch
+    where no link's bound beats its record."""
     den, rows, completions = _setup(h, limit)
     n = h.num_links
     width = (den + max(sum(row.values()) for row in rows) + 1).bit_length() + 1
@@ -173,7 +190,11 @@ def beta_by_enumeration(h: Hypergraph, limit: int | None = None) -> BetaWitness:
     best = [0] * n
     witness = [0] * n
     thr = sum(1 << (i * width) for i in range(n))
-    for s, total, _ in _independent_subsets(range(n), completions, weights):
+
+    def cut(bound, blocked):
+        return not ((bound | guard) - thr) & guard
+
+    for s, total, _ in _independent_subsets(range(n), completions, weights, cut=cut):
         beat = ((total | guard) - thr) & guard
         while beat:
             i = (beat.bit_length() - 1) // width

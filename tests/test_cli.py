@@ -401,13 +401,12 @@ class TestExitCodes:
         assert (code, out, err) == (2, "", message)
 
     def test_beta_differing_from_sigma_exits_2(self, files, capsys, monkeypatch):
-        real = cli.interference_metrics
+        real = cli._sigma
 
         def off_by_one(h, limit=None):
-            rep = real(h, limit)
-            return dataclasses.replace(rep, sigma=rep.sigma + 1)
+            return real(h, limit) + 1
 
-        monkeypatch.setattr(cli, "interference_metrics", off_by_one)
+        monkeypatch.setattr(cli, "_sigma", off_by_one)
         for extra in ([], ["--json"]):
             code, out, err = run(capsys, "beta", files["star"], *extra)
             assert (code, out) == (2, "")

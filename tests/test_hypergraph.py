@@ -560,6 +560,21 @@ class TestWalkYields:
                     )
 
 
+def reference_bounds(walk, pool, weights):
+    """Per set of an uncut ``walk`` (pre-order, parents first), its bound:
+    its total plus the weights of the pool links above its last member
+    that its parent does not block."""
+    blocked_by = {s: blocked for s, _, blocked in walk}
+    bounds = {}
+    for s, total, _ in walk:
+        last = s.bit_length() - 1
+        parent_blocked = blocked_by[s ^ 1 << last] if s else 0
+        bounds[s] = total + sum(
+            weights[v] for v in pool if v > last and not parent_blocked >> v & 1
+        )
+    return bounds
+
+
 class TestWalkOrder:
     """Without ``cut`` the kernel yields the very sequence of the frozen
     kernel in ``kernel_reference``, in both modes: ``chi-f``'s witness
@@ -601,17 +616,75 @@ class TestWalkOrder:
             assert list(got) == list(want)
 
     def test_bound_is_total_plus_the_pool_weights_above(self):
+        """A child's bound is its total plus the weights of its parent's
+        free links above its last member, the only pool links a set below
+        it can add; the root's is the whole pool's weight.  ``cut`` is asked
+        for each child, highest first, with its parent's ``blocked`` before
+        the child is built, and again when the child is popped, with its
+        own; no set below a popped set has a larger total than its bound."""
         for h, weights in self.cases():
             table = h.completions
             for pool in [range(h.num_links)] + [neighbors(h, i) for i in range(h.num_links)]:
-                bounds = []  # appending returns None, so nothing is cut
-                walk = list(hypergraph._independent_subsets(
-                    pool, table, weights, cut=lambda bound, blocked: bounds.append(bound)
-                ))
+                asks = []  # appending returns None, so nothing is cut
+                walk, popped = [], []
+                for item in hypergraph._independent_subsets(
+                    pool, table, weights, cut=lambda bound, blocked: asks.append((bound, blocked))
+                ):
+                    walk.append(item)
+                    popped.append(len(asks) - 1)
                 assert walk == list(kernel_reference.independent_subsets(pool, table, weights))
-                for (s, total, _), bound in zip(walk, bounds):
-                    top = s.bit_length()
-                    assert bound == total + sum(weights[v] for v in pool if v >= top)
+                bounds = reference_bounds(walk, pool, weights)
+                assert bounds[0] == sum(weights[v] for v in pool)
+                below, children = {}, {}
+                for s, total, _ in reversed(walk):
+                    below[s] = max(below.get(s, total), total)
+                    if s:
+                        parent = s ^ 1 << (s.bit_length() - 1)
+                        below[parent] = max(below.get(parent, 0), below[s])
+                        children.setdefault(parent, []).append(s)
+                for k, (s, total, blocked) in enumerate(walk):
+                    end = popped[k + 1] if k + 1 < len(walk) else len(asks)
+                    assert asks[popped[k]] == (bounds[s], blocked)
+                    pushed = sorted(children.get(s, ()), reverse=True)
+                    assert asks[popped[k] + 1:end] == [(bounds[c], blocked) for c in pushed]
+                    assert below[s] <= bounds[s]
+
+    def test_a_monotone_cut_drops_what_it_would_drop_at_pop(self):
+        """A cut that stays true as the record rises, as the bound falls
+        and as ``blocked`` grows, asked before each child is built and again
+        at pop, yields the frozen kernel's sequence less every set that it,
+        or an ancestor, fails when asked at pop alone: asking early drops
+        only what the pop would."""
+        for h, weights in list(self.cases())[:60]:
+            n = h.num_links
+            table = h.completions
+            for pool in [range(n)] + [neighbors(h, i) for i in range(0, n, 3)]:
+                want = list(kernel_reference.independent_subsets(pool, table, weights))
+                bounds = reference_bounds(want, pool, weights)
+                for x in range(0, n, 2):
+                    for rule in (
+                        lambda bound, blocked, record: bound <= record,
+                        lambda bound, blocked, record: bound <= record or blocked >> x & 1,
+                        lambda bound, blocked, record: bound <= record and blocked >> x & 1,
+                        lambda bound, blocked, record: bound <= record + 3 and blocked >> x & 1,
+                    ):
+                        kept, dropped, record = [], set(), -1
+                        for s, total, blocked in want:
+                            if s and s ^ 1 << (s.bit_length() - 1) in dropped:
+                                dropped.add(s)
+                            elif rule(bounds[s], blocked, record):
+                                dropped.add(s)
+                            else:
+                                kept.append((s, total, blocked))
+                                record = max(record, total)
+                        got, record = [], -1
+                        for item in hypergraph._independent_subsets(
+                            pool, table, weights,
+                            cut=lambda bound, blocked: rule(bound, blocked, record),
+                        ):
+                            got.append(item)
+                            record = max(record, item[1])
+                        assert got == kept
 
     def test_a_cut_set_takes_its_subtree_along(self):
         """``blocked`` only grows down a branch, so cutting every set that

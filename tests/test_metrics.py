@@ -34,6 +34,7 @@ from hypersched import (
     minimalize,
 )
 from hypersched.metrics import delta_i_doubleprime, delta_i_prime
+import beta_reference
 from conftest import (
     brute_automorphisms,
     built_star,
@@ -398,6 +399,83 @@ class TestBetaAgainstScan:
         with pytest.raises(SizeLimitExceeded) as err:
             beta_by_enumeration(Hypergraph(21))
         assert (err.value.n, err.value.limit) == (21, 20)
+
+
+def beta_families():
+    """The differential families of the beta and sigma tests: 300 random
+    hypergraphs on up to 14 links, tie-heavy k-uniform ones and stars."""
+    rng = random.Random(223)
+    for _ in range(300):
+        yield random_hypergraph(rng, max_links=14, max_edges=rng.randint(0, 20))
+    for k in (2, 3, 4, 5):
+        for _ in range(20):
+            yield random_hypergraph(rng, max_links=12, max_edges=12, min_size=k,
+                                    max_size=k, min_links=k + 2)
+    for petals in ((2,), (2, 2), (3,) * 5, (4,) * 4, (2, 3, 4, 5), (3, 3, 5, 5), (5, 5, 5)):
+        yield built_star(petals)
+
+
+def work_antichains():
+    """Ten seeded random antichains on 16-18 links for the work guards."""
+    rng = random.Random(211)
+    cases = []
+    for _ in range(10):
+        n = rng.randint(16, 18)
+        raw = [rng.sample(range(n), rng.randint(2, 4)) for _ in range(rng.randint(n, 2 * n))]
+        cases.append(minimalize(n, raw))
+    return cases
+
+
+class TestBetaAgainstFrozenOracle:
+    """beta's walk cuts every branch on which no link's bound can beat its
+    record; value, witness link and witness demand must be those of the
+    frozen unbounded walk in ``beta_reference``."""
+
+    def test_random_tie_heavy_and_star_families(self):
+        for h in beta_families():
+            assert beta_by_enumeration(h) == beta_reference.beta_by_enumeration(h)
+
+    def test_cut_walk_yields_under_a_quarter_of_the_sets(self, monkeypatch):
+        """Work counted, not timed: on ten random 16-18-link antichains the
+        cut walk yields under a quarter of the sets of the uncut one."""
+        cases = work_antichains()
+        unbounded = counted_walks(monkeypatch, bounded=False)
+        want = [beta_by_enumeration(h) for h in cases]
+        bounded = counted_walks(monkeypatch, bounded=True)
+        assert [beta_by_enumeration(h) for h in cases] == want
+        assert 0 < 4 * bounded[0] < unbounded[0]
+
+
+class TestSharedRecordSigma:
+    """``beta``'s cross-check takes sigma from the degree walks with one
+    record shared across links; it must equal the report's sigma."""
+
+    def test_equals_the_report_on_the_beta_families(self):
+        for h in beta_families():
+            assert metrics._sigma(h) == interference_metrics(h).sigma
+
+    def test_edgeless_and_no_neighbor_inputs(self):
+        for h in (Hypergraph(1), Hypergraph(6), Hypergraph(5, ((0, 1),))):
+            assert metrics._sigma(h) == interference_metrics(h).sigma == 1
+        assert metrics._sigma(Hypergraph(6, ((0, 1, 2),))) == F(3, 2)
+
+    def test_one_record_for_both_degrees_cuts_more(self, monkeypatch):
+        """Work counted: a Delta'' record lifts the Delta' one and back, so
+        on the work antichains the sigma walks yield under a third of the
+        sets of the report's walks; two separate records give about 0.38."""
+        cases = work_antichains()
+        count = counted_walks(monkeypatch, bounded=True)
+        for h in cases:
+            interference_metrics(h)
+        report, count[0] = count[0], 0
+        for h in cases:
+            metrics._sigma(h)
+        assert 0 < 3 * count[0] < report
+
+    def test_size_limit(self):
+        with pytest.raises(SizeLimitExceeded) as err:
+            metrics._sigma(Hypergraph(5, ((0, 1),)), limit=4)
+        assert (err.value.n, err.value.limit) == (5, 4)
 
 
 class TestRatioBounds:

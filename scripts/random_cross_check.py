@@ -10,11 +10,15 @@ Checks, on seeded random instances:
     each LP's witness is a valid schedule of total duration chi_f,
   - the maximal sets, in order, are the maximal ones among all independent
     sets,
+  - on a random admissible matrix other than delta (delta plus p/q, q in
+    2..7, on random neighbor pairs), the weighted condition's per-link sums
+    equal a dense Fraction recomputation,
   - the greedy pass succeeds under random orders whenever the weighted
     condition holds, and its interval assignment passes
     ``validate_assignment`` (each link's measure equals its demand and no
     edge is ever fully active),
-  - the per-step accounting inequality never fails.
+  - the per-step accounting inequality never fails for either matrix, and
+    its weighted side equals the dense recomputation.
 
 Exits nonzero if any check fails.
 """
@@ -28,9 +32,11 @@ from hypersched import (
     DemandVector,
     HyperschedError,
     ScheduleStuck,
+    WeightMatrix,
     b_bound,
     beta_by_enumeration,
     check_delta_condition,
+    check_weighted_condition,
     delta_matrix,
     enumerate_independent_sets,
     enumerate_maximal_independent_sets,
@@ -56,6 +62,32 @@ def random_hypergraph(rng, max_links, max_edges):
 def random_demand(rng, n):
     den = rng.choice([2, 3, 4, 6, 12])
     return DemandVector(tuple(Fraction(rng.randint(0, den), den) for _ in range(n)))
+
+
+def random_weights(rng, h):
+    """An admissible matrix other than delta: delta plus p/q, q in 2..7, on
+    random neighbor pairs, capped at 1 (edge row sums stay >= 1)."""
+    rows = [dict(row) for row in delta_matrix(h).rows]
+    for i, row in enumerate(rows):
+        for j in row:
+            if j > i and rng.random() < 0.5:
+                q = rng.randint(2, 7)
+                row[j] = rows[j][i] = min(Fraction(1), row[j] + Fraction(rng.randint(1, q), q))
+    return WeightMatrix(h.num_links, tuple(rows))
+
+
+def dense_sums(w, tau):
+    """tau[i] + sum_j W[i][j] * tau[j] over every j, in Fractions."""
+    n = len(tau)
+    return tuple(tau[i] + sum((w[i, j] * tau[j] for j in range(n)), Fraction(0)) for i in range(n))
+
+
+def dense_rhs(w, assigned, link):
+    """The weighted side of the step inequality, over every j, in Fractions."""
+    return sum(
+        (w[link, j] * js.measure for j, js in enumerate(assigned) if js is not None),
+        Fraction(0),
+    )
 
 
 def maximal_filter(h):
@@ -127,17 +159,17 @@ def main():
             print(f"[{k}] ratio sandwich broken: chi={chi} B={bound} sigma={sigma}")
             failures += 1
 
+        d, w = delta_matrix(h), random_weights(rng, h)
+        if check_weighted_condition(h, w, tau).per_link != dense_sums(w, tau):
+            print(f"[{k}] weighted sums differ from the dense recomputation on {h}")
+            failures += 1
         if check_delta_condition(h, tau).holds:
             greedy_runs += 1
-            w = delta_matrix(h)
             order = tuple(rng.sample(range(h.num_links), h.num_links))
             steps = []
             try:
                 assigned = greedy_schedule(
-                    h, tau, order,
-                    step_callback=lambda link, a: steps.append(
-                        greedy_step_bound(h, w, a, link)
-                    ),
+                    h, tau, order, step_callback=lambda link, a: steps.append((link, a))
                 )
                 validate_assignment(h, assigned, tau)
             except ScheduleStuck as e:
@@ -146,9 +178,11 @@ def main():
             except HyperschedError as e:
                 print(f"[{k}] greedy assignment rejected: {e}")
                 failures += 1
-            if any(lhs > rhs for lhs, rhs in steps):
-                print(f"[{k}] step accounting violated")
-                failures += 1
+            for m in (d, w):
+                bounds = [(greedy_step_bound(h, m, a, link), dense_rhs(m, a, link)) for link, a in steps]
+                if any(lhs > rhs or rhs != dense for (lhs, rhs), dense in bounds):
+                    print(f"[{k}] step accounting violated")
+                    failures += 1
 
     print(
         f"{args.count} instances checked, {greedy_runs} greedy runs, "

@@ -19,6 +19,7 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .errors import (
@@ -60,7 +61,6 @@ from .hypergraph import (
     minimalize,
     validate_hypergraph,
 )
-from .lp import _exact_sum
 from .metrics import (
     _sigma,
     b_bound,
@@ -262,10 +262,11 @@ def cmd_check(args, h, tau):
 def _checked_metrics(h, limit):
     """interference_metrics of ``h`` with every witness re-checked: each J
     lies in its link's neighborhood and holds no edge, nor does J + i for
-    Delta'', and the Delta-weight of J, summed exactly from delta_matrix
+    Delta'', and the Delta-weight of J, summed in delta_matrix's ints
     (plus 1 for Delta''), is the reported value."""
     rep = interference_metrics(h, limit)
-    for i, row in enumerate(delta_matrix(h).rows):
+    d = delta_matrix(h)
+    for i, row in enumerate(d.ints):
         for name, m, extra in (
             ("Delta'", rep.per_link_prime[i], ()),
             ("Delta''", rep.per_link_doubleprime[i], (i,)),
@@ -276,7 +277,7 @@ def _checked_metrics(h, limit):
             elif not is_independent(h, m.witness.union(extra)):
                 fault = "holds an edge" + (" with the link" if extra else "")
             else:
-                weight = _exact_sum([(1, 1)] * len(extra) + [row[j].as_integer_ratio() for j in m.witness])
+                weight = Fraction(d.den * len(extra) + sum(row[j] for j in m.witness), d.den)
                 if weight != m.value:
                     fault = f"gives {weight}"
             if fault:

@@ -13,6 +13,7 @@ from .errors import ParseError
 from .greedy import WeightMatrix
 from .hypergraph import Hypergraph
 from .intervals import IntervalSet
+from .lp import _over_lcm
 
 _MAX_DIGITS = 4300  # int() reads and prints no integer with more digits
 _TOO_LONG = 10**_MAX_DIGITS
@@ -109,19 +110,18 @@ def parse_weight_text(text, path="<input>", n=None):
     entries are kept (a `0` token is skipped without being parsed)."""
     rows = []
     widths = set()
-    # Weight files repeat a few values many times; each is parsed once.
+    # Weight files repeat a few values many times: each distinct token is
+    # parsed once, in first-occurrence order, and gets its int over the lcm
+    # of all of them once, after the last line.
     parsed = {}
-
-    def value(token, lineno):
-        v = parsed.get(token)
-        if v is None:
-            v = parsed[token] = _parse_fraction(token, path, lineno)
-        return v
-
     for lineno, line in _significant_lines(text):
         tokens = line.split()
         widths.add(len(tokens))
-        rows.append({j: value(t, lineno) for j, t in enumerate(tokens) if t != "0"})
+        row = {j: t for j, t in enumerate(tokens) if t != "0"}
+        for t in dict.fromkeys(row.values()):
+            if t not in parsed:
+                parsed[t] = _parse_fraction(t, path, lineno)
+        rows.append(row)
     if not rows:
         raise ParseError(path, 1, "empty weight matrix")
     width = widths.pop() if len(widths) == 1 else None
@@ -129,7 +129,9 @@ def parse_weight_text(text, path="<input>", n=None):
         raise ParseError(path, 1, f"weight matrix must be square, got {len(rows)} rows")
     if n is not None and width != n:
         raise ParseError(path, 1, f"weight matrix is {width}x{width}, hypergraph has {n} links")
-    return WeightMatrix(width, tuple(rows))
+    den, ints = _over_lcm(parsed.values())
+    int_of = dict(zip(parsed, ints)).__getitem__
+    return WeightMatrix(width, [dict(zip(row, map(int_of, row.values()))) for row in rows], den)
 
 
 def weight_row_line(text, row):

@@ -13,7 +13,8 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
+from itertools import islice, repeat
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -31,48 +32,56 @@ from .hypergraph import Hypergraph, neighbors
 from .intervals import IntervalSet
 # Wrapped by name by the benchmark's span tracer; the pass itself runs on ints.
 from .intervals import earliest_fit, intersect_all, union_all  # noqa: F401
-from .lp import _as_fraction, _exact_sum, _over_lcm
+from .lp import _as_fraction, _over_lcm
 
 _ZERO = Fraction(0)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False, eq=False)
 class WeightMatrix:
     """Symmetric rational matrix of pairwise interference weights, stored
-    sparsely.
+    sparsely on one integer base.
 
-    ``rows[i]`` maps each link j with W[i][j] != 0 to that weight, in
-    increasing j; ``w[i, j]`` reads 0 off that support.  Construction takes
-    ``n`` and one mapping ``{j: weight}`` per link, drops zero entries and
-    raises NonzeroDiagonal / NotSymmetric; :meth:`from_rows` takes dense rows.
-    The checks that need the hypergraph are :func:`validate_weight_matrix`.
+    ``ints[i]`` maps each link j with W[i][j] != 0 to W[i][j] * ``den``, in
+    increasing j, so every weighted sum adds ints and divides once.
+    ``rows`` gives the same maps as Fractions and ``w[i, j]`` reads 0 off
+    that support.  Construction takes ``n`` and one mapping ``{j: weight}``
+    per link (or, given ``den``, ``{j: int}`` maps over it in increasing j),
+    drops zero entries and raises NonzeroDiagonal / NotSymmetric;
+    :meth:`from_rows` takes dense rows.  The checks that need the hypergraph
+    are :func:`validate_weight_matrix`.
     """
 
     n: int
-    rows: tuple
+    den: int
+    ints: tuple
 
-    def __post_init__(self):
-        n = self.n
-        if len(self.rows) != n:
-            raise ValueError(f"weight matrix has {len(self.rows)} rows, expected {n}")
-        rows = []
-        for i, row in enumerate(self.rows):
-            kept = {}
-            for j in sorted(row):
-                v = _as_fraction(row[j])
-                if v:
-                    if not 0 <= j < n:
-                        raise ValueError(f"column {j} outside 0..{n - 1}")
-                    kept[j] = v
-            if i in kept:
-                raise NonzeroDiagonal(i, kept[i])
-            rows.append(kept)
+    def __init__(self, n, rows, den=None):
+        rows = tuple(rows)
+        if len(rows) != n:
+            raise ValueError(f"weight matrix has {len(rows)} rows, expected {n}")
+        if den is None:
+            cols = [sorted(row) for row in rows]
+            den, flat = _over_lcm(_as_fraction(row[j]) for row, js in zip(rows, cols) for j in js)
+            it = iter(flat)
+            rows = [dict(zip(js, it)) for js in cols]
+        kept = []
         for i, row in enumerate(rows):
+            if 0 in row.values():
+                row = {j: v for j, v in row.items() if v}
+            if row and (next(iter(row)) < 0 or next(reversed(row)) >= n):
+                j = next(j for j in row if not 0 <= j < n)
+                raise ValueError(f"column {j} outside 0..{n - 1}")
+            if i in row:
+                raise NonzeroDiagonal(i, Fraction(row[i], den))
+            kept.append(row)
+        for i, row in enumerate(kept):
             for j, v in row.items():
-                u = rows[j].get(i)
-                if u is not v and u != v:
+                if kept[j].get(i) != v:
                     raise NotSymmetric(min(i, j), max(i, j))
-        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "ints", tuple(kept))
 
     @classmethod
     def from_rows(cls, dense) -> "WeightMatrix":
@@ -83,9 +92,18 @@ class WeightMatrix:
             raise ValueError("weight matrix must be square")
         return cls(n, tuple(dict(enumerate(row)) for row in dense))
 
+    @property
+    def rows(self) -> tuple:
+        den = self.den
+        return tuple({j: Fraction(v, den) for j, v in row.items()} for row in self.ints)
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i].get(j, _ZERO)
+        v = self.ints[i].get(j)
+        return _ZERO if v is None else Fraction(v, self.den)
+
+    def __eq__(self, other):
+        return isinstance(other, WeightMatrix) and (self.n, self.rows) == (other.n, other.rows)
 
 
 def validate_weight_matrix(h: Hypergraph, w: WeightMatrix) -> None:
@@ -93,41 +111,46 @@ def validate_weight_matrix(h: Hypergraph, w: WeightMatrix) -> None:
     neighbor pairs, and row sums >= 1 within every edge.  Symmetry and the
     zero diagonal hold by construction.  Each check scans the stored entries
     in row-major order, so the first fault reported is the one a dense scan
-    would find first."""
+    would find first.  Entries and edge row sums are compared in ints with
+    ``w.den``; a Fraction is built only for the fault raised."""
     n = h.num_links
     if w.n != n:
         raise ValueError(f"matrix is {w.n}x{w.n}, hypergraph has {n} links")
-    for i, row in enumerate(w.rows):
-        for j, v in row.items():
-            if not 0 <= v.numerator <= v.denominator:
-                raise EntryOutOfRange(i, j, v)
-    for i, row in enumerate(w.rows):
+    den, ints = w.den, w.ints
+    for i, row in enumerate(ints):
+        if row and not 0 <= min(row.values()) <= max(row.values()) <= den:
+            j = next(j for j, v in row.items() if not 0 <= v <= den)
+            raise EntryOutOfRange(i, j, Fraction(row[j], den))
+    for i, row in enumerate(ints):
         if row:
             nbr = neighbors(h, i)
-            for j, v in row.items():
-                if j not in nbr:
-                    raise NonNeighborNonzero(i, j, v)
+            if not nbr.issuperset(row):
+                j = next(j for j in row if j not in nbr)
+                raise NonNeighborNonzero(i, j, Fraction(row[j], den))
+    zeros = repeat(0)
     for edge in h.edges:
         for i in edge:
-            row = w.rows[i]
-            total = _exact_sum(row[j].as_integer_ratio() for j in edge if j in row)
-            if total < 1:
-                raise EdgeRowSumTooSmall(edge, i, total)
+            total = sum(map(ints[i].get, edge, zeros))
+            if total < den:
+                raise EdgeRowSumTooSmall(edge, i, Fraction(total, den))
 
 
 def delta_matrix(h: Hypergraph) -> WeightMatrix:
     """Canonical admissible weights: for neighbors i, j the largest
-    1/(|E|-1) over the edges containing both, zero elsewhere."""
+    1/(|E|-1) over the edges containing both, zero elsewhere.  Written in
+    ints over the lcm of the distinct |E|-1."""
+    sizes = {len(e) for e in h.edges}
+    den, ints = _over_lcm(Fraction(1, k - 1) for k in sizes)
+    weight = dict(zip(sizes, ints))
     rows = [{} for _ in range(h.num_links)]
-    # Smallest edges first, so the first weight set for a pair is its largest.
-    for edge in sorted(h.edges, key=len):
-        wt = Fraction(1, len(edge) - 1)
+    # Largest edges first, so the last weight written for a pair is its largest.
+    for edge in sorted(h.edges, key=len, reverse=True):
+        m = dict.fromkeys(edge, weight[len(edge)])
         for i in edge:
-            row = rows[i]
-            for j in edge:
-                if j != i:
-                    row.setdefault(j, wt)
-    return WeightMatrix(h.num_links, tuple(rows))
+            rows[i].update(m)
+    for i, row in enumerate(rows):
+        row.pop(i, None)
+    return WeightMatrix(h.num_links, [dict(sorted(row.items())) for row in rows], den)
 
 
 class ConditionReport(NamedTuple):
@@ -136,15 +159,16 @@ class ConditionReport(NamedTuple):
 
 
 def _link_sums(w: WeightMatrix, tau) -> tuple:
-    """Per link i: tau[i] + sum_j W[i][j] * tau[j], over the stored entries."""
-    out = []
-    for t, row in zip(tau, w.rows):
-        terms = [t.as_integer_ratio()]
-        for j, v in row.items():
-            s = tau[j]
-            terms.append((v.numerator * s.numerator, v.denominator * s.denominator))
-        out.append(_exact_sum(terms))
-    return tuple(out)
+    """Per link i: tau[i] + sum_j W[i][j] * tau[j], over the stored entries,
+    in ints over ``w.den`` times the lcm of the demand denominators."""
+    tden, t = _over_lcm(tau)
+    wden = w.den
+    den = wden * tden
+    at = t.__getitem__
+    return tuple(
+        Fraction(ti * wden + sum(map(mul, row.values(), map(at, row))), den)
+        for ti, row in zip(t, w.ints)
+    )
 
 
 def check_edge_min_condition(h: Hypergraph, tau) -> ConditionReport:
@@ -293,17 +317,16 @@ def greedy_step_bound(h: Hypergraph, w: WeightMatrix, assigned, link) -> tuple:
     ``link``: measure of the blocked slots vs. the weighted sum of the
     already-scheduled demands.  For admissible ``w``, lhs <= rhs always.
     The blocked slots are found as in :func:`greedy_schedule`, in ints over
-    the lcm of the snapshot's endpoint denominators."""
+    the lcm of the snapshot's endpoint denominators, and the weighted sum
+    reads the scheduled measures in the same ints."""
     den, placed = _to_ints(assigned)
     free = sum(b - a for a, b in _gaps(_blocked(h, placed, link), den))
     lhs = Fraction(den - free, den)
-    rhs = _exact_sum(
-        (v.numerator * m.numerator, v.denominator * m.denominator)
-        for j, v in w.rows[link].items()
-        if assigned[j] is not None
-        for m in (assigned[j].measure,)
-    )
-    return lhs, rhs
+    rhs = 0
+    for j, v in w.ints[link].items():
+        if placed[j] is not None:
+            rhs += v * sum(b - a for a, b in placed[j])
+    return lhs, Fraction(rhs, w.den * den)
 
 
 def validate_assignment(h: Hypergraph, assigned, tau) -> None:

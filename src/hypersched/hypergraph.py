@@ -231,23 +231,26 @@ def _independent_subsets(pool, completions, weights, *, maximal=False, cut=None)
                         least = reach
         # Children go on the stack highest link first, so the lowest pops
         # first; the links left in ``free`` are the ones each child skips.
-        # ``rest`` sums the weights of v and the free links above it.
-        rest = 0
+        # Under a cut, ``rest`` sums the weights of v and the free links
+        # above it; an uncut walk carries no bound.
+        rest = bound = 0
         while free:
             v = free.bit_length() - 1
             low = 1 << v
             free ^= low
             w = weights[v]
-            rest += w
-            if cut is not None and cut(total + rest, blocked):
-                continue
+            if cut is not None:
+                rest += w
+                bound = total + rest
+                if cut(bound, blocked):
+                    continue
             child = current | low
             child_blocked = blocked
             for c in completions[v]:
                 rem = c & ~child
                 if not rem & (rem - 1):
                     child_blocked |= rem
-            push((child, child_blocked, above & -(low << 1), total + w, skipped | free, total + rest))
+            push((child, child_blocked, above & -(low << 1), total + w, skipped | free, bound))
 
 
 def _check_limit(h: Hypergraph, limit, default):

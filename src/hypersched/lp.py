@@ -61,15 +61,6 @@ def _over_lcm(values) -> tuple:
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-def _exact_sum(terms) -> Fraction:
-    """Sum of ``(numerator, denominator)`` pairs, taken in ints over their
-    common denominator and normalized once, instead of adding Fractions one
-    by one (each addition normalizes)."""
-    terms = list(terms)
-    den = math.lcm(*(d for _, d in terms))
-    return Fraction(sum(n * (den // d) for n, d in terms), den)
-
-
 @dataclasses.dataclass(frozen=True)
 class LinearProgram:
     """maximize (or minimize) objective . x subject to the constraint rows.

@@ -26,7 +26,6 @@ from .hypergraph import (
     enumerate_independent_sets,  # noqa: F401
     neighbors,  # noqa: F401
 )
-from .lp import _over_lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -49,15 +48,13 @@ class LinkMetric(NamedTuple):
 
 
 def _delta_int_rows(h: Hypergraph):
-    """Delta matrix scaled to integers by the lcm of its denominators, as one
-    ``{j: int}`` map per link over its neighbors.
+    """The delta matrix's int base: ``(den, rows)``, one ``{j: int}`` map
+    per link over its neighbors, W[i][j] * den.
 
     Exact speed trick: the subset searches below then run on plain ints.
     """
-    d = delta_matrix(h).rows
-    den, ints = _over_lcm(v for row in d for v in row.values())
-    it = iter(ints)
-    return den, [dict(zip(row, it)) for row in d]
+    d = delta_matrix(h)
+    return d.den, d.ints
 
 
 def _setup(h: Hypergraph, limit):

@@ -1,9 +1,9 @@
 """The int-over-lcm scaling lives in one module.
 
-Every exact quantity the package computes in ints over a common denominator
-goes through ``lp._over_lcm`` or ``lp._exact_sum``.  The package modules are
-read as syntax trees, nothing is imported, and ``lcm`` (as a name, an
-attribute or an imported alias) may appear only in ``lp.py``.
+Every exact quantity the package computes in ints over a common
+denominator, weight matrices included, is scaled by ``lp._over_lcm``.  The
+package modules are read as syntax trees, nothing is imported, and ``lcm``
+(as a name, an attribute or an imported alias) may appear only in ``lp.py``.
 """
 
 import ast

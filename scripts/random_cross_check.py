@@ -8,6 +8,9 @@ Checks, on seeded random instances:
   - chi_f <= B <= sigma * chi_f for nonzero demands,
   - chi_f over the maximal sets == chi_f over all independent sets, and
     each LP's witness is a valid schedule of total duration chi_f,
+  - the duals y of the covering LP over the maximal sets certify chi_f:
+    y >= 0, y . tau == chi_f, and y(S) <= 1 for every independent set S
+    (all of them, not only the maximal columns that priced the LP),
   - the maximal sets, in order, are the maximal ones among all independent
     sets,
   - on a random admissible matrix other than delta (delta plus p/q, q in
@@ -27,8 +30,10 @@ import argparse
 import random
 import sys
 from fractions import Fraction
+from operator import mul
 
 from hypersched import (
+    CoveringProgram,
     DemandVector,
     HyperschedError,
     ScheduleStuck,
@@ -45,6 +50,7 @@ from hypersched import (
     greedy_step_bound,
     interference_metrics,
     minimalize,
+    solve_lp,
     validate_assignment,
     validate_schedule,
 )
@@ -150,6 +156,15 @@ def main():
             except HyperschedError as e:
                 print(f"[{k}] chi_f witness over {columns} sets rejected: {e}")
                 failures += 1
+        columns = [sorted(s) for s in enumerate_maximal_independent_sets(h)]
+        sol = solve_lp(CoveringProgram(columns, tau), "min")
+        y = sol.duals
+        if sol.value != chi or min(y) < 0 or sum(map(mul, y, tau)) != chi:
+            print(f"[{k}] covering LP value {sol.value}, duals {list(map(str, y))} do not certify chi_f = {chi} on {h}")
+            failures += 1
+        if any(sum((y[i] for i in s), Fraction(0)) > 1 for s in enumerate_independent_sets(h)):
+            print(f"[{k}] covering LP duals {list(map(str, y))} give some independent set more than 1 on {h}")
+            failures += 1
         if enumerate_maximal_independent_sets(h) != maximal_filter(h):
             print(f"[{k}] maximal sets differ from the filter of all sets on {h}")
             failures += 1

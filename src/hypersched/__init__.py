@@ -13,7 +13,6 @@ from .errors import (
     EntryOutOfRange,
     HypergraphInvalid,
     HyperschedError,
-    InsufficientRoom,
     InvalidWeightMatrix,
     LinkOutOfRange,
     NonNeighborNonzero,
@@ -39,7 +38,7 @@ from .hypergraph import (
     neighbors,
     validate_hypergraph,
 )
-from .intervals import IntervalSet, earliest_fit
+from .intervals import IntervalSet
 from .lp import CoveringProgram, LinearProgram, LpSolution, LpStatus, solve_lp
 from .feasibility import (
     ChiFResult,

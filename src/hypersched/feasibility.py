@@ -76,7 +76,7 @@ class Schedule:
     def __post_init__(self):
         norm = []
         for links, duration in self.entries:
-            d = Fraction(duration)
+            d = _as_fraction(duration)
             if d < 0:
                 raise ValueError(f"negative duration {d} for set {sorted(links)}")
             norm.append((frozenset(links), d))

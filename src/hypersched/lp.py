@@ -15,12 +15,12 @@ vector ``u = c_B * R`` with its objective entry.  Any other tableau entry is
 computed when it is needed, as ``R[i] . A_j``; it is a minor of the starting
 system (Cramer's rule), so it is an exact integer.  Each pivot is the
 Edmonds/Bareiss fraction-free update (Edmonds, J. Res. NBS 1967; Bareiss,
-Math. Comp. 1968) of those (m + 1) x (m + 1) integers, so the pivot loop does
-no ``Fraction`` arithmetic.  Inputs and results are ``fractions.Fraction``;
-an Optimal result is re-checked in the scaled integers before it is
-returned, satisfies every constraint exactly, with no tolerance anywhere,
-and carries one exact dual value per constraint.  Variables are implicitly
-nonnegative.
+Math. Comp. 1968) of those (m + 1) x (m + 1) integers; the core does no
+``Fraction`` arithmetic and returns ints, of which ``solve_lp`` builds each
+result ``Fraction`` once.  An Optimal result is re-checked in the scaled
+integers first, satisfies every constraint exactly, with no tolerance
+anywhere, and carries one exact dual value per constraint.  Variables are
+implicitly nonnegative.
 
 Pivot selection is deterministic (lowest eligible index), so identical inputs
 always produce identical assignments.
@@ -262,13 +262,13 @@ def _run_simplex(M, basis, d, cols, cost):
         d = _pivot(M, basis, d, leave, enter, a)
 
 
-def _solve_columns(cols, rels, b, cost) -> LpSolution:
+def _solve_columns(cols, rels, b, cost) -> tuple:
     """Maximize ``cost . x`` over ``x >= 0`` subject to row ``i``:
     ``sum_j A_ij x_j  rels[i]  b[i]``, all in integers.  Column ``j`` of ``A``
     is the sparse ``cols[j] = (rows, values)``: ``values`` is the list of
     its nonzero ints, or one int when every entry is that int (a covering,
     slack or artificial column); every ``b[i]`` is nonnegative.  Returns the
-    exact LpSolution of this problem; its duals price ``b``."""
+    LpStatus and, if optimal, ints ``(d, value, x, y)`` over ``d``; y prices b."""
     n = len(cols)
     m = len(rels)
     cols = list(cols)
@@ -303,7 +303,7 @@ def _solve_columns(cols, rels, b, cost) -> LpSolution:
             )
         M.pop()
         if sum(M[i][-1] for i in range(m) if basis[i] >= art_start) != 0:
-            return LpSolution(LpStatus.INFEASIBLE)
+            return LpStatus.INFEASIBLE, None
         # Drive leftover artificials out of the basis; drop redundant rows.
         keep = []
         for i in range(m):
@@ -324,7 +324,7 @@ def _solve_columns(cols, rels, b, cost) -> LpSolution:
     M.append(u)
     status, d = _run_simplex(M, basis, d, cols[:art_start], [*cost, *[0] * (art_start - n)])
     if status == "unbounded":
-        return LpSolution(LpStatus.UNBOUNDED)
+        return LpStatus.UNBOUNDED, None
     u = M.pop()
 
     # Re-check the answer in the scaled integers: every row holds at x, and
@@ -349,16 +349,16 @@ def _solve_columns(cols, rels, b, cost) -> LpSolution:
     if sum(u[i] * b[i] for i in keep) != primal:
         raise SolverInvariantError("the duals do not price the right-hand side at the optimum")
 
-    x = [_ZERO] * n
+    x = [0] * n
     for r, bi in zip(M, basis):
         if bi < n:
-            x[bi] = Fraction(r[-1], d)
+            x[bi] = r[-1]
     # Row i's slack or artificial column is +-e_i, so its dual is read from
     # that column's reduced cost, u[i].
-    duals = [_ZERO] * m
+    y = [0] * m
     for i in keep:
-        duals[i] = Fraction(u[i], d)
-    return LpSolution(LpStatus.OPTIMAL, Fraction(primal, d), tuple(x), tuple(duals))
+        y[i] = u[i]
+    return LpStatus.OPTIMAL, (d, primal, x, y)
 
 
 def solve_lp(lp, sense: str = "max") -> LpSolution:
@@ -369,14 +369,14 @@ def solve_lp(lp, sense: str = "max") -> LpSolution:
     # The integer problem's row i is row_scales[i] times the caller's, its
     # objective is obj_scale times the caller's, and its variables are
     # var_scale times the caller's; every b[i] >= 0.  A min problem is
-    # solved as the max of the negated objective.
+    # solved as the max of the negated objective.  Each result is one
+    # Fraction of the core's ints over d times the caller's scale.
     cols, rels, b, row_scales, cost, obj_scale, var_scale = lp._integer_form()
     flip = 1 if sense == "max" else -1
-    sol = _solve_columns(cols, rels, b, [flip * c for c in cost])
-    if sol.status is not LpStatus.OPTIMAL:
-        return sol
-    x = sol.assignment
-    if var_scale != 1:
-        x = tuple(v / var_scale for v in x)
-    duals = tuple(y * (flip * s) / obj_scale for y, s in zip(sol.duals, row_scales))
-    return LpSolution(LpStatus.OPTIMAL, flip * sol.value / obj_scale, x, duals)
+    status, ints = _solve_columns(cols, rels, b, [flip * c for c in cost])
+    if ints is None:
+        return LpSolution(status)
+    d, value, x, y = ints
+    x = tuple(Fraction(v, d * var_scale) for v in x)
+    duals = tuple(Fraction(flip * s * v, d * obj_scale) for v, s in zip(y, row_scales))
+    return LpSolution(status, Fraction(flip * value, d * obj_scale), x, duals)

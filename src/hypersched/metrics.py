@@ -47,25 +47,14 @@ class LinkMetric(NamedTuple):
     witness: frozenset
 
 
-def _delta_int_rows(h: Hypergraph):
-    """The delta matrix's int base: ``(den, rows)``, one ``{j: int}`` map
-    per link over its neighbors, W[i][j] * den.
-
-    Exact speed trick: the subset searches below then run on plain ints.
-    """
-    d = delta_matrix(h)
-    return d.den, d.ints
-
-
 def _setup(h: Hypergraph, limit):
-    """What every per-link degree search of ``h`` shares: the scaled delta
-    rows and the completion table."""
+    """What every per-link degree search of ``h`` shares: the delta matrix,
+    whose ``ints`` rows over ``den`` they walk, and the completion table."""
     _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
-    den, rows = _delta_int_rows(h)
-    return den, rows, h.completions
+    return delta_matrix(h), h.completions
 
 
-def _link_degrees(setup, i, record=None) -> tuple:
+def _link_degrees(setup, i) -> tuple:
     """Link i's Delta' and Delta'' from one walk of the independent subsets
     J of its neighbors, the keys of its delta row: the largest Delta-weight
     of any J, and 1 plus the largest of a J that does not block i (J + i is
@@ -73,24 +62,20 @@ def _link_degrees(setup, i, record=None) -> tuple:
 
     Records change only on a strict ``>``, so the walk drops a branch once
     its bound is at most the Delta' record and either at most the Delta''
-    record or the branch already blocks i (then every set below it does).
-    Given a scaled ``record`` (``_sigma``), both degrees share one record
-    that starts there, and only the common value they return counts."""
-    den, rows, completions = setup
-    best = 0 if record is None else record
-    best2, witness, witness2 = best - den, 0, 0
+    record or the branch already blocks i (then every set below it does)."""
+    w, completions = setup
+    den, row = w.den, w.ints[i]
+    best, best2, witness, witness2 = 0, -den, 0, 0
     bit = 1 << i
 
     def cut(bound, blocked):
         return bound <= best and (bound <= best2 or blocked & bit)
 
-    for s, total, blocked in _independent_subsets(rows[i], completions, rows[i], cut=cut):
+    for s, total, blocked in _independent_subsets(row, completions, row, cut=cut):
         if total > best:
             best, witness = total, s
         if total > best2 and not blocked >> i & 1:
             best2, witness2 = total, s
-        if record is not None:
-            best, best2 = max(best, best2 + den), max(best2, best - den)
     return (
         LinkMetric(Fraction(best, den), frozenset(_members(witness))),
         LinkMetric(Fraction(den + best2, den), frozenset(_members(witness2))),
@@ -98,13 +83,20 @@ def _link_degrees(setup, i, record=None) -> tuple:
 
 
 def _sigma(h: Hypergraph, limit: int | None = None) -> Fraction:
-    """``interference_metrics(h, limit).sigma`` by the same walks, each
-    only looking for a degree above the largest so far (at least 1)."""
-    setup = _setup(h, limit)
-    top = _ONE
-    for i in range(h.num_links):
-        top = max(m.value for m in _link_degrees(setup, i, int(top * setup[0])))
-    return top
+    """``interference_metrics(h, limit).sigma`` by the per-link walks of
+    ``_link_degrees`` with one scaled record ``top`` (sigma >= 1) for both
+    degrees of every link: a J that does not block i counts ``den`` more."""
+    w, completions = _setup(h, limit)
+    den = top = w.den
+
+    def cut(bound, blocked):
+        return bound <= top and (bound <= top - den or blocked & bit)
+
+    for i, row in enumerate(w.ints):
+        bit = 1 << i
+        for _, total, blocked in _independent_subsets(row, completions, row, cut=cut):
+            top = max(top, total if blocked & bit else total + den)
+    return Fraction(top, den)
 
 
 def delta_i_prime(h: Hypergraph, i: int, limit: int | None = None) -> LinkMetric:
@@ -166,7 +158,7 @@ def beta_by_enumeration(h: Hypergraph, limit: int | None = None) -> BetaWitness:
     The witness is the lexicographically first (link, set) attaining it.
 
     One walk of the independent sets serves every link: link i's scaled
-    bound on a set S, sum over j in S of rows[i][j] plus den if i is in S,
+    bound on a set S, sum over j in S of ints[i][j] plus den if i is in S,
     lives in bit field i of one packed int, so the walk's running total is
     every link's value at once.  Each field's top bit is a guard bit that a
     field's value never reaches, so ``((total | guard) - thr) & guard``
@@ -174,12 +166,12 @@ def beta_by_enumeration(h: Hypergraph, limit: int | None = None) -> BetaWitness:
     guard bit set exactly where a link beat its record.  The kernel's bound
     packs every link's bound the same way, so one such test cuts a branch
     where no link's bound beats its record."""
-    den, rows, completions = _setup(h, limit)
-    n = h.num_links
-    width = (den + max(sum(row.values()) for row in rows) + 1).bit_length() + 1
+    w, completions = _setup(h, limit)
+    den, n = w.den, h.num_links
+    width = (den + max(sum(row.values()) for row in w.ints) + 1).bit_length() + 1
     field = (1 << width) - 1
     weights = [0] * n
-    for i, row in enumerate(rows):
+    for i, row in enumerate(w.ints):
         for j, v in row.items():
             weights[j] += v << (i * width)
         weights[i] += den << (i * width)

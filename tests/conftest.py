@@ -45,6 +45,20 @@ def zeros(n):
     return DemandVector((Fraction(0),) * n)
 
 
+def fraction_counter(monkeypatch):
+    """Count every Fraction built from now until ``monkeypatch.undo()``;
+    returns the one-element count list."""
+    made = [0]
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return made
+
+
 def is_feasible(h, tau):
     """True iff some schedule of total duration <= 1 satisfies ``tau``."""
     return fractional_chromatic_number(h, tau).value <= 1

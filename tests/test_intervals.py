@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypersched import InsufficientRoom, IntervalSet, earliest_fit
-from hypersched.intervals import union_all
+from hypersched.errors import InsufficientRoom
+from hypersched.intervals import IntervalSet, earliest_fit, union_all
 
 F = Fraction
 

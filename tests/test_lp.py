@@ -12,6 +12,7 @@ from hypersched import (
     LinearProgram,
     LpStatus,
     SolverInvariantError,
+    enumerate_maximal_independent_sets,
     fractional_chromatic_number,
     solve_lp,
 )
@@ -19,7 +20,7 @@ from hypersched import feasibility
 from hypersched import lp as lp_module
 
 import lp_reference
-from conftest import random_hypergraph
+from conftest import fraction_counter, random_demand, random_hypergraph
 
 
 def check_exact(lp, sol):
@@ -330,6 +331,37 @@ class TestSolverInvariants:
         with pytest.raises(SolverInvariantError, match=match):
             solve_lp(lp, sense)
         assert len(pivots) > 1
+
+
+class TestFractionBoundary:
+    """The integer core hands back ints, and ``solve_lp`` builds each result
+    Fraction once: the value, each assignment entry and each dual."""
+
+    def test_chi_f_covering_lps(self, monkeypatch):
+        rng = random.Random(151)
+        cases = []
+        for _ in range(20):
+            h = random_hypergraph(rng, max_links=10)
+            sets = [sorted(s) for s in enumerate_maximal_independent_sets(h)]
+            cases.append(CoveringProgram(sets, random_demand(rng, h.num_links)))
+        made = fraction_counter(monkeypatch)
+        core, real = [], lp_module._solve_columns
+
+        def counted(*args):
+            before = made[0]
+            out = real(*args)
+            core.append(made[0] - before)
+            return out
+
+        monkeypatch.setattr(lp_module, "_solve_columns", counted)
+        counts = []
+        for lp in cases:
+            made[0] = 0
+            sol = solve_lp(lp, "min")
+            counts.append((made[0], 1 + len(sol.assignment) + len(sol.duals)))
+        monkeypatch.undo()
+        assert core == [0] * len(cases)
+        assert all(got == want for got, want in counts)
 
 
 class TestReferenceSolver:

@@ -38,6 +38,7 @@ import beta_reference
 from conftest import (
     brute_automorphisms,
     built_star,
+    fraction_counter,
     is_feasible,
     permute_demand,
     random_demand,
@@ -261,7 +262,7 @@ class TestDeltaRowPool:
         randoms = [random_hypergraph(rng, max_links=14, max_edges=12) for _ in range(60)]
         stars = [built_star(sizes) for sizes in ([2], [2, 4], [3] * 12, [4] * 8, [2, 3, 4, 5, 6])]
         for h in randoms + stars:
-            _, rows = metrics._delta_int_rows(h)
+            rows = delta_matrix(h).ints
             assert [set(row) for row in rows] == [neighbors(h, i) for i in range(h.num_links)]
 
 
@@ -338,7 +339,8 @@ def reference_beta(h):
     """The links x independent sets scan, link-major: the first link and
     then the first set, in enumeration order, whose per-link bound beats
     everything seen before."""
-    den, rows = metrics._delta_int_rows(h)
+    w = delta_matrix(h)
+    den, rows = w.den, w.ints
     sets = [sorted(s) for s in enumerate_independent_sets(h)]
     best, link, members = None, 0, []
     for i in range(h.num_links):
@@ -375,7 +377,7 @@ class TestBetaAgainstScan:
 
     def test_mixed_edge_sizes_widen_the_fields(self):
         chain = Hypergraph(15, ((0, 1, 2, 3), (3, 4, 5, 6, 7), (7, 8, 9, 10, 11, 12), (12, 13)))
-        assert metrics._delta_int_rows(chain)[0] == 60
+        assert delta_matrix(chain).den == 60
         assert_beta_matches_reference(chain)
         rng = random.Random(139)
         wide = 0
@@ -383,7 +385,7 @@ class TestBetaAgainstScan:
             n = rng.randint(10, 14)
             sizes = [4, 5, 6] + [rng.randint(2, 7) for _ in range(rng.randint(0, 3))]
             h = minimalize(n, [rng.sample(range(n), k) for k in sizes])
-            wide += metrics._delta_int_rows(h)[0] >= 60
+            wide += delta_matrix(h).den >= 60
             assert_beta_matches_reference(h)
         assert wide >= 10
 
@@ -476,6 +478,34 @@ class TestSharedRecordSigma:
         with pytest.raises(SizeLimitExceeded) as err:
             metrics._sigma(Hypergraph(5, ((0, 1),)), limit=4)
         assert (err.value.n, err.value.limit) == (5, 4)
+
+
+class TestSigmaWalk:
+    """``_sigma`` walks with one int record of its own, not as a mode of the
+    degree walks: the same sets as their shared record, and one Fraction."""
+
+    def test_yields_the_shared_record_sets(self, monkeypatch):
+        """Work counted: the sets that the degree walks with one shared
+        record yielded on the work antichains and the beta families."""
+        count = counted_walks(monkeypatch, bounded=True)
+        for h in work_antichains():
+            metrics._sigma(h)
+        work, count[0] = count[0], 0
+        for h in beta_families():
+            metrics._sigma(h)
+        assert (work, count[0]) == (1341, 11446)
+
+    def test_one_fraction_beyond_the_delta_matrix(self, monkeypatch):
+        made = fraction_counter(monkeypatch)
+        counts = []
+        for h in work_antichains():
+            made[0] = 0
+            delta_matrix(h)
+            matrix, made[0] = made[0], 0
+            metrics._sigma(h)
+            counts.append((made[0], matrix + 1))
+        monkeypatch.undo()
+        assert all(got == want for got, want in counts)
 
 
 class TestRatioBounds:

@@ -21,7 +21,13 @@ Checks, on seeded random instances:
     ``validate_assignment`` (each link's measure equals its demand and no
     edge is ever fully active),
   - the per-step accounting inequality never fails for either matrix, and
-    its weighted side equals the dense recomputation.
+    its weighted side equals the dense recomputation,
+  - on a random ``LinearProgram`` with wide entries (coefficients up to
+    about 10^12, right-hand sides over denominators up to 10^9, all three
+    relations, either sense), an optimal answer is primal feasible, its
+    duals have the sign each relation and the sense allow, each column's
+    dual sum lies on the right side of its objective entry, and the value
+    equals both c . x and y . b, all recomputed in Fractions.
 
 Exits nonzero if any check fails.
 """
@@ -36,6 +42,8 @@ from hypersched import (
     CoveringProgram,
     DemandVector,
     HyperschedError,
+    LinearProgram,
+    LpStatus,
     ScheduleStuck,
     WeightMatrix,
     b_bound,
@@ -96,6 +104,53 @@ def dense_rhs(w, assigned, link):
     )
 
 
+def random_wide_lp(rng):
+    """Up to 5 variables and 5 rows with coefficients up to about 10^12,
+    all three relations and right-hand sides of either sign over
+    denominators up to 10^9."""
+    n = rng.randint(1, 5)
+
+    def coefficient():
+        return Fraction(rng.randint(-4, 6) * rng.randint(1, 10**12), rng.choice((1, 2, 3, 5)))
+
+    rows = tuple(
+        (
+            tuple(coefficient() for _ in range(n)),
+            rng.choice(("<=", ">=", "=")),
+            Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)),
+        )
+        for _ in range(rng.randint(1, 5))
+    )
+    objective = tuple(Fraction(rng.randint(-4, 6), rng.choice((1, 2, 3))) for _ in range(n))
+    return LinearProgram(n, objective, rows)
+
+
+def lp_faults(lp, sense, sol):
+    """What an optimal ``sol`` of ``lp`` gets wrong, recomputed in Fractions:
+    primal feasibility, the dual signs, each column's dual sum against its
+    objective entry, and the value against c . x and y . b."""
+    x, y = sol.assignment, sol.duals
+    s = 1 if sense == "max" else -1
+    faults = []
+    if any(v < 0 for v in x):
+        faults.append("a variable is negative")
+    for i, ((coeffs, rel, rhs), v) in enumerate(zip(lp.constraints, y)):
+        lhs = sum(map(mul, coeffs, x), Fraction(0))
+        if not (lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs):
+            faults.append(f"row {i} does not hold")
+        if (rel == "<=" and s * v < 0) or (rel == ">=" and s * v > 0):
+            faults.append(f"dual {i} has the wrong sign")
+    for j, c in enumerate(lp.objective):
+        column = sum((v * coeffs[j] for v, (coeffs, _, _) in zip(y, lp.constraints)), Fraction(0))
+        if s * column < s * c:
+            faults.append(f"column {j}'s dual sum is on the wrong side of its objective entry")
+    if sum(map(mul, lp.objective, x), Fraction(0)) != sol.value:
+        faults.append("the value is not c . x")
+    if sum((v * rhs for v, (_, _, rhs) in zip(y, lp.constraints)), Fraction(0)) != sol.value:
+        faults.append("the value is not y . b")
+    return faults
+
+
 def maximal_filter(h):
     """The maximal sets among all independent sets, in their order."""
     sets = enumerate_independent_sets(h)
@@ -129,8 +184,11 @@ def main():
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
+    # The wide LPs draw from their own stream, so the instances do not depend on them.
+    lp_rng = random.Random(f"wide-lp:{args.seed}")
     failures = 0
     greedy_runs = 0
+    wide_optimal = 0
     for k in range(args.count):
         h = random_hypergraph(rng, args.max_links, args.max_edges)
         tau = random_demand(rng, h.num_links)
@@ -199,9 +257,17 @@ def main():
                     print(f"[{k}] step accounting violated")
                     failures += 1
 
+        lp, sense = random_wide_lp(lp_rng), lp_rng.choice(("max", "min"))
+        sol = solve_lp(lp, sense)
+        if sol.status is LpStatus.OPTIMAL:
+            wide_optimal += 1
+            for fault in lp_faults(lp, sense, sol):
+                print(f"[{k}] wide LP ({sense}): {fault}")
+                failures += 1
+
     print(
         f"{args.count} instances checked, {greedy_runs} greedy runs, "
-        f"{failures} failures"
+        f"{wide_optimal} wide LPs optimal, {failures} failures"
     )
     return 1 if failures else 0
 

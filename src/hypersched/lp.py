@@ -7,20 +7,48 @@ lists, each row covered to its demand; the fractional chromatic number's
 LP).  Either is scaled to integers by one common factor for every row, so
 the constraint matrix becomes sparse integer columns, and handed to the
 integer core ``_solve_columns``.  A covering column is built straight from
-its row list with the value 1, and priced as a plain sum.
+its row list with the value 1.
 
 The core keeps no tableau: it keeps ``R = d * B^-1`` (``B`` the basis matrix,
-``d`` the common denominator), the scaled basic solution, and the pricing
-vector ``u = c_B * R`` with its objective entry.  Any other tableau entry is
-computed when it is needed, as ``R[i] . A_j``; it is a minor of the starting
-system (Cramer's rule), so it is an exact integer.  Each pivot is the
-Edmonds/Bareiss fraction-free update (Edmonds, J. Res. NBS 1967; Bareiss,
-Math. Comp. 1968) of those (m + 1) x (m + 1) integers; the core does no
-``Fraction`` arithmetic and returns ints, of which ``solve_lp`` builds each
-result ``Fraction`` once.  An Optimal result is re-checked in the scaled
-integers first, satisfies every constraint exactly, with no tolerance
-anywhere, and carries one exact dual value per constraint.  Variables are
-implicitly nonnegative.
+``d`` the common denominator), the scaled basic solution ``d * x_B``, and the
+pricing vector ``u = c_B * R`` with its objective entry ``u . b``, packed by
+column.  Column ``k`` of ``R`` is one Python int holding ``R[i][k]`` in the
+signed ``w``-bit field ``i`` (bits ``w*i`` up) of each basis row ``i`` and
+``u[k]`` in the top field ``m``; the right-hand side is one more such int,
+``d * x_B`` below and ``u . b`` on top.  Adding such ints, or multiplying one
+by an int, acts on every field at once, and a result decodes field by field
+as long as each of its fields is below ``2^(w-1)`` in magnitude.
+
+Field width.  Every entry of ``R``, ``d * x_B``, ``d`` and every tableau
+entry ``R[i] . A_j`` is, up to sign, an ``m x m`` minor of the starting
+system ``[A | slacks | artificials | b]`` (Cramer's rule; every row has a
+unit column), so by Hadamard's inequality at most ``H``, the product of the
+``m`` largest column norms.  ``u[k]``, ``u . b`` and the reduced costs
+``u . A_j - d * c_j`` combine at most ``m + 1`` such minors with costs, so
+they are at most ``(m + 1) * max(1, |c|) * H``.  ``_width`` derives ``w``
+from that bound once per solve.
+
+Pivot.  Each pivot is the Edmonds/Bareiss fraction-free update (Edmonds,
+J. Res. NBS 1967; Bareiss, Math. Comp. 1968): one exact multiply-add per
+packed column, ``(p * c - c[row] * a') // d``, with ``a'`` the entering
+tableau column whose field ``row`` is set to ``p - d``.  Every field of the
+numerator is divisible by ``d``, so one floor division divides each field
+exactly.  The entering tableau column is the sum of the packed columns of
+``R`` on its rows, times its entries.  One routine, ``_pivot``, serves
+phase 1, the drive-out of leftover artificials and phase 2.
+
+Pricing.  The set columns are packed ``_CHUNK`` at a time, one int per row
+holding the row's entries of the chunk's columns, so a chunk's reduced costs
+are ``m`` multiply-adds of ``u[i]`` with those ints.  Biased by ``2^(w-1)``,
+a field is negative exactly when its top bit is clear, and the lowest such
+bit gives Bland's column; the scan stops at the first chunk that holds one.
+The slack and artificial columns, each ``+-e_i``, price as ``+-u[i]``.
+
+The core does no ``Fraction`` arithmetic and returns ints, of which
+``solve_lp`` builds each result ``Fraction`` once.  An Optimal result is
+re-checked in the scaled integers first, satisfies every constraint exactly,
+with no tolerance anywhere, and carries one exact dual value per constraint.
+Variables are implicitly nonnegative.
 
 Pivot selection is deterministic (lowest eligible index), so identical inputs
 always produce identical assignments.
@@ -179,87 +207,186 @@ class LpSolution:
     duals: tuple | None = None
 
 
-def _dot(r, col):
-    """``r . col`` for the sparse column ``col = (rows, values)``; ``values``
-    is one int for a covering, slack or artificial column, every entry of
-    which has that value."""
+# Set columns priced per packed int: Bland's scan stops at the first chunk
+# holding a column with a negative reduced cost.
+_CHUNK = 32
+
+
+def _pack(values, w):
+    """One int holding ``values`` in consecutive signed ``w``-bit fields,
+    the first lowest."""
+    x = 0
+    for v in reversed(values):
+        x = (x << w) + v
+    return x
+
+
+def _fields(x, w, k):
+    """The ``k`` lowest signed ``w``-bit fields of ``x``, lowest first."""
+    hw = 1 << (w - 1)
+    mask = (1 << w) - 1
+    out = []
+    for _ in range(k):
+        out.append((x + hw & mask) - hw)
+        x = x + hw >> w
+    return out
+
+
+def _top(x, w, m):
+    """Field ``m``, the top field, of ``x``: the fields below it sum to less
+    than half a unit of it."""
+    return x + (1 << w * m >> 1) >> w * m
+
+
+class _Columns:
+    """The columns the core may enter, and the width ``w`` of its fields.
+
+    ``cols`` holds every column as ``(rows, values)`` (see ``_solve_columns``):
+    the ``n`` set columns, then the slack and artificial columns, each
+    ``((i,), +-1)``.  ``chunks`` packs the set columns ``_CHUNK`` at a time,
+    one ``(rows, ints)`` pair per chunk, where ``ints[k]`` holds the entry of
+    the chunk's column ``t`` on row ``rows[k]`` in field ``t``.
+    """
+
+    __slots__ = ("cols", "n", "w", "chunks")
+
+    def __init__(self, cols, n, m, w):
+        self.cols, self.n, self.w = cols, n, w
+        self.chunks = []
+        bits = [1 << w * t for t in range(_CHUNK)]
+        for start in range(0, n, _CHUNK):
+            packed = [0] * m
+            for bit, (rows, vals) in zip(bits, cols[start:min(start + _CHUNK, n)]):
+                if type(vals) is int:
+                    bit *= vals
+                    for i in rows:
+                        packed[i] += bit
+                else:
+                    for i, v in zip(rows, vals):
+                        packed[i] += v * bit
+            rows = tuple(i for i, x in enumerate(packed) if x)
+            self.chunks.append((rows, tuple(map(packed.__getitem__, rows))))
+
+
+def _width(cols, b, cost, m) -> int:
+    """The field width: every entry the core stores or prices is below
+    ``2^(w-1)`` in magnitude (see the module docstring)."""
+    norms = [v * v * len(rows) if type(v) is int else sum(x * x for x in v) for rows, v in cols]
+    norms += [sum(x * x for x in b)] + [1] * m
+    minor_bits = (math.prod(sorted(norms, reverse=True)[:m]).bit_length() + 1) // 2
+    return minor_bits + ((m + 1) * max([1, *map(abs, cost)])).bit_length() + 1
+
+
+def _tableau_column(C, col):
+    """``R . A_j`` for the sparse column ``col = (rows, values)``, packed as
+    the columns ``C`` of ``R`` are, its top field the pricing row times
+    ``A_j``; ``values`` is one int for a covering, slack or artificial
+    column, every entry of which has that value."""
     rows, vals = col
     if type(vals) is int:
-        return vals * sum(map(r.__getitem__, rows))
-    return sum(map(mul, map(r.__getitem__, rows), vals))
+        return vals * sum(map(C.__getitem__, rows))
+    return sum(map(mul, vals, map(C.__getitem__, rows)))
 
 
-def _column(M, col):
-    """The tableau column of ``col``: one entry per row of ``M``."""
-    return [_dot(r, col) for r in M]
+def _reduced_costs(u, d, chunk, cost):
+    """The packed reduced costs ``u . A_j - d * cost_j`` of one chunk of set
+    columns, column ``t`` of the chunk in field ``t``; ``cost`` packs the
+    chunk's costs."""
+    rows, ints = chunk
+    return sum(map(mul, map(u.__getitem__, rows), ints)) - d * cost
 
 
-def _pivot(M, basis, d, row, col, a):
-    """Pivot on entry ``a[row]`` of the entering column ``col``; returns the new
-    common denominator, which is always positive.
+def _pivot(C, basis, d, row, col, a, w):
+    """Pivot on field ``row`` of the packed entering column ``a``; returns the
+    new common denominator, which is always positive.
 
-    ``M`` holds one row per basis entry, that row of ``R`` followed by its
-    right-hand side, and may end with the pricing row ``u`` and its objective
-    entry; ``a`` is the entering tableau column, one entry per row of ``M``.
-    Every other row ``i`` becomes ``(p * M[i] - a[i] * M[row]) / d`` with
-    ``p = a[row]``, and ``p`` becomes the denominator.  The division is exact
-    because every entry is a minor of the starting system, whose basis is the
-    identity (Bareiss).
+    ``C`` holds the columns of ``R`` and then the right-hand side, each one
+    int with one signed ``w``-bit field per basis row and the pricing row's
+    entry in the top field; ``a`` is ``_tableau_column`` of the entering
+    column, its top field the reduced cost.  With ``p = a[row]``, every
+    column ``c`` becomes ``(p * c - c[row] * a') / d``, ``a'`` being ``a``
+    with field ``row`` set to ``p - d``, which leaves field ``row`` as it was;
+    and ``p`` becomes the denominator.  Every field of ``p * c - c[row] * a'``
+    is divisible by ``d``, because every entry is a minor of the starting
+    system, whose basis is the identity (Bareiss), so one floor division
+    divides each field exactly.
     """
-    p = a[row]
-    prow = M[row]
-    for i, r in enumerate(M):
-        if i == row:
-            continue
-        f = a[i]
-        if f:
-            M[i] = [(p * x - f * q) // d for x, q in zip(r, prow)]
+    sh = w * row
+    hw = 1 << (w - 1)
+    mask = (1 << w) - 1
+    # Biases field row by 2^(w-1) and rounds away the fields below it.
+    off = (hw << sh) + (1 << sh >> 1)
+    p = (a + off >> sh & mask) - hw
+    a -= d << sh
+    for k, c in enumerate(C):
+        q = (c + off >> sh & mask) - hw
+        if q:
+            C[k] = (p * c - q * a) // d
         elif p != d:
-            M[i] = [p * x // d for x in r]
+            C[k] = p * c // d
     basis[row] = col
     if p < 0:
-        for i, r in enumerate(M):
-            M[i] = [-x for x in r]
+        C[:] = [-c for c in C]
         p = -p
     return p
 
 
-def _run_simplex(M, basis, d, cols, cost):
-    """Maximize ``cost . x`` in place, from the basis held in ``M`` (see
-    ``_pivot``), whose last row is the pricing row.
+def _run_simplex(C, basis, d, columns, cost):
+    """Maximize ``cost . x`` in place, from the basis held in ``C`` (see
+    ``_pivot``), whose top fields hold the pricing row.
 
-    Only the sparse columns ``cols`` may enter; column ``j``'s reduced cost
-    is ``u . A_j - d * cost[j]``.  Returns ``("optimal" | "unbounded", d)``.
+    Only the first ``len(cost)`` columns of ``columns`` may enter; column
+    ``j``'s reduced cost is ``u . A_j - d * cost[j]``.  Returns
+    ``("optimal" | "unbounded", d)``.
     """
+    cols, n, w = columns.cols, columns.n, columns.w
     m = len(basis)
+    top = w * m
+    hw = 1 << (w - 1)
+    mask = (1 << w) - 1
+    signs = _pack([hw] * m, w)  # the top bit of each field below the top one
+    bias = signs - _pack([1] * m, w)
+    half = 1 << top >> 1  # rounds away the fields below the top one (_top)
+    chunk_signs = _pack([hw] * _CHUNK, w)
+    costs = [_pack(cost[s:min(s + _CHUNK, n)], w) for s in range(0, n, _CHUNK)]
     while True:
-        g = M[m].__getitem__
-        # Bland: the first column with a negative reduced cost enters (the
-        # dot products are ``_dot``, inlined).
-        for enter, (rows, vals) in enumerate(cols):
-            if vals == 1:
-                z = sum(map(g, rows))
-            elif type(vals) is int:
-                z = vals * sum(map(g, rows))
-            else:
-                z = sum(map(mul, map(g, rows), vals))
-            if z < d * cost[enter]:
+        u = [c + half >> top for c in C[:m]]
+        # Bland: the first column with a negative reduced cost enters.  A
+        # field is negative when biasing it by 2^(w-1) leaves its top bit
+        # clear; the lowest such field of the first chunk holding one is it.
+        for k, chunk in enumerate(columns.chunks):
+            neg = chunk_signs & ~(_reduced_costs(u, d, chunk, costs[k]) + chunk_signs)
+            if neg:
+                enter = k * _CHUNK + (neg & -neg).bit_length() // w - 1
                 break
         else:
-            return "optimal", d
-        a = _column(M, cols[enter])
-        a[m] -= d * cost[enter]
+            # The slack and artificial columns, each +-e_i, price as +-u[i].
+            for enter in range(n, len(cost)):
+                (i,), s = cols[enter]
+                if s * u[i] < d * cost[enter]:
+                    break
+            else:
+                return "optimal", d
+        a = _tableau_column(C, cols[enter]) - (d * cost[enter] << top)
+        # Ratio test over the rows whose entry a[i] is at least 1: biased by
+        # 2^(w-1) - 1, exactly those fields have their top bit set.
+        x = a + bias
+        pos = x & signs
+        b = C[m] + signs
         leave = -1
-        for i in range(m):
-            ai = a[i]
-            if ai > 0:
-                b = M[i][-1]
-                # b / ai against lb / la, both over the common denominator.
-                if leave < 0 or b * la < lb * ai or (b * la == lb * ai and basis[i] < basis[leave]):
-                    leave, la, lb = i, ai, b
+        while pos:
+            bit = pos & -pos
+            pos ^= bit
+            sh = bit.bit_length() - w
+            ai = (x >> sh & mask) - hw + 1
+            bi = (b >> sh & mask) - hw
+            i = sh // w
+            # bi / ai against lb / la, both over the common denominator.
+            if leave < 0 or bi * la < lb * ai or (bi * la == lb * ai and basis[i] < basis[leave]):
+                leave, la, lb = i, ai, bi
         if leave < 0:
             return "unbounded", d
-        d = _pivot(M, basis, d, leave, enter, a)
+        d = _pivot(C, basis, d, leave, enter, a, w)
 
 
 def _solve_columns(cols, rels, b, cost) -> tuple:
@@ -287,61 +414,67 @@ def _solve_columns(cols, rels, b, cost) -> tuple:
             basis[i] = len(cols)
             cols.append(((i,), 1))
     ncols = len(cols)
-    M = [[int(i == j) for j in range(m)] + [b[i]] for i in range(m)]
+    w = _width(cols[:n], b, cost, m)
+    columns = _Columns(cols, n, m, w)
+    top = w * m
+    # R = I, one packed int per column, then the right-hand side.
+    C = [1 << w * i for i in range(m)] + [_pack(b, w)]
 
     d = 1
-    keep = list(range(m))
+    keep = range(m)
     if ncols > art_start:
         # Phase 1: maximize -(sum of artificials), priced by u = c_B * R.
-        u = [-int(bi >= art_start) for bi in basis]
-        M.append(u + [sum(map(mul, u, b))])
-        phase1 = [0] * art_start + [-1] * (ncols - art_start)
-        status, d = _run_simplex(M, basis, d, cols, phase1)
+        for i, bi in enumerate(basis):
+            if bi >= art_start:
+                C[i] -= 1 << top
+                C[m] -= b[i] << top
+        status, d = _run_simplex(C, basis, d, columns, [0] * art_start + [-1] * (ncols - art_start))
         if status != "optimal":
             raise SolverInvariantError(
                 f"phase 1 reported {status!r}; its objective is bounded above by 0"
             )
-        M.pop()
-        if sum(M[i][-1] for i in range(m) if basis[i] >= art_start) != 0:
+        # The objective entry is minus d times the artificials' sum.
+        if _top(C[m], w, m):
             return LpStatus.INFEASIBLE, None
-        # Drive leftover artificials out of the basis; drop redundant rows.
+        # Drive leftover artificials out of the basis.  A redundant row's
+        # artificial stays basic at zero: its tableau row is zero off the
+        # artificial columns, so it never leaves, and its dual is 0.
         keep = []
         for i in range(m):
             if basis[i] >= art_start:
-                col = next((j for j in range(art_start) if _dot(M[i], cols[j]) != 0), None)
-                if col is None:
+                for col in range(art_start):
+                    a = _tableau_column(C, cols[col])
+                    if _fields(a, w, i + 1)[i]:
+                        break
+                else:
                     continue  # all-zero row: redundant constraint
-                d = _pivot(M, basis, d, i, col, _column(M, cols[col]))
+                d = _pivot(C, basis, d, i, col, a, w)
             keep.append(i)
-        M = [M[i] for i in keep]
-        basis = [basis[i] for i in keep]
 
-    # Phase 2, priced by u = c_B * R; artificial columns never enter again.
-    u = [0] * (m + 1)
-    for r, bi in zip(M, basis):
-        if bi < n and cost[bi]:
-            u = [s + cost[bi] * x for s, x in zip(u, r)]
-    M.append(u)
-    status, d = _run_simplex(M, basis, d, cols[:art_start], [*cost, *[0] * (art_start - n)])
+    # Phase 2, priced by u = c_B * R, written over the top fields;
+    # artificial columns never enter again.
+    cb = [cost[bi] if bi < n else 0 for bi in basis]
+    C = [c + (sum(map(mul, cb, _fields(c, w, m))) - _top(c, w, m) << top) for c in C]
+    status, d = _run_simplex(C, basis, d, columns, [*cost, *[0] * (art_start - n)])
     if status == "unbounded":
         return LpStatus.UNBOUNDED, None
-    u = M.pop()
+    u = [_top(c, w, m) for c in C[:m]]
 
     # Re-check the answer in the scaled integers: every row holds at x, and
-    # the duals price the right-hand side at the objective value.
+    # the duals price the right-hand side at the optimum.
+    xb = _fields(C[m], w, m)
     lhs = [0] * m
     primal = 0
-    for r, bi in zip(M, basis):
-        xb = r[-1]
-        if xb < 0:
+    for v, bi in zip(xb, basis):
+        if v < 0:
             raise SolverInvariantError(f"basic variable {bi} is negative at the optimum")
         if bi < n:
-            primal += cost[bi] * xb
+            primal += cost[bi] * v
             rows, vals = cols[bi]
             if type(vals) is int:
                 vals = [vals] * len(rows)
             for i, a in zip(rows, vals):
-                lhs[i] += a * xb
+                lhs[i] += a * v
     for i, rel in enumerate(rels):
         bd = b[i] * d
         if not (lhs[i] <= bd if rel == "<=" else lhs[i] >= bd if rel == ">=" else lhs[i] == bd):
@@ -350,9 +483,9 @@ def _solve_columns(cols, rels, b, cost) -> tuple:
         raise SolverInvariantError("the duals do not price the right-hand side at the optimum")
 
     x = [0] * n
-    for r, bi in zip(M, basis):
+    for v, bi in zip(xb, basis):
         if bi < n:
-            x[bi] = r[-1]
+            x[bi] = v
     # Row i's slack or artificial column is +-e_i, so its dual is read from
     # that column's reduced cost, u[i].
     y = [0] * m

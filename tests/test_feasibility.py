@@ -346,6 +346,38 @@ class TestPivotCounts:
         assert (len(count), result.value, len(result.witness.entries)) == (pivots, value, sets)
 
 
+class TestChunkedPricing:
+    """chi_f at demand 1/2 on the N = 26 wall instance.  Bland's scan prices
+    the set columns ``lp._CHUNK`` at a time and stops at the first chunk
+    holding a negative reduced cost, so the chunks priced over the solve are,
+    summed over the pivots, the index of the chunk holding the entering
+    column plus one (every chunk when a slack column enters), plus every
+    chunk once for each phase's final scan: far below pivots times chunks."""
+
+    def test_wall_instance_n26(self, monkeypatch):
+        real_costs, real_pivot = lp_module._reduced_costs, lp_module._pivot
+        priced, entered = [0], []
+
+        def counting(*args):
+            priced[0] += 1
+            return real_costs(*args)
+
+        def pivoting(C, basis, d, row, col, *rest):
+            entered.append(col)
+            return real_pivot(C, basis, d, row, col, *rest)
+
+        monkeypatch.setattr(lp_module, "_reduced_costs", counting)
+        monkeypatch.setattr(lp_module, "_pivot", pivoting)
+        h = wall_instance(26)
+        fractional_chromatic_number(h, DemandVector((F(1, 2),) * 26), limit=26)
+        sets = len(enumerate_maximal_independent_sets(h, limit=26))
+        chunks = -(-sets // lp_module._CHUNK)
+        expected = sum(min(col // lp_module._CHUNK, chunks - 1) + 1 for col in entered)
+        assert (sets, len(entered), priced[0]) == (863, 823, 4574)
+        assert priced[0] == expected + 2 * chunks
+        assert priced[0] * 4 < len(entered) * chunks
+
+
 class TestSizeWall:
     """Past the default size limit, chi_f on the N = 26 wall instance (863
     maximal-set columns) solves exactly, with a valid witness, far below the

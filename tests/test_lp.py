@@ -10,6 +10,7 @@ from hypersched import (
     CoveringProgram,
     DemandVector,
     LinearProgram,
+    LpSolution,
     LpStatus,
     SolverInvariantError,
     enumerate_maximal_independent_sets,
@@ -143,6 +144,14 @@ class TestGoldens:
     def test_no_constraints(self):
         sol = solve_lp(LinearProgram(2, (-1, 0)), "max")
         assert (sol.value, sol.assignment, sol.duals) == (0, (0, 0), ())
+
+    def test_no_variables(self):
+        # With no columns, rows with rhs 0 hold at the empty x and the rest fail.
+        feasible = LinearProgram(0, (), (((), "<=", 1), ((), "=", 0)))
+        for sense in ("max", "min"):
+            assert solve_lp(feasible, sense) == LpSolution(LpStatus.OPTIMAL, 0, (), (0, 0))
+            for infeasible in (LinearProgram(0, (), (((), ">=", 1),)), CoveringProgram([], [1])):
+                assert solve_lp(infeasible, sense).status is LpStatus.INFEASIBLE
 
     def test_min_of_infeasible(self):
         lp = LinearProgram(1, (1,), (((1,), "<=", -1),))
@@ -284,7 +293,7 @@ class TestRandomized:
 
 class TestSolverInvariants:
     def test_phase_one_unbounded_raises(self, monkeypatch):
-        def unbounded(M, basis, d, cols, cost):
+        def unbounded(C, basis, d, columns, cost):
             return "unbounded", d
 
         monkeypatch.setattr(lp_module, "_run_simplex", unbounded)
@@ -312,16 +321,17 @@ class TestSolverInvariants:
         ],
     )
     def test_corrupted_inverse_raises(self, monkeypatch, lp, sense, entry, match):
-        # One wrong entry of R = d * B^-1 after the first pivot feeds the
-        # later columns, the basic solution and the pricing row; the re-check
-        # before returning catches the wrong answer.
+        # One wrong entry of R = d * B^-1 after the first pivot, field row
+        # of the packed column entry, feeds the later columns, the basic
+        # solution and the pricing row; the re-check before returning
+        # catches the wrong answer.
         real = lp_module._pivot
         pivots = []
 
-        def corrupting(M, basis, d, row, col, a):
-            d = real(M, basis, d, row, col, a)
+        def corrupting(C, basis, d, row, col, a, w):
+            d = real(C, basis, d, row, col, a, w)
             if not pivots:
-                M[row][entry] += 1
+                C[entry] += 1 << w * row
             pivots.append(col)
             if len(pivots) > 50:
                 pytest.fail("the corrupted solve does not terminate")
@@ -425,6 +435,60 @@ class TestReferenceSolver:
             pivots += count
         assert min(statuses.values()) >= 50
         assert pivots >= 2000
+
+    def test_wide_entries(self, solve_both, monkeypatch):
+        # Columns times integers up to 10^12 and right-hand sides over
+        # denominators up to 10^9, so the packed fields run to hundreds of
+        # bits.  After every pivot the decoded basic solution and d must be
+        # the reference's, every entry of the reference's tableau (each
+        # entry the solver stores or prices is one of them) must be below
+        # 2^(w-1), and the top fields must leave nothing above them.
+        states = {lp_module: [], lp_reference: []}
+        widths, largest = [], []
+
+        def decoded(C, basis, d, row, col, a, w, real=lp_module._pivot):
+            d = real(C, basis, d, row, col, a, w)
+            fields = [lp_module._fields(c, w, len(basis) + 1) for c in C]
+            assert [lp_module._pack(f, w) for f in fields] == C
+            states[lp_module].append((d, {v: x for v, x in zip(basis, fields[-1]) if x}))
+            widths.append(w)
+            return d
+
+        def tabled(T, basis, d, row, col, real=lp_reference._pivot):
+            d = real(T, basis, d, row, col)
+            states[lp_reference].append((d, {v: r[-1] for v, r in zip(basis, T) if r[-1]}))
+            largest.append(max(abs(x) for r in T for x in r))
+            return d
+
+        monkeypatch.setattr(lp_module, "_pivot", decoded)
+        monkeypatch.setattr(lp_reference, "_pivot", tabled)
+        rng = random.Random(53)
+        statuses = {status: 0 for status in LpStatus}
+        widest = 0
+        for _ in range(300):
+            lp = random_mixed_lp(rng, 5)
+            k = [rng.randint(1, 10**12) for _ in range(lp.num_vars)]
+            wide = LinearProgram(
+                lp.num_vars,
+                lp.objective,
+                tuple(
+                    (
+                        tuple(a * kj for a, kj in zip(coeffs, k)),
+                        rel,
+                        rhs + Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)),
+                    )
+                    for coeffs, rel, rhs in lp.constraints
+                ),
+            )
+            for log in (*states.values(), widths, largest):
+                log.clear()
+            sol, _ = solve_both(wide, rng.choice(("max", "min")))
+            statuses[sol.status] += 1
+            assert states[lp_module] == states[lp_reference]
+            assert all(x < 1 << w - 1 for x, w in zip(largest, widths))
+            widest = max([widest, *widths])
+        assert min(statuses.values()) >= 30
+        assert widest >= 300
 
     def test_chi_f_lps(self, solve_both, monkeypatch):
         # fractional_chromatic_number solves a CoveringProgram, whose

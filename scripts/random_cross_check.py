@@ -4,7 +4,8 @@
 Checks, on seeded random instances:
   - beta by enumeration == interference degree sigma, and its witness is
     the first (link, independent set) of a brute-force scan that attains
-    the largest per-link bound,
+    the largest per-link bound; so is the answer of the ``beta`` command's
+    path (the shared-record sigma, then the walk seeded with it),
   - chi_f <= B <= sigma * chi_f for nonzero demands,
   - chi_f over the maximal sets == chi_f over all independent sets, and
     each LP's witness is a valid schedule of total duration chi_f,
@@ -62,6 +63,7 @@ from hypersched import (
     validate_assignment,
     validate_schedule,
 )
+from hypersched.metrics import _sigma
 
 
 def random_hypergraph(rng, max_links, max_edges):
@@ -199,8 +201,13 @@ def main():
         if beta != sigma:
             print(f"[{k}] beta {beta} != sigma {sigma} on {h}")
             failures += 1
-        if (beta, worst.link, worst.demand) != brute_beta(h):
+        brute = brute_beta(h)
+        if (beta, worst.link, worst.demand) != brute:
             print(f"[{k}] beta witness (link {worst.link + 1}) differs from the brute-force scan on {h}")
+            failures += 1
+        seeded = beta_by_enumeration(h, sigma=_sigma(h))
+        if (seeded.beta, seeded.link, seeded.demand) != brute:
+            print(f"[{k}] beta seeded with sigma (link {seeded.link + 1}) differs from the brute-force scan on {h}")
             failures += 1
 
         chi, witness = fractional_chromatic_number(h, tau)

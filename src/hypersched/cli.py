@@ -322,11 +322,11 @@ def cmd_metrics(args, h):
     ]
 
 
-def _checked_beta(h, limit):
-    """beta_by_enumeration of ``h`` with its witness re-checked: the demand
-    is the 0/1 vector of an independent set, and the per-link bound at the
-    witness link equals beta."""
-    wit = beta_by_enumeration(h, limit)
+def _checked_beta(h, limit, sigma):
+    """beta_by_enumeration of ``h``, its walk seeded with ``sigma``, with its
+    witness re-checked: the demand is the 0/1 vector of an independent set,
+    and the per-link bound at the witness link equals beta."""
+    wit = beta_by_enumeration(h, limit, sigma=sigma)
     members = [v for v, x in enumerate(wit.demand) if x]
     if any(x not in (0, 1) for x in wit.demand) or not is_independent(h, members):
         raise SolverInvariantError(
@@ -344,8 +344,8 @@ def _checked_beta(h, limit):
 
 def cmd_beta(args, h):
     limit = _size_limit()
-    wit = _checked_beta(h, limit)
     sigma = _sigma(h, limit)
+    wit = _checked_beta(h, limit, sigma)
     if wit.beta != sigma:
         raise SolverInvariantError(
             f"beta = {wit.beta} differs from sigma = {sigma}; this is a library bug"

@@ -10,6 +10,7 @@ pairwise meeting in one common center) a closed form is available.
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -85,15 +86,20 @@ def _link_degrees(setup, i) -> tuple:
 def _sigma(h: Hypergraph, limit: int | None = None) -> Fraction:
     """``interference_metrics(h, limit).sigma`` by the per-link walks of
     ``_link_degrees`` with one scaled record ``top`` (sigma >= 1) for both
-    degrees of every link: a J that does not block i counts ``den`` more."""
+    degrees of every link: a J that does not block i counts ``den`` more.
+
+    sigma names no witness, so the links may be walked in any order; they
+    go in descending order of their root bound (the delta-row sum, ties by
+    link id), so that ``top`` rises early and cuts the later walks."""
     w, completions = _setup(h, limit)
     den = top = w.den
 
     def cut(bound, blocked):
         return bound <= top and (bound <= top - den or blocked & bit)
 
-    for i, row in enumerate(w.ints):
-        bit = 1 << i
+    rows = w.ints
+    for i in sorted(range(len(rows)), key=lambda i: (-sum(rows[i].values()), i)):
+        row, bit = rows[i], 1 << i
         for _, total, blocked in _independent_subsets(row, completions, row, cut=cut):
             top = max(top, total if blocked & bit else total + den)
     return Fraction(top, den)
@@ -151,7 +157,9 @@ class BetaWitness:
     demand: DemandVector
 
 
-def beta_by_enumeration(h: Hypergraph, limit: int | None = None) -> BetaWitness:
+def beta_by_enumeration(
+    h: Hypergraph, limit: int | None = None, *, sigma: Fraction | None = None
+) -> BetaWitness:
     """Worst-case ratio of the per-link bound to the optimum, computed by
     direct enumeration: the supremum is attained at a characteristic vector
     of an independent set, so it suffices to scan links x independent sets.
@@ -165,10 +173,21 @@ def beta_by_enumeration(h: Hypergraph, limit: int | None = None) -> BetaWitness:
     subtracts ``best + 1`` field by field without borrows and leaves the
     guard bit set exactly where a link beat its record.  The kernel's bound
     packs every link's bound the same way, so one such test cuts a branch
-    where no link's bound beats its record."""
+    where no link's bound beats its record.
+
+    With ``sigma``, a guess at the answer (the CLI passes ``_sigma``'s, which
+    the paper proves equal), every record starts just below it, at the
+    largest int under ``sigma * den``, instead of at 0, so the walk skips
+    the climb toward it and only proves that no set exceeds it while it
+    finds the witness.  The answer is the unseeded one for every guess: a
+    set reaching the guess beats its record, so the first (link, set) is
+    still met, and a set above it still wins.  If no set reaches the guess,
+    the walk is run again unseeded; a start below 0 or above the largest
+    bound ``den`` + the largest row sum is replaced by 0 at once."""
     w, completions = _setup(h, limit)
     den, n = w.den, h.num_links
-    width = (den + max(sum(row.values()) for row in w.ints) + 1).bit_length() + 1
+    most = den + max(sum(row.values()) for row in w.ints)
+    width = (most + 1).bit_length() + 1
     field = (1 << width) - 1
     weights = [0] * n
     for i, row in enumerate(w.ints):
@@ -176,24 +195,37 @@ def beta_by_enumeration(h: Hypergraph, limit: int | None = None) -> BetaWitness:
             weights[j] += v << (i * width)
         weights[i] += den << (i * width)
     guard = sum(1 << (i * width + width - 1) for i in range(n))
-    best = [0] * n
-    witness = [0] * n
-    thr = sum(1 << (i * width) for i in range(n))
+    ones = sum(1 << (i * width) for i in range(n))
 
-    def cut(bound, blocked):
-        return not ((bound | guard) - thr) & guard
+    def walk(start):
+        best = [start] * n
+        witness = [0] * n
+        thr = (start + 1) * ones
 
-    for s, total, _ in _independent_subsets(range(n), completions, weights, cut=cut):
-        beat = ((total | guard) - thr) & guard
-        while beat:
-            i = (beat.bit_length() - 1) // width
-            shift = i * width
-            beat ^= 1 << (shift + width - 1)
-            v = (total >> shift) & field
-            thr += (v - best[i]) << shift
-            best[i] = v
-            witness[i] = s
+        def cut(bound, blocked):
+            return not ((bound | guard) - thr) & guard
+
+        for s, total, _ in _independent_subsets(range(n), completions, weights, cut=cut):
+            beat = ((total | guard) - thr) & guard
+            while beat:
+                i = (beat.bit_length() - 1) // width
+                shift = i * width
+                beat ^= 1 << (shift + width - 1)
+                v = (total >> shift) & field
+                thr += (v - best[i]) << shift
+                best[i] = v
+                witness[i] = s
+        return best, witness
+
+    start = 0 if sigma is None else math.ceil(sigma * den) - 1
+    if not 0 <= start <= most:
+        start = 0
+    best, witness = walk(start)
     top = max(best)
+    if top == start:
+        # No set reached the guess, so it was above beta.
+        best, witness = walk(0)
+        top = max(best)
     link = best.index(top)
     return BetaWitness(
         beta=Fraction(top, den),

@@ -412,6 +412,20 @@ class TestExitCodes:
             assert (code, out) == (2, "")
             assert err == "error: beta = 7/3 differs from sigma = 10/3; this is a library bug\n"
 
+    def test_beta_above_a_low_sigma_exits_2(self, files, capsys, monkeypatch):
+        """A sigma below beta seeds beta's walk too low: the walk still finds
+        the larger beta, so the cross-check fails in this direction too."""
+        real = cli._sigma
+
+        def a_third_low(h, limit=None):
+            return real(h, limit) - F(1, 3)
+
+        monkeypatch.setattr(cli, "_sigma", a_third_low)
+        for extra in ([], ["--json"]):
+            code, out, err = run(capsys, "beta", files["star"], *extra)
+            assert (code, out) == (2, "")
+            assert err == "error: beta = 7/3 differs from sigma = 2; this is a library bug\n"
+
     @pytest.mark.parametrize("extra", [[], ["--json"]])
     @pytest.mark.parametrize(
         "text, field, link, value, witness, message",
@@ -460,7 +474,7 @@ class TestExitCodes:
         self, files, capsys, monkeypatch, extra, beta, link, demand, message
     ):
         bad = metrics.BetaWitness(beta, link, DemandVector(tuple(F(v) for v in demand)))
-        monkeypatch.setattr(cli, "beta_by_enumeration", lambda h, limit=None: bad)
+        monkeypatch.setattr(cli, "beta_by_enumeration", lambda h, limit=None, **_: bad)
         code, out, err = run(capsys, "beta", files["triangle"], *extra)
         assert (code, out, err) == (2, "", f"error: {message}; this is a library bug\n")
 

@@ -62,7 +62,6 @@ from .hypergraph import (
     validate_hypergraph,
 )
 from .metrics import (
-    _sigma,
     b_bound,
     beta_by_enumeration,
     beta_star_formula,
@@ -322,11 +321,11 @@ def cmd_metrics(args, h):
     ]
 
 
-def _checked_beta(h, limit, sigma):
-    """beta_by_enumeration of ``h``, its walk seeded with ``sigma``, with its
+def _checked_beta(h, limit):
+    """beta_by_enumeration of ``h``, which checks beta = sigma, with its
     witness re-checked: the demand is the 0/1 vector of an independent set,
     and the per-link bound at the witness link equals beta."""
-    wit = beta_by_enumeration(h, limit, sigma=sigma)
+    wit = beta_by_enumeration(h, limit)
     members = [v for v, x in enumerate(wit.demand) if x]
     if any(x not in (0, 1) for x in wit.demand) or not is_independent(h, members):
         raise SolverInvariantError(
@@ -343,23 +342,17 @@ def _checked_beta(h, limit, sigma):
 
 
 def cmd_beta(args, h):
-    limit = _size_limit()
-    sigma = _sigma(h, limit)
-    wit = _checked_beta(h, limit, sigma)
-    if wit.beta != sigma:
-        raise SolverInvariantError(
-            f"beta = {wit.beta} differs from sigma = {sigma}; this is a library bug"
-        )
+    wit = _checked_beta(h, _size_limit())
     if args.json:
         return 0, {
             "beta": str(wit.beta),
-            "sigma": str(sigma),
+            "sigma": str(wit.beta),
             "witness_link": wit.link + 1,
             "witness_demand": [str(v) for v in wit.demand],
         }
     return 0, [
         f"beta = {wit.beta}",
-        f"sigma = {sigma}",
+        f"sigma = {wit.beta}",
         f"witness link: {wit.link + 1}",
         format_demand_line(wit.demand),
     ]

@@ -161,12 +161,13 @@ class CoveringProgram:
         if any(t < 0 for t in demand):
             raise ValueError("a covering demand is negative")
         m = len(demand)
+        columns = tuple(map(tuple, columns))
         for rows in columns:
             if list(rows) != sorted(set(rows)):
                 raise ValueError(f"column rows {list(rows)} are not ascending and distinct")
             if rows and (rows[0] < 0 or rows[-1] >= m):
                 raise ValueError(f"column rows {list(rows)} outside 0..{m - 1}")
-        self.columns = tuple(columns)
+        self.columns = columns
         self.demand = demand
 
     @property

@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from .errors import SolverInvariantError
 from .feasibility import DemandVector, as_demand
 from .greedy import check_delta_condition, delta_matrix
 from .hypergraph import (
@@ -157,9 +158,7 @@ class BetaWitness:
     demand: DemandVector
 
 
-def beta_by_enumeration(
-    h: Hypergraph, limit: int | None = None, *, sigma: Fraction | None = None
-) -> BetaWitness:
+def beta_by_enumeration(h: Hypergraph, limit: int | None = None) -> BetaWitness:
     """Worst-case ratio of the per-link bound to the optimum, computed by
     direct enumeration: the supremum is attained at a characteristic vector
     of an independent set, so it suffices to scan links x independent sets.
@@ -175,15 +174,17 @@ def beta_by_enumeration(
     packs every link's bound the same way, so one such test cuts a branch
     where no link's bound beats its record.
 
-    With ``sigma``, a guess at the answer (the CLI passes ``_sigma``'s, which
-    the paper proves equal), every record starts just below it, at the
-    largest int under ``sigma * den``, instead of at 0, so the walk skips
-    the climb toward it and only proves that no set exceeds it while it
-    finds the witness.  The answer is the unseeded one for every guess: a
-    set reaching the guess beats its record, so the first (link, set) is
-    still met, and a set above it still wins.  If no set reaches the guess,
-    the walk is run again unseeded; a start below 0 or above the largest
-    bound ``den`` + the largest row sum is replaced by 0 at once."""
+    The paper proves beta = sigma, and this is checked on every call:
+    sigma comes from ``_sigma``'s walks, and every record starts just below
+    it, at the largest int under ``sigma * den``, instead of at 0, so the
+    walk skips the climb toward it and only proves that no set exceeds it
+    while it finds the witness.  A set reaching sigma beats its record, so
+    the first (link, set) is still met, and a set above it still wins.  If
+    no set reaches sigma, the walk is run again from 0, so that the error
+    names the true beta; a start below 0 or above the largest bound ``den``
+    + the largest row sum is replaced by 0 at once.  Raises
+    ``SolverInvariantError`` unless beta equals sigma."""
+    sigma = _sigma(h, limit)
     w, completions = _setup(h, limit)
     den, n = w.den, h.num_links
     most = den + max(sum(row.values()) for row in w.ints)
@@ -217,18 +218,23 @@ def beta_by_enumeration(
                 witness[i] = s
         return best, witness
 
-    start = 0 if sigma is None else math.ceil(sigma * den) - 1
+    start = math.ceil(sigma * den) - 1
     if not 0 <= start <= most:
         start = 0
     best, witness = walk(start)
     top = max(best)
     if top == start:
-        # No set reached the guess, so it was above beta.
+        # No set reached sigma, so it was above beta.
         best, witness = walk(0)
         top = max(best)
+    beta = Fraction(top, den)
+    if beta != sigma:
+        raise SolverInvariantError(
+            f"beta = {beta} differs from sigma = {sigma}; this is a library bug"
+        )
     link = best.index(top)
     return BetaWitness(
-        beta=Fraction(top, den),
+        beta=beta,
         link=link,
         demand=DemandVector.characteristic(n, _members(witness[link])),
     )

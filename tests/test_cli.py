@@ -401,12 +401,12 @@ class TestExitCodes:
         assert (code, out, err) == (2, "", message)
 
     def test_beta_differing_from_sigma_exits_2(self, files, capsys, monkeypatch):
-        real = cli._sigma
+        real = metrics._sigma
 
         def off_by_one(h, limit=None):
             return real(h, limit) + 1
 
-        monkeypatch.setattr(cli, "_sigma", off_by_one)
+        monkeypatch.setattr(metrics, "_sigma", off_by_one)
         for extra in ([], ["--json"]):
             code, out, err = run(capsys, "beta", files["star"], *extra)
             assert (code, out) == (2, "")
@@ -415,12 +415,12 @@ class TestExitCodes:
     def test_beta_above_a_low_sigma_exits_2(self, files, capsys, monkeypatch):
         """A sigma below beta seeds beta's walk too low: the walk still finds
         the larger beta, so the cross-check fails in this direction too."""
-        real = cli._sigma
+        real = metrics._sigma
 
         def a_third_low(h, limit=None):
             return real(h, limit) - F(1, 3)
 
-        monkeypatch.setattr(cli, "_sigma", a_third_low)
+        monkeypatch.setattr(metrics, "_sigma", a_third_low)
         for extra in ([], ["--json"]):
             code, out, err = run(capsys, "beta", files["star"], *extra)
             assert (code, out) == (2, "")

@@ -206,6 +206,18 @@ class TestCoveringProgram:
         with pytest.raises(ValueError):
             CoveringProgram(columns, demand)
 
+    def test_generator_of_columns(self):
+        lp = CoveringProgram((rows for rows in [[0], [1]]), [1, 1])
+        assert lp.columns == ((0,), (1,))
+        assert solve_lp(lp, "min").value == 2
+
+    def test_iterator_columns(self):
+        lp = CoveringProgram([iter([0, 1]), iter([1])], [1, 1])
+        assert lp.columns == ((0, 1), (1,))
+        assert solve_lp(lp, "min").value == 1
+        with pytest.raises(ValueError, match=r"column rows \[1, 0\] are not ascending"):
+            CoveringProgram([iter([1, 0])], [1, 1])
+
 
 class TestRandomized:
     def test_deterministic(self):

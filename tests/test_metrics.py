@@ -16,6 +16,7 @@ from hypersched import (
     DemandVector,
     Hypergraph,
     SizeLimitExceeded,
+    SolverInvariantError,
     b_bound,
     beta_by_enumeration,
     beta_star_formula,
@@ -449,11 +450,12 @@ class TestBetaAgainstFrozenOracle:
 
 
 class TestSeededBeta:
-    """``beta`` seeds the walk's records just below sigma; for every seed,
-    right, off by a little or far off, the answer must be the frozen
-    unbounded walk's."""
+    """``beta_by_enumeration`` seeds the walk's records just below its own
+    sigma; for every sigma, right, off by a little or far off, the walk must
+    find the frozen unbounded walk's answer, and return it only when sigma
+    is right, raising with both values otherwise."""
 
-    def test_any_seed_gives_the_unseeded_answer(self):
+    def test_any_seed_gives_the_unseeded_answer(self, monkeypatch):
         checked = 0
         for h in beta_families():
             want = beta_reference.beta_by_enumeration(h)
@@ -467,20 +469,33 @@ class TestSeededBeta:
                      sigma + F(1, 2 * den), 1, 0, -1, 2 * sigma, F(most + 1, den),
                      F(most + 2, den), F(100 * most, den), F(10**9), F(-10 * most, den)]
             for s in seeds:
-                assert beta_by_enumeration(h, sigma=s) == want, (h, s)
+                monkeypatch.setattr(metrics, "_sigma", lambda h, limit=None: s)
+                if s == sigma:
+                    assert beta_by_enumeration(h) == want, (h, s)
+                else:
+                    with pytest.raises(SolverInvariantError) as err:
+                        beta_by_enumeration(h)
+                    assert str(err.value) == (
+                        f"beta = {want.beta} differs from sigma = {s}; this is a library bug"
+                    ), (h, s)
                 checked += 1
+            monkeypatch.undo()
         assert checked == 5418
 
     def test_seeded_walk_yields_under_a_fifth_of_the_sets(self, monkeypatch):
-        """Work counted, not timed: seeded with sigma, the cut walk yields
-        under a fifth of the sets of the unseeded cut walk."""
+        """Work counted, not timed: seeded with sigma, ``_sigma``'s walks and
+        the cut walk together yield under a fifth of the sets of the cut walk
+        from 0, which a sigma of 0 starts and which then raises."""
         cases = work_antichains()
-        sigmas = [metrics._sigma(h) for h in cases]
         count = counted_walks(monkeypatch, bounded=True)
-        want = [beta_by_enumeration(h) for h in cases]
-        unseeded, count[0] = count[0], 0
-        assert [beta_by_enumeration(h, sigma=s) for h, s in zip(cases, sigmas)] == want
-        assert 0 < 5 * count[0] < unseeded
+        for h in cases:
+            beta_by_enumeration(h)
+        seeded, count[0] = count[0], 0
+        monkeypatch.setattr(metrics, "_sigma", lambda h, limit=None: 0)
+        for h in cases:
+            with pytest.raises(SolverInvariantError):
+                beta_by_enumeration(h)
+        assert 0 < 5 * seeded < count[0]
 
 
 class TestSharedRecordSigma:

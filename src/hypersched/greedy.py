@@ -14,7 +14,7 @@ import dataclasses
 from fractions import Fraction
 from functools import reduce
 from itertools import islice, repeat
-from operator import mul
+from operator import index, mul
 from typing import NamedTuple
 
 from .errors import (
@@ -202,7 +202,10 @@ def check_delta_condition(h: Hypergraph, tau) -> ConditionReport:
 def _normalize_order(h: Hypergraph, order) -> tuple:
     if order is None:
         return tuple(range(h.num_links))
-    order = tuple(int(v) for v in order)
+    try:
+        order = tuple(map(index, order))
+    except TypeError:
+        order = ()  # a non-integer id: no permutation of the links
     if sorted(order) != list(range(h.num_links)):
         raise ValueError(f"order must be a permutation of 0..{h.num_links - 1}")
     return order

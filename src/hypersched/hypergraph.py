@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import cached_property
+from operator import index
 from typing import Iterable
 
 from .errors import (
@@ -48,7 +49,10 @@ class Hypergraph:
         canon = []
         seen = set()
         for edge in self.edges:
-            t = tuple(sorted({int(v) for v in edge}))
+            try:
+                t = tuple(sorted(set(map(index, edge))))
+            except TypeError:
+                raise ValueError(f"edge {edge!r} is not a set of integer link ids") from None
             if t not in seen:
                 seen.add(t)
                 canon.append(t)

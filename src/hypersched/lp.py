@@ -4,10 +4,11 @@ Revised integer-preserving two-phase simplex with Bland's anti-cycling rule,
 exact.  ``solve_lp`` takes a ``LinearProgram`` (dense rows) or a
 ``CoveringProgram`` (minimize the sum of x over set columns given as row
 lists, each row covered to its demand; the fractional chromatic number's
-LP).  Either is scaled to integers by one common factor for every row, so
-the constraint matrix becomes sparse integer columns, and handed to the
-integer core ``_solve_columns``.  A covering column is built straight from
-its row list with the value 1.
+LP), scales either to integers by one common factor for every row, and
+hands the integer core ``_solve_columns`` every column in one form: a tuple
+of ``(value, rows)`` groups, one per distinct nonzero value, with the
+ascending rows holding it.  A covering column is ``((1, rows),)``, so a read
+of it costs one multiply, however many rows it has.
 
 The core keeps no tableau: it keeps ``R = d * B^-1`` (``B`` the basis matrix,
 ``d`` the common denominator), the scaled basic solution ``d * x_B``, and the
@@ -33,8 +34,8 @@ J. Res. NBS 1967; Bareiss, Math. Comp. 1968): one exact multiply-add per
 packed column, ``(p * c - c[row] * a') // d``, with ``a'`` the entering
 tableau column whose field ``row`` is set to ``p - d``.  Every field of the
 numerator is divisible by ``d``, so one floor division divides each field
-exactly.  The entering tableau column is the sum of the packed columns of
-``R`` on its rows, times its entries.  One routine, ``_pivot``, serves
+exactly.  The entering tableau column sums, per group, the group's value
+times the packed columns of ``R`` on its rows.  One routine, ``_pivot``, serves
 phase 1, the drive-out of leftover artificials and phase 2.
 
 Pricing.  The set columns are packed ``_CHUNK`` at a time, one int per row
@@ -125,7 +126,7 @@ class LinearProgram:
         rels = []
         row_scales = []  # negative where a row was negated to make its rhs nonnegative
         b = []
-        cols = [([], []) for _ in range(self.num_vars)]
+        groups = [{} for _ in range(self.num_vars)]
         for i, (_, rel, rhs) in enumerate(self.constraints):
             ints = flat[i * width:(i + 1) * width]
             sign = 1
@@ -135,10 +136,10 @@ class LinearProgram:
             rels.append(rel)
             row_scales.append(sign * scale)
             b.append(sign * ints[-1])
-            for (rows, vals), a in zip(cols, ints):
+            for col, a in zip(groups, ints):
                 if a:
-                    rows.append(i)
-                    vals.append(sign * a)
+                    col.setdefault(sign * a, []).append(i)
+        cols = [tuple((v, tuple(rows)) for v, rows in col.items()) for col in groups]
         obj_scale, cost = _over_lcm(self.objective)
         return cols, rels, b, row_scales, cost, obj_scale, 1
 
@@ -191,7 +192,7 @@ class CoveringProgram:
         the demand's common denominator ``scale``, and every variable too,
         so each column is 1 on its rows."""
         scale, b = _over_lcm(self.demand)
-        cols = [(rows, 1) for rows in self.columns]
+        cols = [((1, rows),) for rows in self.columns]
         return cols, [">="] * len(b), b, [scale] * len(b), [1] * len(cols), scale, scale
 
 
@@ -242,11 +243,11 @@ def _top(x, w, m):
 class _Columns:
     """The columns the core may enter, and the width ``w`` of its fields.
 
-    ``cols`` holds every column as ``(rows, values)`` (see ``_solve_columns``):
-    the ``n`` set columns, then the slack and artificial columns, each
-    ``((i,), +-1)``.  ``chunks`` packs the set columns ``_CHUNK`` at a time,
-    one ``(rows, ints)`` pair per chunk, where ``ints[k]`` holds the entry of
-    the chunk's column ``t`` on row ``rows[k]`` in field ``t``.
+    ``cols`` holds every column (see ``_solve_columns``): the ``n`` set
+    columns, then the slack and artificial columns, each ``((+-1, (i,)),)``.
+    ``chunks`` packs the set columns ``_CHUNK`` at a time, one ``(rows,
+    ints)`` pair per chunk, where ``ints[k]`` holds the entry of the chunk's
+    column ``t`` on row ``rows[k]`` in field ``t``.
     """
 
     __slots__ = ("cols", "n", "w", "chunks")
@@ -257,14 +258,11 @@ class _Columns:
         bits = [1 << w * t for t in range(_CHUNK)]
         for start in range(0, n, _CHUNK):
             packed = [0] * m
-            for bit, (rows, vals) in zip(bits, cols[start:min(start + _CHUNK, n)]):
-                if type(vals) is int:
-                    bit *= vals
+            for bit, col in zip(bits, cols[start:min(start + _CHUNK, n)]):
+                for v, rows in col:
+                    x = v * bit
                     for i in rows:
-                        packed[i] += bit
-                else:
-                    for i, v in zip(rows, vals):
-                        packed[i] += v * bit
+                        packed[i] += x
             rows = tuple(i for i, x in enumerate(packed) if x)
             self.chunks.append((rows, tuple(map(packed.__getitem__, rows))))
 
@@ -272,21 +270,23 @@ class _Columns:
 def _width(cols, b, cost, m) -> int:
     """The field width: every entry the core stores or prices is below
     ``2^(w-1)`` in magnitude (see the module docstring)."""
-    norms = [v * v * len(rows) if type(v) is int else sum(x * x for x in v) for rows, v in cols]
-    norms += [sum(x * x for x in b)] + [1] * m
+    norms = [sum(x * x for x in b)]
+    for col in cols:
+        norms.append(0)
+        for v, rows in col:
+            norms[-1] += v * v * len(rows)
     minor_bits = (math.prod(sorted(norms, reverse=True)[:m]).bit_length() + 1) // 2
     return minor_bits + ((m + 1) * max([1, *map(abs, cost)])).bit_length() + 1
 
 
 def _tableau_column(C, col):
-    """``R . A_j`` for the sparse column ``col = (rows, values)``, packed as
-    the columns ``C`` of ``R`` are, its top field the pricing row times
-    ``A_j``; ``values`` is one int for a covering, slack or artificial
-    column, every entry of which has that value."""
-    rows, vals = col
-    if type(vals) is int:
-        return vals * sum(map(C.__getitem__, rows))
-    return sum(map(mul, vals, map(C.__getitem__, rows)))
+    """``R . A_j`` for the column ``col``, packed as the columns ``C`` of ``R``
+    are, its top field the pricing row times ``A_j``: each group adds its
+    value times the sum of ``R``'s columns on its rows."""
+    a = 0
+    for v, rows in col:
+        a += v * sum(map(C.__getitem__, rows))
+    return a
 
 
 def _reduced_costs(u, d, chunk, cost):
@@ -363,7 +363,7 @@ def _run_simplex(C, basis, d, columns, cost):
         else:
             # The slack and artificial columns, each +-e_i, price as +-u[i].
             for enter in range(n, len(cost)):
-                (i,), s = cols[enter]
+                ((s, (i,)),) = cols[enter]
                 if s * u[i] < d * cost[enter]:
                     break
             else:
@@ -393,10 +393,10 @@ def _run_simplex(C, basis, d, columns, cost):
 def _solve_columns(cols, rels, b, cost) -> tuple:
     """Maximize ``cost . x`` over ``x >= 0`` subject to row ``i``:
     ``sum_j A_ij x_j  rels[i]  b[i]``, all in integers.  Column ``j`` of ``A``
-    is the sparse ``cols[j] = (rows, values)``: ``values`` is the list of
-    its nonzero ints, or one int when every entry is that int (a covering,
-    slack or artificial column); every ``b[i]`` is nonnegative.  Returns the
-    LpStatus and, if optimal, ints ``(d, value, x, y)`` over ``d``; y prices b."""
+    is ``cols[j]``, one ``(value, rows)`` group per distinct nonzero value:
+    ``A_ij`` is the value of the group whose ascending ``rows`` hold ``i``,
+    else 0; every ``b[i]`` is nonnegative.  Returns the LpStatus and, if
+    optimal, ints ``(d, value, x, y)`` over ``d``; y prices b."""
     n = len(cols)
     m = len(rels)
     cols = list(cols)
@@ -409,13 +409,12 @@ def _solve_columns(cols, rels, b, cost) -> tuple:
         if rel != "=":
             if rel == "<=":
                 basis[i] = len(cols)
-            cols.append(((i,), 1 if rel == "<=" else -1))
+            cols.append(((1 if rel == "<=" else -1, (i,)),))
     for i, rel in enumerate(rels):
         if rel != "<=":
             basis[i] = len(cols)
-            cols.append(((i,), 1))
-    ncols = len(cols)
-    w = _width(cols[:n], b, cost, m)
+            cols.append(((1, (i,)),))
+    w = _width(cols, b, cost, m)
     columns = _Columns(cols, n, m, w)
     top = w * m
     # R = I, one packed int per column, then the right-hand side.
@@ -423,13 +422,13 @@ def _solve_columns(cols, rels, b, cost) -> tuple:
 
     d = 1
     keep = range(m)
-    if ncols > art_start:
+    if len(cols) > art_start:
         # Phase 1: maximize -(sum of artificials), priced by u = c_B * R.
         for i, bi in enumerate(basis):
             if bi >= art_start:
                 C[i] -= 1 << top
                 C[m] -= b[i] << top
-        status, d = _run_simplex(C, basis, d, columns, [0] * art_start + [-1] * (ncols - art_start))
+        status, d = _run_simplex(C, basis, d, columns, [0] * art_start + [-1] * (len(cols) - art_start))
         if status != "optimal":
             raise SolverInvariantError(
                 f"phase 1 reported {status!r}; its objective is bounded above by 0"
@@ -463,19 +462,18 @@ def _solve_columns(cols, rels, b, cost) -> tuple:
 
     # Re-check the answer in the scaled integers: every row holds at x, and
     # the duals price the right-hand side at the optimum.
-    xb = _fields(C[m], w, m)
+    x = [0] * n
     lhs = [0] * m
     primal = 0
-    for v, bi in zip(xb, basis):
+    for v, bi in zip(_fields(C[m], w, m), basis):
         if v < 0:
             raise SolverInvariantError(f"basic variable {bi} is negative at the optimum")
         if bi < n:
+            x[bi] = v
             primal += cost[bi] * v
-            rows, vals = cols[bi]
-            if type(vals) is int:
-                vals = [vals] * len(rows)
-            for i, a in zip(rows, vals):
-                lhs[i] += a * v
+            for a, rows in cols[bi]:
+                for i in rows:
+                    lhs[i] += a * v
     for i, rel in enumerate(rels):
         bd = b[i] * d
         if not (lhs[i] <= bd if rel == "<=" else lhs[i] >= bd if rel == ">=" else lhs[i] == bd):
@@ -483,10 +481,6 @@ def _solve_columns(cols, rels, b, cost) -> tuple:
     if sum(u[i] * b[i] for i in keep) != primal:
         raise SolverInvariantError("the duals do not price the right-hand side at the optimum")
 
-    x = [0] * n
-    for v, bi in zip(xb, basis):
-        if bi < n:
-            x[bi] = v
     # Row i's slack or artificial column is +-e_i, so its dual is read from
     # that column's reduced cost, u[i].
     y = [0] * m

@@ -185,6 +185,11 @@ class TestGreedySchedule:
         with pytest.raises(ValueError):
             greedy_schedule(triangle, zeros(3), order=(0, 0, 1))
 
+    def test_non_integral_order_rejected(self, triangle):
+        # int() would truncate these ids and run the order (0, 1, 2).
+        with pytest.raises(ValueError, match="permutation"):
+            greedy_schedule(triangle, zeros(3), order=(0.7, 1.2, 2))
+
     def test_edge_never_fully_active(self):
         rng = random.Random(61)
         for _ in range(40):

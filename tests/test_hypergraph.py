@@ -115,6 +115,11 @@ class TestValidate:
         with pytest.raises(ValueError):
             Hypergraph(0)
 
+    def test_non_integral_link_id_rejected(self):
+        # int() would truncate 1.9 and accept the edge (0, 1).
+        with pytest.raises(ValueError, match="integer link ids"):
+            Hypergraph(3, [(0, 1.9), (1, 2)])
+
     def test_constructor_dedups_and_sorts(self):
         h = Hypergraph(4, ((2, 0), (0, 2), (3, 1)))
         assert h.edges == ((0, 2), (1, 3))

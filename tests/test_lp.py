@@ -1,6 +1,7 @@
 """Exact simplex: golden cases, exactness invariants, duality spot-check,
 dual certificates, and agreement with the dense reference solver."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -384,6 +385,135 @@ class TestFractionBoundary:
         monkeypatch.undo()
         assert core == [0] * len(cases)
         assert all(got == want for got, want in counts)
+
+
+def check_column_form(col, m):
+    """``col`` is a tuple of ``(value, rows)`` groups: distinct nonzero int
+    values, each with a tuple of ascending rows in ``0..m-1``, and no row in
+    two groups."""
+    assert type(col) is tuple
+    values, covered = set(), set()
+    for group in col:
+        assert type(group) is tuple and len(group) == 2
+        v, rows = group
+        assert type(v) is int and v and v not in values
+        assert type(rows) is tuple and list(rows) == sorted(set(rows))
+        assert all(type(i) is int and 0 <= i < m for i in rows)
+        assert covered.isdisjoint(rows)
+        values.add(v)
+        covered.update(rows)
+
+
+class TestColumnForm:
+    """Every column of the integer core is a tuple of ``(value, rows)``
+    groups, whichever program it comes from, slack and artificial columns
+    included."""
+
+    @pytest.fixture
+    def received(self, monkeypatch):
+        """Per solve, the columns ``_solve_columns`` receives, and then every
+        column ``_Columns`` may enter, each list with its row count."""
+        log = []
+        real_solve, real_columns = lp_module._solve_columns, lp_module._Columns
+
+        def solve(cols, rels, b, cost):
+            log.append((list(cols), len(rels)))
+            return real_solve(cols, rels, b, cost)
+
+        def columns(cols, n, m, w):
+            log.append((list(cols), m))
+            return real_columns(cols, n, m, w)
+
+        monkeypatch.setattr(lp_module, "_solve_columns", solve)
+        monkeypatch.setattr(lp_module, "_Columns", columns)
+        return log
+
+    def check_all(self, received):
+        for cols, m in received:
+            for col in cols:
+                check_column_form(col, m)
+
+    def test_covering_program(self, received):
+        rng = random.Random(157)
+        for _ in range(20):
+            h = random_hypergraph(rng, max_links=10)
+            sets = [sorted(s) for s in enumerate_maximal_independent_sets(h)]
+            lp = CoveringProgram(sets, random_demand(rng, h.num_links))
+            received.clear()
+            assert solve_lp(lp, "min").status is LpStatus.OPTIMAL
+            self.check_all(received)
+            (core, m), (every, _) = received
+            assert core == [((1, tuple(rows)),) for rows in sets]
+            assert every[:len(core)] == core
+            assert all(len(col) == 1 and col[0][0] in (1, -1) and len(col[0][1]) == 1
+                       for col in every[len(core):])
+
+    def test_linear_program(self, received):
+        # Every row is scaled by 2, and row 1 is negated for its negative
+        # rhs, so column 0 is 2 on rows 0 and 2 and -2 on row 1, and column 1
+        # is 2 on rows 0, 1 and 3.  The slacks of the <= rows follow, then
+        # the surplus and the artificial of row 3.
+        lp = LinearProgram(
+            2,
+            (1, 1),
+            (
+                ((1, 1), "<=", 3),
+                ((1, -1), ">=", Fraction(-1, 2)),
+                ((1, 0), "<=", 2),
+                ((0, 1), ">=", 1),
+            ),
+        )
+        sol = solve_lp(lp, "max")
+        check_exact(lp, sol)
+        assert sol.value == 3
+        core = [((2, (0, 2)), (-2, (1,))), ((2, (0, 1, 3)),)]
+        slacks = [((1, (0,)),), ((1, (1,)),), ((1, (2,)),), ((-1, (3,)),), ((1, (3,)),)]
+        assert received == [(core, 4), (core + slacks, 4)]
+        self.check_all(received)
+
+    def test_random_mixed_relations(self, received):
+        rng = random.Random(59)
+        for _ in range(200):
+            solve_lp(random_mixed_lp(rng, 6), rng.choice(("max", "min")))
+        assert len(received) == 400
+        self.check_all(received)
+
+
+class TestWidth:
+    """``_width`` covers Hadamard's bound computed from the dense columns of
+    the starting system: every entry the core stores is an ``m x m`` minor,
+    at most ``H``, the product of the ``m`` largest column norms, and every
+    priced entry is at most ``(m + 1) * max(1, |c|) * H``."""
+
+    def test_covers_hadamard_bound(self, monkeypatch):
+        real = lp_module._width
+        longest = []
+
+        def checked(cols, b, cost, m):
+            w = real(cols, b, cost, m)
+            dense = []
+            for col in cols:
+                entries = [0] * m
+                for v, rows in col:
+                    for i in rows:
+                        entries[i] = v
+                dense.append(entries)
+            squares = sorted((sum(x * x for x in e) for e in [*dense, b]), reverse=True)
+            hadamard = math.isqrt(math.prod(squares[:m]) - 1) + 1  # ceil(H)
+            assert (m + 1) * max([1, *map(abs, cost)]) * hadamard < 1 << w - 1
+            longest.append(max(sum(len(rows) for _, rows in col) for col in cols))
+            return w
+
+        monkeypatch.setattr(lp_module, "_width", checked)
+        rng = random.Random(163)
+        for _ in range(40):
+            h = random_hypergraph(rng, max_links=14, max_edges=8, min_links=8)
+            sets = [sorted(s) for s in enumerate_maximal_independent_sets(h)]
+            solve_lp(CoveringProgram(sets, random_demand(rng, h.num_links)), "min")
+        for _ in range(200):
+            solve_lp(random_mixed_lp(rng, 6), rng.choice(("max", "min")))
+        assert len(longest) == 240
+        assert max(longest[:40]) >= 8
 
 
 class TestReferenceSolver:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from operator import index
 from typing import Iterable, NamedTuple
 
 from .errors import DemandUnmet, DurationExceedsOne, NotIndependent, SolverInvariantError
@@ -41,7 +42,12 @@ class DemandVector:
 
     @classmethod
     def characteristic(cls, n: int, links: Iterable[int]) -> "DemandVector":
-        s = set(links)
+        try:
+            s = set(map(index, links))
+        except TypeError:
+            s = {-1}  # a non-integer id: outside 0..n-1
+        if not s.issubset(range(n)):
+            raise ValueError(f"link ids must be integers in 0..{n - 1}")
         return cls(tuple(_ONE if i in s else _ZERO for i in range(n)))
 
     def __len__(self):

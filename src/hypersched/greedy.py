@@ -345,6 +345,8 @@ def validate_assignment(h: Hypergraph, assigned, tau) -> None:
     den, placed = _to_ints(assigned)
     events = []
     for i, (pieces, t) in enumerate(zip(placed, tau)):
+        if pieces is None:
+            raise ValueError(f"link {i} has no interval set")
         measure = 0
         for a, b in pieces:
             measure += b - a

@@ -35,14 +35,17 @@ packed column, ``(p * c - c[row] * a') // d``, with ``a'`` the entering
 tableau column whose field ``row`` is set to ``p - d``.  Every field of the
 numerator is divisible by ``d``, so one floor division divides each field
 exactly.  The entering tableau column sums, per group, the group's value
-times the packed columns of ``R`` on its rows.  One routine, ``_pivot``, serves
-phase 1, the drive-out of leftover artificials and phase 2.
+times the packed columns of ``R`` on its rows; its top field, the reduced
+cost, keeps ``u`` current.  One routine, ``_pivot``, serves every pivot.
 
-Pricing.  The set columns are packed ``_CHUNK`` at a time, one int per row
-holding the row's entries of the chunk's columns, so a chunk's reduced costs
-are ``m`` multiply-adds of ``u[i]`` with those ints.  Biased by ``2^(w-1)``,
-a field is negative exactly when its top bit is clear, and the lowest such
-bit gives Bland's column; the scan stops at the first chunk that holds one.
+Pricing.  ``_run_simplex`` writes ``u = c_B * R`` for the cost it is given
+on entry, one multiply per packed column, so both phases, and a restart from
+any basis, price themselves.  The set columns are packed ``_CHUNK`` at a
+time, one int per row holding the row's entries of the chunk's columns, so a
+chunk's reduced costs are ``m`` multiply-adds of ``u[i]`` with those ints.
+Biased by ``2^(w-1)``, a field is negative exactly when its top bit is
+clear, and the lowest such bit gives Bland's column; the scan stops at the
+first chunk that holds one.
 The slack and artificial columns, each ``+-e_i``, price as ``+-u[i]``.
 
 The core does no ``Fraction`` arithmetic and returns ints, of which
@@ -223,21 +226,12 @@ def _pack(values, w):
     return x
 
 
-def _fields(x, w, k):
-    """The ``k`` lowest signed ``w``-bit fields of ``x``, lowest first."""
+def _field(x, w, i):
+    """Signed ``w``-bit field ``i`` of ``x``: the fields below it sum to less
+    than half a unit of it, so they round away, and those above are masked."""
+    sh = w * i
     hw = 1 << (w - 1)
-    mask = (1 << w) - 1
-    out = []
-    for _ in range(k):
-        out.append((x + hw & mask) - hw)
-        x = x + hw >> w
-    return out
-
-
-def _top(x, w, m):
-    """Field ``m``, the top field, of ``x``: the fields below it sum to less
-    than half a unit of it."""
-    return x + (1 << w * m >> 1) >> w * m
+    return (x + (hw << sh) + (1 << sh >> 1) >> sh & (1 << w) - 1) - hw
 
 
 class _Columns:
@@ -334,20 +328,23 @@ def _pivot(C, basis, d, row, col, a, w):
 
 def _run_simplex(C, basis, d, columns, cost):
     """Maximize ``cost . x`` in place, from the basis held in ``C`` (see
-    ``_pivot``), whose top fields hold the pricing row.
-
-    Only the first ``len(cost)`` columns of ``columns`` may enter; column
-    ``j``'s reduced cost is ``u . A_j - d * cost[j]``.  Returns
-    ``("optimal" | "unbounded", d)``.
+    ``_pivot``).  On entry it writes ``u = c_B * R`` for ``cost`` over the
+    top fields: with ``P`` holding ``c_B`` reversed above an empty field 0,
+    field ``m`` of ``c * P`` is ``c_B . c`` for each packed column ``c`` (a
+    basic column past ``cost`` costs 0).  Only the first ``len(cost)``
+    columns of ``columns`` may enter; column ``j``'s reduced cost is
+    ``u . A_j - d * cost[j]``.  Returns ``("optimal" | "unbounded", d)``.
     """
     cols, n, w = columns.cols, columns.n, columns.w
     m = len(basis)
     top = w * m
+    P = _pack([0, *(cost[bi] if bi < len(cost) else 0 for bi in reversed(basis))], w)
+    C[:] = [c + (_field(c * P, w, m) - _field(c, w, m) << top) for c in C]
     hw = 1 << (w - 1)
     mask = (1 << w) - 1
     signs = _pack([hw] * m, w)  # the top bit of each field below the top one
     bias = signs - _pack([1] * m, w)
-    half = 1 << top >> 1  # rounds away the fields below the top one (_top)
+    half = 1 << top >> 1  # rounds away the fields below the top one (_field)
     chunk_signs = _pack([hw] * _CHUNK, w)
     costs = [_pack(cost[s:min(s + _CHUNK, n)], w) for s in range(0, n, _CHUNK)]
     while True:
@@ -396,7 +393,8 @@ def _solve_columns(cols, rels, b, cost) -> tuple:
     is ``cols[j]``, one ``(value, rows)`` group per distinct nonzero value:
     ``A_ij`` is the value of the group whose ascending ``rows`` hold ``i``,
     else 0; every ``b[i]`` is nonnegative.  Returns the LpStatus and, if
-    optimal, ints ``(d, value, x, y)`` over ``d``; y prices b."""
+    optimal, ints ``(d, value, x, y)`` over ``d``; y prices b.  Each phase
+    starts from the basis the last left, ``_run_simplex`` pricing it."""
     n = len(cols)
     m = len(rels)
     cols = list(cols)
@@ -416,25 +414,20 @@ def _solve_columns(cols, rels, b, cost) -> tuple:
             cols.append(((1, (i,)),))
     w = _width(cols, b, cost, m)
     columns = _Columns(cols, n, m, w)
-    top = w * m
     # R = I, one packed int per column, then the right-hand side.
     C = [1 << w * i for i in range(m)] + [_pack(b, w)]
 
     d = 1
     keep = range(m)
     if len(cols) > art_start:
-        # Phase 1: maximize -(sum of artificials), priced by u = c_B * R.
-        for i, bi in enumerate(basis):
-            if bi >= art_start:
-                C[i] -= 1 << top
-                C[m] -= b[i] << top
+        # Phase 1: maximize -(sum of artificials).
         status, d = _run_simplex(C, basis, d, columns, [0] * art_start + [-1] * (len(cols) - art_start))
         if status != "optimal":
             raise SolverInvariantError(
                 f"phase 1 reported {status!r}; its objective is bounded above by 0"
             )
         # The objective entry is minus d times the artificials' sum.
-        if _top(C[m], w, m):
+        if _field(C[m], w, m):
             return LpStatus.INFEASIBLE, None
         # Drive leftover artificials out of the basis.  A redundant row's
         # artificial stays basic at zero: its tableau row is zero off the
@@ -444,28 +437,25 @@ def _solve_columns(cols, rels, b, cost) -> tuple:
             if basis[i] >= art_start:
                 for col in range(art_start):
                     a = _tableau_column(C, cols[col])
-                    if _fields(a, w, i + 1)[i]:
+                    if _field(a, w, i):
                         break
                 else:
                     continue  # all-zero row: redundant constraint
                 d = _pivot(C, basis, d, i, col, a, w)
             keep.append(i)
 
-    # Phase 2, priced by u = c_B * R, written over the top fields;
-    # artificial columns never enter again.
-    cb = [cost[bi] if bi < n else 0 for bi in basis]
-    C = [c + (sum(map(mul, cb, _fields(c, w, m))) - _top(c, w, m) << top) for c in C]
+    # Phase 2: artificial columns never enter again.
     status, d = _run_simplex(C, basis, d, columns, [*cost, *[0] * (art_start - n)])
     if status == "unbounded":
         return LpStatus.UNBOUNDED, None
-    u = [_top(c, w, m) for c in C[:m]]
+    u = [_field(c, w, m) for c in C[:m]]
 
     # Re-check the answer in the scaled integers: every row holds at x, and
     # the duals price the right-hand side at the optimum.
     x = [0] * n
     lhs = [0] * m
     primal = 0
-    for v, bi in zip(_fields(C[m], w, m), basis):
+    for v, bi in zip((_field(C[m], w, i) for i in range(m)), basis):
         if v < 0:
             raise SolverInvariantError(f"basic variable {bi} is negative at the optimum")
         if bi < n:

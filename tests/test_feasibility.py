@@ -209,6 +209,11 @@ class TestDemandVector:
         tau = DemandVector.characteristic(4, {1, 3})
         assert tau.values == (0, 1, 0, 1)
 
+    @pytest.mark.parametrize("links", [[5], [3], [-1], [1.5], ["1"], [0, 3]])
+    def test_characteristic_rejects_bad_ids(self, links):
+        with pytest.raises(ValueError, match="0..2"):
+            DemandVector.characteristic(3, links)
+
 
 def pinned_instance(seed):
     """A seeded random hypergraph on 12-15 links with 2N edges of 2-4 links,

@@ -385,6 +385,20 @@ class TestValidateAssignment:
         with pytest.raises(ValueError):
             validate_assignment(triangle, (IntervalSet.empty(),) * 2, zeros(3))
 
+    def test_unplaced_link(self, triangle):
+        # A step_callback snapshot holds None for the links not yet placed.
+        tau = DemandVector((F(1, 3),) * 3)
+        snapshots = []
+        greedy_schedule(triangle, tau, step_callback=lambda link, assigned: snapshots.append(assigned))
+        assert snapshots[0] == (None, None, None)
+        for assigned in snapshots:
+            link = assigned.index(None)
+            with pytest.raises(ValueError, match=f"link {link} has no interval set"):
+                validate_assignment(triangle, assigned, tau)
+        js = snapshots[-1][0]
+        with pytest.raises(ValueError, match="link 0 "):
+            validate_assignment(triangle, (None, js, js), tau)
+
     def test_large_denominators_far_below_greedy_time(self, monkeypatch):
         # Demands over mixed denominators 40..97 give a huge common
         # denominator; the check must still add ints only, building no

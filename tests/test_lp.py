@@ -146,6 +146,11 @@ class TestGoldens:
         sol = solve_lp(LinearProgram(2, (-1, 0)), "max")
         assert (sol.value, sol.assignment, sol.duals) == (0, (0, 0), ())
 
+    def test_no_constraints_negative_costs(self):
+        # m = 0: the pricing row is empty and every column prices at -cost.
+        sol = solve_lp(LinearProgram(2, (-1, -1), ()), "max")
+        assert sol == LpSolution(LpStatus.OPTIMAL, 0, (0, 0), ())
+
     def test_no_variables(self):
         # With no columns, rows with rhs 0 hold at the empty x and the rest fail.
         feasible = LinearProgram(0, (), (((), "<=", 1), ((), "=", 0)))
@@ -590,7 +595,7 @@ class TestReferenceSolver:
 
         def decoded(C, basis, d, row, col, a, w, real=lp_module._pivot):
             d = real(C, basis, d, row, col, a, w)
-            fields = [lp_module._fields(c, w, len(basis) + 1) for c in C]
+            fields = [[lp_module._field(c, w, i) for i in range(len(basis) + 1)] for c in C]
             assert [lp_module._pack(f, w) for f in fields] == C
             states[lp_module].append((d, {v: x for v, x in zip(basis, fields[-1]) if x}))
             widths.append(w)
@@ -656,3 +661,97 @@ class TestReferenceSolver:
                 == fractional_chromatic_number(h, tau, columns="all").value
             )
         assert len(calls) == 600
+
+
+def naive_field(x, w, i):
+    """Field ``i`` of ``x``, peeling the signed ``w``-bit fields off from
+    field 0 up."""
+    hw = 1 << (w - 1)
+    for _ in range(i + 1):
+        v = (x + hw) % (1 << w) - hw
+        x = (x - v) >> w
+    return v
+
+
+def wide_mixed_lp(rng, size):
+    """``random_mixed_lp`` with columns times integers up to 10^12 and
+    right-hand sides moved by fractions over denominators up to 10^9."""
+    lp = random_mixed_lp(rng, size)
+    k = [rng.randint(1, 10**12) for _ in range(lp.num_vars)]
+    return LinearProgram(
+        lp.num_vars,
+        lp.objective,
+        tuple(
+            (
+                tuple(a * kj for a, kj in zip(coeffs, k)),
+                rel,
+                rhs + Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)),
+            )
+            for coeffs, rel, rhs in lp.constraints
+        ),
+    )
+
+
+class TestFieldReader:
+    """``_field`` reads one signed field of a packed int: the fields below it
+    round away while they stay below ``2^(w-1)`` in magnitude, as every field
+    the core stores does, and the fields above it are masked off."""
+
+    def test_matches_naive_decode(self):
+        rng = random.Random(167)
+        reads = 0
+        for w in range(2, 201):
+            hw = 1 << (w - 1)
+            for _ in range(4):
+                k = rng.randint(1, 8)
+                below = [rng.choice((-(hw - 1), hw - 1, rng.randint(1 - hw, hw - 1))) for _ in range(k)]
+                for i in (0, rng.randrange(k), k - 1, k):  # k is the top field
+                    for v in (-hw, hw - 1, rng.randint(-hw, hw - 1)):
+                        above = [rng.randint(-hw, hw - 1) for _ in range(rng.randint(0, 2))]
+                        values = [*below[:i], v, *above]
+                        x = lp_module._pack(values, w)
+                        assert lp_module._field(x, w, i) == naive_field(x, w, i) == v
+                        assert [lp_module._field(x, w, j) for j in range(i)] == below[:i]
+                        reads += 1
+        assert reads >= 199 * 4 * 4 * 3
+
+
+class TestSelfPricedStart:
+    """``_run_simplex`` writes the pricing row ``u = c_B * R`` for the cost it
+    is given, so on each return every top field is the basic costs times the
+    fields below it."""
+
+    @pytest.fixture
+    def phases(self, monkeypatch):
+        """Per ``_run_simplex`` call, whether its cost prices artificials
+        (phase 1); every return is checked."""
+        log = []
+        real = lp_module._run_simplex
+
+        def checked(C, basis, d, columns, cost):
+            out = real(C, basis, d, columns, cost)
+            w, m = columns.w, len(basis)
+            cb = [cost[bi] if bi < len(cost) else 0 for bi in basis]
+            for c in C:
+                fields = [naive_field(c, w, i) for i in range(m + 1)]
+                assert fields[m] == sum(a * v for a, v in zip(cb, fields))
+            log.append(cost[columns.n:][-1:] == [-1])  # an artificial's cost
+            return out
+
+        monkeypatch.setattr(lp_module, "_run_simplex", checked)
+        return log
+
+    def test_covering_programs(self, phases):
+        rng = random.Random(173)
+        for _ in range(40):
+            h = random_hypergraph(rng, max_links=10)
+            sets = [sorted(s) for s in enumerate_maximal_independent_sets(h)]
+            solve_lp(CoveringProgram(sets, random_demand(rng, h.num_links)), rng.choice(("min", "max")))
+        assert phases.count(True) >= 30 and phases.count(False) >= 30
+
+    @pytest.mark.parametrize("make", [random_mixed_lp, wide_mixed_lp], ids=["mixed", "wide"])
+    def test_mixed_relations(self, phases, make):
+        rng = random.Random(179)
+        for _ in range(200):
+            solve_lp(make(rng, 5), rng.choice(("max", "min")))
+        assert phases.count(True) >= 100 and phases.count(False) >= 40

@@ -322,6 +322,14 @@ def greedy_step_bound(h: Hypergraph, w: WeightMatrix, assigned, link) -> tuple:
     The blocked slots are found as in :func:`greedy_schedule`, in ints over
     the lcm of the snapshot's endpoint denominators, and the weighted sum
     reads the scheduled measures in the same ints."""
+    n = h.num_links
+    if w.n != n:
+        raise ValueError(f"matrix is {w.n}x{w.n}, hypergraph has {n} links")
+    if len(assigned) != n:
+        raise ValueError(f"assignment has {len(assigned)} entries, expected {n}")
+    link = index(link)
+    if not 0 <= link < n:
+        raise ValueError(f"link {link} outside 0..{n - 1}")
     den, placed = _to_ints(assigned)
     free = sum(b - a for a, b in _gaps(_blocked(h, placed, link), den))
     lhs = Fraction(den - free, den)

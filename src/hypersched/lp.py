@@ -40,13 +40,14 @@ cost, keeps ``u`` current.  One routine, ``_pivot``, serves every pivot.
 
 Pricing.  ``_run_simplex`` writes ``u = c_B * R`` for the cost it is given
 on entry, one multiply per packed column, so both phases, and a restart from
-any basis, price themselves.  The set columns are packed ``_CHUNK`` at a
-time, one int per row holding the row's entries of the chunk's columns, so a
-chunk's reduced costs are ``m`` multiply-adds of ``u[i]`` with those ints.
-Biased by ``2^(w-1)``, a field is negative exactly when its top bit is
-clear, and the lowest such bit gives Bland's column; the scan stops at the
-first chunk that holds one.
-The slack and artificial columns, each ``+-e_i``, price as ``+-u[i]``.
+any basis, price themselves.  Every column, set, slack and artificial, is
+packed ``_CHUNK`` at a time in index order, one int per row holding the
+row's entries of the chunk's columns, so a chunk's reduced costs are ``m``
+multiply-adds of ``u[i]`` with those ints.  Biased by ``2^(w-1)``, a field
+is negative exactly when its top bit is clear, and the lowest such bit gives
+Bland's column; one scan, stopping at the first chunk that holds one, picks
+every entering column.  The artificial columns have chunks of their own,
+which phase 2 does not price.
 
 The core does no ``Fraction`` arithmetic and returns ints, of which
 ``solve_lp`` builds each result ``Fraction`` once.  An Optimal result is
@@ -212,8 +213,8 @@ class LpSolution:
     duals: tuple | None = None
 
 
-# Set columns priced per packed int: Bland's scan stops at the first chunk
-# holding a column with a negative reduced cost.
+# Columns priced per packed int (see ``_chunks``): Bland's scan stops at the
+# first chunk holding a column with a negative reduced cost.
 _CHUNK = 32
 
 
@@ -234,31 +235,25 @@ def _field(x, w, i):
     return (x + (hw << sh) + (1 << sh >> 1) >> sh & (1 << w) - 1) - hw
 
 
-class _Columns:
-    """The columns the core may enter, and the width ``w`` of its fields.
-
-    ``cols`` holds every column (see ``_solve_columns``): the ``n`` set
-    columns, then the slack and artificial columns, each ``((+-1, (i,)),)``.
-    ``chunks`` packs the set columns ``_CHUNK`` at a time, one ``(rows,
-    ints)`` pair per chunk, where ``ints[k]`` holds the entry of the chunk's
-    column ``t`` on row ``rows[k]`` in field ``t``.
-    """
-
-    __slots__ = ("cols", "n", "w", "chunks")
-
-    def __init__(self, cols, n, m, w):
-        self.cols, self.n, self.w = cols, n, w
-        self.chunks = []
-        bits = [1 << w * t for t in range(_CHUNK)]
-        for start in range(0, n, _CHUNK):
+def _chunks(cols, art_start, m, w):
+    """The pricing chunks of ``cols``: ``_CHUNK`` columns at a time in index
+    order, a fresh chunk starting at the first artificial column
+    ``art_start``.  Each is ``(start, stop, rows, ints)``: ``ints[k]`` holds
+    the entry of column ``start + t`` on row ``rows[k]`` in field ``t``."""
+    out = []
+    bits = [1 << w * t for t in range(_CHUNK)]
+    for lo, hi in ((0, art_start), (art_start, len(cols))):
+        for start in range(lo, hi, _CHUNK):
+            stop = min(start + _CHUNK, hi)
             packed = [0] * m
-            for bit, col in zip(bits, cols[start:min(start + _CHUNK, n)]):
+            for bit, col in zip(bits, cols[start:stop]):
                 for v, rows in col:
                     x = v * bit
                     for i in rows:
                         packed[i] += x
             rows = tuple(i for i, x in enumerate(packed) if x)
-            self.chunks.append((rows, tuple(map(packed.__getitem__, rows))))
+            out.append((start, stop, rows, tuple(map(packed.__getitem__, rows))))
+    return out
 
 
 def _width(cols, b, cost, m) -> int:
@@ -284,10 +279,10 @@ def _tableau_column(C, col):
 
 
 def _reduced_costs(u, d, chunk, cost):
-    """The packed reduced costs ``u . A_j - d * cost_j`` of one chunk of set
-    columns, column ``t`` of the chunk in field ``t``; ``cost`` packs the
-    chunk's costs."""
-    rows, ints = chunk
+    """The packed reduced costs ``u . A_j - d * cost_j`` of one pricing
+    chunk, column ``start + t`` in field ``t``; ``cost`` packs the chunk's
+    costs."""
+    _, _, rows, ints = chunk
     return sum(map(mul, map(u.__getitem__, rows), ints)) - d * cost
 
 
@@ -326,16 +321,16 @@ def _pivot(C, basis, d, row, col, a, w):
     return p
 
 
-def _run_simplex(C, basis, d, columns, cost):
+def _run_simplex(C, basis, d, cols, chunks, w, cost):
     """Maximize ``cost . x`` in place, from the basis held in ``C`` (see
     ``_pivot``).  On entry it writes ``u = c_B * R`` for ``cost`` over the
     top fields: with ``P`` holding ``c_B`` reversed above an empty field 0,
     field ``m`` of ``c * P`` is ``c_B . c`` for each packed column ``c`` (a
-    basic column past ``cost`` costs 0).  Only the first ``len(cost)``
-    columns of ``columns`` may enter; column ``j``'s reduced cost is
-    ``u . A_j - d * cost[j]``.  Returns ``("optimal" | "unbounded", d)``.
+    basic column past ``cost`` costs 0).  Only the columns of the ``chunks``
+    (see ``_chunks``) that start below ``len(cost)`` may enter; column
+    ``j``'s reduced cost is ``u . A_j - d * cost[j]``.  Returns
+    ``("optimal" | "unbounded", d)``.
     """
-    cols, n, w = columns.cols, columns.n, columns.w
     m = len(basis)
     top = w * m
     P = _pack([0, *(cost[bi] if bi < len(cost) else 0 for bi in reversed(basis))], w)
@@ -346,25 +341,19 @@ def _run_simplex(C, basis, d, columns, cost):
     bias = signs - _pack([1] * m, w)
     half = 1 << top >> 1  # rounds away the fields below the top one (_field)
     chunk_signs = _pack([hw] * _CHUNK, w)
-    costs = [_pack(cost[s:min(s + _CHUNK, n)], w) for s in range(0, n, _CHUNK)]
+    priced = [(chunk, _pack(cost[chunk[0]:chunk[1]], w)) for chunk in chunks if chunk[0] < len(cost)]
     while True:
         u = [c + half >> top for c in C[:m]]
         # Bland: the first column with a negative reduced cost enters.  A
         # field is negative when biasing it by 2^(w-1) leaves its top bit
         # clear; the lowest such field of the first chunk holding one is it.
-        for k, chunk in enumerate(columns.chunks):
-            neg = chunk_signs & ~(_reduced_costs(u, d, chunk, costs[k]) + chunk_signs)
+        for chunk, c in priced:
+            neg = chunk_signs & ~(_reduced_costs(u, d, chunk, c) + chunk_signs)
             if neg:
-                enter = k * _CHUNK + (neg & -neg).bit_length() // w - 1
+                enter = chunk[0] + (neg & -neg).bit_length() // w - 1
                 break
         else:
-            # The slack and artificial columns, each +-e_i, price as +-u[i].
-            for enter in range(n, len(cost)):
-                ((s, (i,)),) = cols[enter]
-                if s * u[i] < d * cost[enter]:
-                    break
-            else:
-                return "optimal", d
+            return "optimal", d
         a = _tableau_column(C, cols[enter]) - (d * cost[enter] << top)
         # Ratio test over the rows whose entry a[i] is at least 1: biased by
         # 2^(w-1) - 1, exactly those fields have their top bit set.
@@ -394,7 +383,8 @@ def _solve_columns(cols, rels, b, cost) -> tuple:
     ``A_ij`` is the value of the group whose ascending ``rows`` hold ``i``,
     else 0; every ``b[i]`` is nonnegative.  Returns the LpStatus and, if
     optimal, ints ``(d, value, x, y)`` over ``d``; y prices b.  Each phase
-    starts from the basis the last left, ``_run_simplex`` pricing it."""
+    starts from the basis the last left, ``_run_simplex`` pricing it, and
+    enters columns from one list of chunks packed over every column."""
     n = len(cols)
     m = len(rels)
     cols = list(cols)
@@ -413,7 +403,7 @@ def _solve_columns(cols, rels, b, cost) -> tuple:
             basis[i] = len(cols)
             cols.append(((1, (i,)),))
     w = _width(cols, b, cost, m)
-    columns = _Columns(cols, n, m, w)
+    chunks = _chunks(cols, art_start, m, w)
     # R = I, one packed int per column, then the right-hand side.
     C = [1 << w * i for i in range(m)] + [_pack(b, w)]
 
@@ -421,7 +411,7 @@ def _solve_columns(cols, rels, b, cost) -> tuple:
     keep = range(m)
     if len(cols) > art_start:
         # Phase 1: maximize -(sum of artificials).
-        status, d = _run_simplex(C, basis, d, columns, [0] * art_start + [-1] * (len(cols) - art_start))
+        status, d = _run_simplex(C, basis, d, cols, chunks, w, [0] * art_start + [-1] * (len(cols) - art_start))
         if status != "optimal":
             raise SolverInvariantError(
                 f"phase 1 reported {status!r}; its objective is bounded above by 0"
@@ -445,10 +435,12 @@ def _solve_columns(cols, rels, b, cost) -> tuple:
             keep.append(i)
 
     # Phase 2: artificial columns never enter again.
-    status, d = _run_simplex(C, basis, d, columns, [*cost, *[0] * (art_start - n)])
+    status, d = _run_simplex(C, basis, d, cols, chunks, w, [*cost, *[0] * (art_start - n)])
     if status == "unbounded":
         return LpStatus.UNBOUNDED, None
-    u = [_field(c, w, m) for c in C[:m]]
+    # Row i's slack or artificial column is +-e_i, so its dual is read from
+    # that column's reduced cost, u[i]; a redundant row's dual is 0.
+    y = [_field(C[i], w, m) if i in keep else 0 for i in range(m)]
 
     # Re-check the answer in the scaled integers: every row holds at x, and
     # the duals price the right-hand side at the optimum.
@@ -468,14 +460,8 @@ def _solve_columns(cols, rels, b, cost) -> tuple:
         bd = b[i] * d
         if not (lhs[i] <= bd if rel == "<=" else lhs[i] >= bd if rel == ">=" else lhs[i] == bd):
             raise SolverInvariantError(f"the optimum violates constraint {i}")
-    if sum(u[i] * b[i] for i in keep) != primal:
+    if sum(map(mul, y, b)) != primal:
         raise SolverInvariantError("the duals do not price the right-hand side at the optimum")
-
-    # Row i's slack or artificial column is +-e_i, so its dual is read from
-    # that column's reduced cost, u[i].
-    y = [0] * m
-    for i in keep:
-        y[i] = u[i]
     return LpStatus.OPTIMAL, (d, primal, x, y)
 
 

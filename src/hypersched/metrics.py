@@ -247,6 +247,9 @@ def symmetrize_demand(h: Hypergraph, tau, orbits) -> DemandVector:
     By orbit-stabilizer every link of an orbit is hit equally often, so the
     group average at link i is the mean of ``tau`` over i's orbit."""
     tau = as_demand(h, tau)
+    orbits = [tuple(orbit) for orbit in orbits]
+    if not all(orbits) or sorted(j for orbit in orbits for j in orbit) != list(range(h.num_links)):
+        raise ValueError(f"orbits must partition the links 0..{h.num_links - 1}")
     out = [None] * h.num_links
     for orbit in orbits:
         mean = sum((tau[j] for j in orbit), _ZERO) / len(orbit)

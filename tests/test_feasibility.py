@@ -353,11 +353,13 @@ class TestPivotCounts:
 
 class TestChunkedPricing:
     """chi_f at demand 1/2 on the N = 26 wall instance.  Bland's scan prices
-    the set columns ``lp._CHUNK`` at a time and stops at the first chunk
-    holding a negative reduced cost, so the chunks priced over the solve are,
-    summed over the pivots, the index of the chunk holding the entering
-    column plus one (every chunk when a slack column enters), plus every
-    chunk once for each phase's final scan: far below pivots times chunks."""
+    every column ``lp._CHUNK`` at a time, the set columns, then the 26
+    surplus columns, then the 26 artificial columns from a fresh chunk, and
+    stops at the first chunk holding a negative reduced cost.  So each pivot
+    prices up to and including the chunk that holds its entering column, and
+    each phase's final scan prices every chunk it may enter: phase 1 all of
+    them, phase 2 all but the artificial ones.  The total is far below
+    pivots times chunks."""
 
     def test_wall_instance_n26(self, monkeypatch):
         real_costs, real_pivot = lp_module._reduced_costs, lp_module._pivot
@@ -376,10 +378,18 @@ class TestChunkedPricing:
         h = wall_instance(26)
         fractional_chromatic_number(h, DemandVector((F(1, 2),) * 26), limit=26)
         sets = len(enumerate_maximal_independent_sets(h, limit=26))
-        chunks = -(-sets // lp_module._CHUNK)
-        expected = sum(min(col // lp_module._CHUNK, chunks - 1) + 1 for col in entered)
-        assert (sets, len(entered), priced[0]) == (863, 823, 4574)
-        assert priced[0] == expected + 2 * chunks
+        art_start = sets + 26
+        chunks = -(-art_start // lp_module._CHUNK)  # the set and surplus columns
+        art_chunks = -(-26 // lp_module._CHUNK)
+
+        def chunk(col):
+            if col < art_start:
+                return col // lp_module._CHUNK
+            return chunks + (col - art_start) // lp_module._CHUNK
+
+        expected = sum(chunk(col) + 1 for col in entered)
+        assert (sets, len(entered), priced[0]) == (863, 823, 4584)
+        assert priced[0] == expected + (chunks + art_chunks) + chunks
         assert priced[0] * 4 < len(entered) * chunks
 
 

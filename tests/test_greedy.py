@@ -251,6 +251,24 @@ class TestStepBound:
         assert lhs == F(1, 2)
         assert rhs == F(1, 2)
 
+    def test_rejects_bad_input(self):
+        # The path 0-1-2 at demand 1/2 each: link 2's step is (1/2, 1/2).
+        # Link -1 used to answer (0, 1/2), no link's step; other bad input
+        # answered for the wrong sizes or raised a bare IndexError.
+        h = Hypergraph(3, ((0, 1), (1, 2)))
+        w = delta_matrix(h)
+        assigned = greedy_schedule(h, DemandVector((F(1, 2),) * 3))
+        assert greedy_step_bound(h, w, assigned, 2) == (F(1, 2), F(1, 2))
+        for link in (-1, 3, 5):
+            with pytest.raises(ValueError, match=rf"link {link} outside 0\.\.2"):
+                greedy_step_bound(h, w, assigned, link)
+        with pytest.raises(ValueError, match="matrix is 2x2, hypergraph has 3 links"):
+            greedy_step_bound(h, zero_matrix(2), assigned, 0)
+        with pytest.raises(ValueError, match="assignment has 2 entries, expected 3"):
+            greedy_step_bound(h, w, assigned[:2], 0)
+        with pytest.raises(TypeError):
+            greedy_step_bound(h, w, assigned, 1.0)
+
     def test_single_edge_front_bounded_by_min(self):
         rng = random.Random(71)
         for _ in range(30):

@@ -311,7 +311,7 @@ class TestRandomized:
 
 class TestSolverInvariants:
     def test_phase_one_unbounded_raises(self, monkeypatch):
-        def unbounded(C, basis, d, columns, cost):
+        def unbounded(C, basis, d, cols, chunks, w, cost):
             return "unbounded", d
 
         monkeypatch.setattr(lp_module, "_run_simplex", unbounded)
@@ -417,20 +417,20 @@ class TestColumnForm:
     @pytest.fixture
     def received(self, monkeypatch):
         """Per solve, the columns ``_solve_columns`` receives, and then every
-        column ``_Columns`` may enter, each list with its row count."""
+        column ``_chunks`` packs for pricing, each list with its row count."""
         log = []
-        real_solve, real_columns = lp_module._solve_columns, lp_module._Columns
+        real_solve, real_chunks = lp_module._solve_columns, lp_module._chunks
 
         def solve(cols, rels, b, cost):
             log.append((list(cols), len(rels)))
             return real_solve(cols, rels, b, cost)
 
-        def columns(cols, n, m, w):
+        def chunks(cols, art_start, m, w):
             log.append((list(cols), m))
-            return real_columns(cols, n, m, w)
+            return real_chunks(cols, art_start, m, w)
 
         monkeypatch.setattr(lp_module, "_solve_columns", solve)
-        monkeypatch.setattr(lp_module, "_Columns", columns)
+        monkeypatch.setattr(lp_module, "_chunks", chunks)
         return log
 
     def check_all(self, received):
@@ -637,6 +637,38 @@ class TestReferenceSolver:
         assert min(statuses.values()) >= 30
         assert widest >= 300
 
+    def test_wider_than_one_chunk(self, solve_both, monkeypatch):
+        # 33 to 80 structural columns and 16 to 30 rows of all three
+        # relations, so the slack columns share a pricing chunk with the
+        # last structural ones and run on into the next, and the artificial
+        # columns fill chunks of their own.  Every entering column is
+        # classed by where it sits in that layout.
+        entered = []
+        real = lp_module._pivot
+
+        def classed(C, basis, d, row, col, *rest):
+            entered.append(col)
+            return real(C, basis, d, row, col, *rest)
+
+        monkeypatch.setattr(lp_module, "_pivot", classed)
+        rng = random.Random(181)
+        statuses = {status: 0 for status in LpStatus}
+        kinds = {"structural": 0, "slack, shared chunk": 0, "slack, later chunk": 0}
+        for _ in range(40):
+            lp = chunked_mixed_lp(rng)
+            entered.clear()
+            sol, _ = solve_both(lp, rng.choice(("max", "min")))
+            statuses[sol.status] += 1
+            n, chunk = lp.num_vars, lp_module._CHUNK
+            art_start = n + sum(rel != "=" for _, rel, _ in lp.constraints)
+            for col in entered:
+                if col < n:
+                    kinds["structural"] += 1
+                elif col < art_start:
+                    kinds["slack, shared chunk" if col // chunk == (n - 1) // chunk else "slack, later chunk"] += 1
+        assert min(statuses.values()) >= 8
+        assert min(kinds.values()) >= 20
+
     def test_chi_f_lps(self, solve_both, monkeypatch):
         # fractional_chromatic_number solves a CoveringProgram, whose
         # integer columns come straight from its row lists; every such call
@@ -692,6 +724,32 @@ def wide_mixed_lp(rng, size):
     )
 
 
+def chunked_mixed_lp(rng):
+    """33 to 80 variables and 16 to 28 sparse rows of small ints, with all
+    three relations and right-hand sides of either sign that hold at a
+    random nonnegative point.  Two LPs in three also cap the sum of the
+    variables, so they are bounded; one in four repeats a row as an equality
+    past its bound, so it is infeasible."""
+    n = rng.randint(33, 80)
+    point = [Fraction(rng.randint(0, 4), rng.choice((1, 2, 3))) for _ in range(n)]
+    cons = []
+    if rng.random() < 2 / 3:
+        cons.append(((1,) * n, "<=", sum(point) + rng.randint(0, 3)))
+    for _ in range(rng.randint(16, 28)):
+        row = tuple(rng.choice((-2, -1, 1, 2, 3)) if rng.random() < 0.15 else 0 for _ in range(n))
+        rel = rng.choice(("<=", ">=", "="))
+        rhs = sum(a * x for a, x in zip(row, point))
+        if rel != "=":
+            rhs += (1 if rel == "<=" else -1) * Fraction(rng.randint(0, 3), rng.choice((1, 2)))
+        cons.append((row, rel, rhs))
+    if rng.random() < 1 / 4:
+        row, rel, rhs = rng.choice(cons)
+        step = {"<=": 1, ">=": -1, "=": rng.choice((1, -1))}[rel]
+        cons.insert(rng.randrange(len(cons) + 1), (row, "=", rhs + step * Fraction(rng.randint(1, 4), 2)))
+    objective = tuple(Fraction(rng.randint(-3, 4), rng.choice((1, 2))) for _ in range(n))
+    return LinearProgram(n, objective, tuple(cons))
+
+
 class TestFieldReader:
     """``_field`` reads one signed field of a packed int: the fields below it
     round away while they stay below ``2^(w-1)`` in magnitude, as every field
@@ -728,14 +786,15 @@ class TestSelfPricedStart:
         log = []
         real = lp_module._run_simplex
 
-        def checked(C, basis, d, columns, cost):
-            out = real(C, basis, d, columns, cost)
-            w, m = columns.w, len(basis)
+        def checked(C, basis, d, cols, chunks, w, cost):
+            out = real(C, basis, d, cols, chunks, w, cost)
+            m = len(basis)
             cb = [cost[bi] if bi < len(cost) else 0 for bi in basis]
             for c in C:
                 fields = [naive_field(c, w, i) for i in range(m + 1)]
                 assert fields[m] == sum(a * v for a, v in zip(cb, fields))
-            log.append(cost[columns.n:][-1:] == [-1])  # an artificial's cost
+            # Only phase 1 prices every column, the last an artificial at -1.
+            log.append(len(cost) == len(cols) and cost[-1:] == [-1])
             return out
 
         monkeypatch.setattr(lp_module, "_run_simplex", checked)

@@ -615,6 +615,16 @@ class TestSymmetrize:
             for perm in brute_automorphisms(h):
                 assert permute_demand(perm, sym) == sym
 
+    def test_rejects_orbits_that_do_not_partition(self):
+        # Overlapping orbits used to give (1/2, 1/4, 1/4), no group average;
+        # an orbit past the links raised a bare IndexError.
+        h = Hypergraph(3, ((0, 1), (1, 2)))
+        tau = DemandVector((F(1, 2), F(1, 2), 0))
+        assert symmetrize_demand(h, tau, ((0, 2), (1,))).values == (F(1, 4), F(1, 2), F(1, 4))
+        for orbits in (((0, 1), (1, 2)), ((0, 1), (2, 5)), ((0, 1),), ((0, 1), (2,), ())):
+            with pytest.raises(ValueError, match=r"orbits must partition the links 0\.\.2"):
+                symmetrize_demand(h, tau, orbits)
+
     def test_equals_explicit_group_average(self):
         """Orbit means equal the average over the listed group, on inputs
         of at most 8 links, where the N! scan stays quick."""

@@ -138,7 +138,12 @@ def validate_weight_matrix(h: Hypergraph, w: WeightMatrix) -> None:
 def delta_matrix(h: Hypergraph) -> WeightMatrix:
     """Canonical admissible weights: for neighbors i, j the largest
     1/(|E|-1) over the edges containing both, zero elsewhere.  Written in
-    ints over the lcm of the distinct |E|-1."""
+    ints over the lcm of the distinct |E|-1.  Built once per hypergraph:
+    kept on ``h``, as its cached properties are, and shared by every later
+    call, so its rows must not be mutated."""
+    memo = h.__dict__
+    if "_delta_matrix" in memo:
+        return memo["_delta_matrix"]
     sizes = {len(e) for e in h.edges}
     den, ints = _over_lcm(Fraction(1, k - 1) for k in sizes)
     weight = dict(zip(sizes, ints))
@@ -150,7 +155,8 @@ def delta_matrix(h: Hypergraph) -> WeightMatrix:
             rows[i].update(m)
     for i, row in enumerate(rows):
         row.pop(i, None)
-    return WeightMatrix(h.num_links, [dict(sorted(row.items())) for row in rows], den)
+    w = memo["_delta_matrix"] = WeightMatrix(h.num_links, [dict(sorted(row.items())) for row in rows], den)
+    return w
 
 
 class ConditionReport(NamedTuple):

@@ -132,6 +132,9 @@ def minimalize(num_links: int, raw_edges: Iterable[Iterable[int]]) -> Hypergraph
 
 def neighbors(h: Hypergraph, i: int) -> frozenset:
     """Links that share at least one edge with link ``i``."""
+    i = index(i)
+    if not 0 <= i < h.num_links:
+        raise ValueError(f"link {i} outside 0..{h.num_links - 1}")
     sets = h.edge_sets
     out = set()
     for k in h.incidence[i]:

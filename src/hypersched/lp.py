@@ -51,8 +51,10 @@ which phase 2 does not price.
 
 The core does no ``Fraction`` arithmetic and returns ints, of which
 ``solve_lp`` builds each result ``Fraction`` once.  An Optimal result is
-re-checked in the scaled integers first, satisfies every constraint exactly,
-with no tolerance anywhere, and carries one exact dual value per constraint.
+re-checked in the scaled integers first: it satisfies every constraint
+exactly, its duals price the right-hand side at its value, and no set or
+slack column prices below its cost, so weak duality proves it optimal with
+no tolerance anywhere.  It carries one exact dual value per constraint.
 Variables are implicitly nonnegative.
 
 Pivot selection is deterministic (lowest eligible index), so identical inputs
@@ -462,6 +464,12 @@ def _solve_columns(cols, rels, b, cost) -> tuple:
             raise SolverInvariantError(f"the optimum violates constraint {i}")
     if sum(map(mul, y, b)) != primal:
         raise SolverInvariantError("the duals do not price the right-hand side at the optimum")
+    # The duals are feasible: no column that may enter in phase 2 (set or
+    # slack, read from ``cols``) has a negative reduced cost.  With the
+    # checks above, that certifies the optimum by weak duality.
+    for j, col in enumerate(cols[:art_start]):
+        if sum(a * sum(map(y.__getitem__, rows)) for a, rows in col) < d * (cost[j] if j < n else 0):
+            raise SolverInvariantError(f"column {j} prices below its cost at the optimum")
     return LpStatus.OPTIMAL, (d, primal, x, y)
 
 

@@ -11,6 +11,7 @@ from hypersched import (
     Hypergraph,
     Schedule,
     fractional_chromatic_number,
+    lp,
     minimalize,
 )
 
@@ -57,6 +58,20 @@ def fraction_counter(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counting)
     return made
+
+
+def stop_phase_two_early(setattr):
+    """Make every simplex stop right after phase 2 prices its start: the
+    ``_run_simplex`` call whose ``cost`` is shorter than ``cols`` (no
+    artificial column may enter) gets no pricing chunk, so it reports
+    "optimal" at the basis phase 1 left.  ``setattr`` is
+    ``monkeypatch.setattr``, or the builtin in a subprocess."""
+    real = lp._run_simplex
+
+    def early(C, basis, d, cols, chunks, w, cost):
+        return real(C, basis, d, cols, [] if len(cost) < len(cols) else chunks, w, cost)
+
+    setattr(lp, "_run_simplex", early)
 
 
 def is_feasible(h, tau):

@@ -32,8 +32,10 @@ from hypersched.formats import (
     parse_hypergraph_text,
     parse_weight_text,
 )
+from conftest import stop_phase_two_early, wall_instance
 
 F = Fraction
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def parse_interval_set(text):
@@ -199,6 +201,35 @@ class TestGoldenOutputs:
         monkeypatch.setattr(Hypergraph, "completions", prop)
         code, out, _ = run(capsys, "beta", files["star"])
         assert (code, out.splitlines()[0]) == (0, "beta = 7/3")
+        assert len(built) == 1
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["beta"], 0),
+            (["metrics"], 0),
+            (["check", "--rule", "cor4", "--demand", "star_2x4_demand.txt"], 1),
+        ],
+        ids=["beta", "metrics", "check-cor4"],
+    )
+    def test_one_delta_matrix_per_call(self, capsys, monkeypatch, argv, code):
+        """Every layer of a call reads the one delta matrix that the
+        hypergraph keeps: beta's sigma walk, its all-set walk and its
+        witness re-check; the metrics walks and their Delta-weight re-check;
+        the cor4 sums."""
+        built = []
+
+        class Counted(greedy.WeightMatrix):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(greedy, "WeightMatrix", Counted)
+        command, *rest = argv
+        rest = [str(ROOT / "data" / a) if a.endswith(".txt") else a for a in rest]
+        got, out, err = run(capsys, command, str(ROOT / "data" / "star_2x4.hg"), *rest)
+        assert (got, err) == (code, "")
+        assert out
         assert len(built) == 1
 
     def test_symmetrize_edgeless_ten_links(self, files, capsys):
@@ -399,6 +430,45 @@ class TestExitCodes:
         dfile.write_text("demand 1/2 1/2 1/2\n")
         code, out, err = run(capsys, command, files["triangle"], "--demand", str(dfile), *extra)
         assert (code, out, err) == (2, "", message)
+
+    @pytest.fixture
+    def wall8(self, tmp_path):
+        """wall_instance(8) and demand 1/7 on every link, as files: chi_f is
+        2/7, and a phase 2 stopped at its start reports 3/7."""
+        hg = tmp_path / "wall8.hg"
+        edges = ("edge" + "".join(f" {v + 1}" for v in e) + "\n" for e in wall_instance(8).edges)
+        hg.write_text("links 8\n" + "".join(edges))
+        dfile = tmp_path / "wall8.demand"
+        dfile.write_text("demand" + " 1/7" * 8 + "\n")
+        return str(hg), str(dfile)
+
+    @pytest.mark.parametrize("command", ["chi-f", "feasible"])
+    def test_chi_f_stopped_early_exits_2(self, wall8, capsys, monkeypatch, command):
+        hg, dfile = wall8
+        code, out, _ = run(capsys, command, hg, "--demand", dfile)
+        assert (code, "chi_f = 2/7" in out.splitlines()[0]) == (0, True)
+        stop_phase_two_early(monkeypatch.setattr)
+        code, out, err = run(capsys, command, hg, "--demand", dfile)
+        assert (code, out, err) == (2, "", "error: column 3 prices below its cost at the optimum\n")
+
+    def test_chi_f_stopped_early_exits_2_under_optimize(self, wall8):
+        """The optimality re-check is no assert: ``python -O`` keeps it."""
+        hg, dfile = wall8
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+        script = (
+            "import sys\n"
+            "from conftest import stop_phase_two_early\n"
+            "from hypersched import cli\n"
+            "stop_phase_two_early(setattr)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, "chi-f", hg, "--demand", dfile],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: column 3 prices below its cost at the optimum\n"
+        )
 
     def test_beta_differing_from_sigma_exits_2(self, files, capsys, monkeypatch):
         real = metrics._sigma

@@ -32,6 +32,7 @@ from conftest import (
     permute_demand,
     random_demand,
     random_hypergraph,
+    stop_phase_two_early,
     wall_instance,
     zeros,
 )
@@ -323,6 +324,17 @@ class TestSolverInvariant:
         )
         with pytest.raises(SolverInvariantError, match="infeasible"):
             fractional_chromatic_number(triangle, DemandVector((1, 1, 1)))
+
+    def test_phase_two_stopped_at_its_start_raises(self, monkeypatch):
+        """Stopped before its first pivot, phase 2 leaves a feasible basis
+        worth 3/7 where chi_f is 2/7, and its witness schedule validates;
+        only the duals' feasibility shows that the basis is not optimal."""
+        h = wall_instance(8)
+        tau = DemandVector((F(1, 7),) * 8)
+        assert fractional_chromatic_number(h, tau).value == F(2, 7)
+        stop_phase_two_early(monkeypatch.setattr)
+        with pytest.raises(SolverInvariantError, match="column 3 prices below its cost at the optimum"):
+            fractional_chromatic_number(h, tau)
 
 
 class TestPivotCounts:

@@ -51,6 +51,15 @@ class TestWeightMatrix:
         validate_weight_matrix(star2x4, delta_matrix(star2x4))
         validate_weight_matrix(triangle, delta_matrix(triangle))
 
+    def test_delta_matrix_built_once_per_hypergraph(self):
+        h = Hypergraph(7, ((0, 1, 2, 3), (0, 4, 5, 6)))
+        d = delta_matrix(h)
+        assert delta_matrix(h) is d
+        twin = Hypergraph(h.num_links, h.edges)
+        assert twin == h
+        assert delta_matrix(twin) is not d
+        assert delta_matrix(twin) == d
+
     def test_zero_matrix_fails_row_sum(self, triangle):
         with pytest.raises(EdgeRowSumTooSmall) as err:
             validate_weight_matrix(triangle, zero_matrix(3))

@@ -314,6 +314,13 @@ class TestNeighbors:
     def test_no_edges(self):
         assert neighbors(Hypergraph(4), 2) == frozenset()
 
+    @pytest.mark.parametrize("i", [-1, 4])
+    def test_link_outside_range(self, i):
+        h = Hypergraph(4, ((0, 1), (2, 3)))
+        with pytest.raises(ValueError, match=rf"^link {i} outside 0\.\.3$"):
+            neighbors(h, i)
+        assert [neighbors(h, j) for j in range(4)] == [{1}, {0}, {3}, {2}]
+
     def test_matches_edges_containing(self, star2x4):
         for i in range(star2x4.num_links):
             union = set()

@@ -551,7 +551,8 @@ class TestSigmaWalk:
         counts = []
         for h in work_antichains():
             made[0] = 0
-            delta_matrix(h)
+            # An equal but distinct hypergraph, so that _sigma builds its own.
+            delta_matrix(Hypergraph(h.num_links, h.edges))
             matrix, made[0] = made[0], 0
             metrics._sigma(h)
             counts.append((made[0], matrix + 1))

@@ -7,11 +7,11 @@ Checks, on seeded random instances:
     first (link, independent set) of a brute-force scan that attains the
     largest per-link bound,
   - chi_f <= B <= sigma * chi_f for nonzero demands,
-  - chi_f over the maximal sets == chi_f over all independent sets, and
-    each LP's witness is a valid schedule of total duration chi_f,
+  - chi_f's witness is a valid schedule of total duration chi_f,
   - the duals y of the covering LP over the maximal sets certify chi_f:
     y >= 0, y . tau == chi_f, and y(S) <= 1 for every independent set S
-    (all of them, not only the maximal columns that priced the LP),
+    (all of them, not only the maximal columns that priced the LP), which
+    proves chi_f optimal over all independent sets by weak duality,
   - the maximal sets, in order, are the maximal ones among all independent
     sets,
   - on a random admissible matrix other than delta (delta plus p/q, q in
@@ -206,16 +206,11 @@ def main():
             failures += 1
 
         chi, witness = fractional_chromatic_number(h, tau)
-        chi_all, witness_all = fractional_chromatic_number(h, tau, columns="all")
-        if chi != chi_all:
-            print(f"[{k}] chi_f over maximal sets {chi} != over all sets {chi_all}")
+        try:
+            validate_schedule(h, witness, tau, max_total=chi)
+        except HyperschedError as e:
+            print(f"[{k}] chi_f witness rejected: {e}")
             failures += 1
-        for columns, schedule in (("maximal", witness), ("all", witness_all)):
-            try:
-                validate_schedule(h, schedule, tau, max_total=chi)
-            except HyperschedError as e:
-                print(f"[{k}] chi_f witness over {columns} sets rejected: {e}")
-                failures += 1
         columns = [sorted(s) for s in enumerate_maximal_independent_sets(h)]
         sol = solve_lp(CoveringProgram(columns, tau), "min")
         y = sol.duals

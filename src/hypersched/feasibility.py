@@ -17,7 +17,8 @@ from .errors import DemandUnmet, DurationExceedsOne, NotIndependent, SolverInvar
 from .hypergraph import (
     Hypergraph,
     _members,
-    enumerate_independent_sets,
+    # Unused here; kept because perfbench/tracing.py wraps this name.
+    enumerate_independent_sets,  # noqa: F401
     enumerate_maximal_independent_sets,
     is_independent,
 )
@@ -98,25 +99,17 @@ class ChiFResult(NamedTuple):
     witness: Schedule
 
 
-def fractional_chromatic_number(
-    h: Hypergraph,
-    tau,
-    limit: int | None = None,
-    columns: str = "maximal",
-) -> ChiFResult:
+def fractional_chromatic_number(h: Hypergraph, tau, limit: int | None = None) -> ChiFResult:
     """Minimum total duration of a schedule covering ``tau``.
 
-    Solved as an exact LP over independent-set columns.  ``columns`` is
-    ``"maximal"`` (default; restricting to maximal sets does not change the
-    optimum) or ``"all"`` (every independent set, used as a cross-check).
+    Solved as an exact LP with one column per maximal independent set: a
+    set's time can go to any maximal set above it and still cover as much,
+    so the other independent sets never lower the optimum.  The solver
+    proves its answer: its duals y are >= 0, y . tau is the value and
+    y(S) <= 1 on every maximal set S, hence on every independent set.
     """
     tau = as_demand(h, tau)
-    if columns == "maximal":
-        sets = enumerate_maximal_independent_sets(h, limit, masks=True)
-    elif columns == "all":
-        sets = enumerate_independent_sets(h, limit, masks=True)
-    else:
-        raise ValueError(f"columns must be 'maximal' or 'all', got {columns!r}")
+    sets = enumerate_maximal_independent_sets(h, limit, masks=True)
     # One column per set, on the rows of its links.
     members = [_members(s) for s in sets]
     sol = solve_lp(CoveringProgram(members, tau.values), "min")

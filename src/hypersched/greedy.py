@@ -28,7 +28,7 @@ from .errors import (
     ScheduleStuck,
 )
 from .feasibility import as_demand
-from .hypergraph import Hypergraph, neighbors
+from .hypergraph import Hypergraph, _link, neighbors
 from .intervals import IntervalSet
 # Wrapped by name by the benchmark's span tracer; the pass itself runs on ints.
 from .intervals import earliest_fit, intersect_all, union_all  # noqa: F401
@@ -99,7 +99,7 @@ class WeightMatrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        v = self.ints[i].get(j)
+        v = self.ints[_link(i, self.n)].get(_link(j, self.n))
         return _ZERO if v is None else Fraction(v, self.den)
 
     def __eq__(self, other):
@@ -333,9 +333,7 @@ def greedy_step_bound(h: Hypergraph, w: WeightMatrix, assigned, link) -> tuple:
         raise ValueError(f"matrix is {w.n}x{w.n}, hypergraph has {n} links")
     if len(assigned) != n:
         raise ValueError(f"assignment has {len(assigned)} entries, expected {n}")
-    link = index(link)
-    if not 0 <= link < n:
-        raise ValueError(f"link {link} outside 0..{n - 1}")
+    link = _link(link, n)
     den, placed = _to_ints(assigned)
     free = sum(b - a for a, b in _gaps(_blocked(h, placed, link), den))
     lhs = Fraction(den - free, den)

@@ -130,11 +130,17 @@ def minimalize(num_links: int, raw_edges: Iterable[Iterable[int]]) -> Hypergraph
     return Hypergraph(num_links, tuple(e for k, e in enumerate(h.edges) if k not in supersets))
 
 
+def _link(i, n: int) -> int:
+    """Link id ``i`` as an int, or ValueError unless it is in 0..n-1."""
+    i = index(i)
+    if not 0 <= i < n:
+        raise ValueError(f"link {i} outside 0..{n - 1}")
+    return i
+
+
 def neighbors(h: Hypergraph, i: int) -> frozenset:
     """Links that share at least one edge with link ``i``."""
-    i = index(i)
-    if not 0 <= i < h.num_links:
-        raise ValueError(f"link {i} outside 0..{h.num_links - 1}")
+    i = _link(i, h.num_links)
     sets = h.edge_sets
     out = set()
     for k in h.incidence[i]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from fractions import Fraction
+from operator import index
 from typing import NamedTuple
 
 from .errors import SolverInvariantError
@@ -22,6 +23,7 @@ from .hypergraph import (
     Hypergraph,
     _check_limit,
     _independent_subsets,
+    _link,
     _members,
     # Unused here; kept because perfbench/tracing.py wraps these names.
     automorphisms,  # noqa: F401
@@ -49,23 +51,16 @@ class LinkMetric(NamedTuple):
     witness: frozenset
 
 
-def _setup(h: Hypergraph, limit):
-    """What every per-link degree search of ``h`` shares: the delta matrix,
-    whose ``ints`` rows over ``den`` they walk, and the completion table."""
-    _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
-    return delta_matrix(h), h.completions
-
-
-def _link_degrees(setup, i) -> tuple:
+def _link_degrees(w, completions, i) -> tuple:
     """Link i's Delta' and Delta'' from one walk of the independent subsets
     J of its neighbors, the keys of its delta row: the largest Delta-weight
     of any J, and 1 plus the largest of a J that does not block i (J + i is
-    independent).  Ties keep the lexicographically first J.
+    independent).  Ties keep the lexicographically first J.  The walk reads
+    the ``ints`` rows over ``den`` of ``w``, the delta matrix.
 
     Records change only on a strict ``>``, so the walk drops a branch once
     its bound is at most the Delta' record and either at most the Delta''
     record or the branch already blocks i (then every set below it does)."""
-    w, completions = setup
     den, row = w.den, w.ints[i]
     best, best2, witness, witness2 = 0, -den, 0, 0
     bit = 1 << i
@@ -92,7 +87,8 @@ def _sigma(h: Hypergraph, limit: int | None = None) -> Fraction:
     sigma names no witness, so the links may be walked in any order; they
     go in descending order of their root bound (the delta-row sum, ties by
     link id), so that ``top`` rises early and cuts the later walks."""
-    w, completions = _setup(h, limit)
+    _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
+    w, completions = delta_matrix(h), h.completions
     den = top = w.den
 
     def cut(bound, blocked):
@@ -108,13 +104,15 @@ def _sigma(h: Hypergraph, limit: int | None = None) -> Fraction:
 
 def delta_i_prime(h: Hypergraph, i: int, limit: int | None = None) -> LinkMetric:
     """Largest Delta-weight of an independent subset of link i's neighbors."""
-    return _link_degrees(_setup(h, limit), i)[0]
+    _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
+    return _link_degrees(delta_matrix(h), h.completions, _link(i, h.num_links))[0]
 
 
 def delta_i_doubleprime(h: Hypergraph, i: int, limit: int | None = None) -> LinkMetric:
     """As delta_i_prime but the subset must stay independent together with
     link i itself, and i contributes 1."""
-    return _link_degrees(_setup(h, limit), i)[1]
+    _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
+    return _link_degrees(delta_matrix(h), h.completions, _link(i, h.num_links))[1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,8 +132,9 @@ class MetricsReport:
 
 
 def interference_metrics(h: Hypergraph, limit: int | None = None) -> MetricsReport:
-    setup = _setup(h, limit)
-    degrees = [_link_degrees(setup, i) for i in range(h.num_links)]
+    _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
+    w, completions = delta_matrix(h), h.completions
+    degrees = [_link_degrees(w, completions, i) for i in range(h.num_links)]
     prime, doubleprime = zip(*degrees)
     dp = max(m.value for m in prime)
     dpp = max(m.value for m in doubleprime)
@@ -185,7 +184,7 @@ def beta_by_enumeration(h: Hypergraph, limit: int | None = None) -> BetaWitness:
     + the largest row sum is replaced by 0 at once.  Raises
     ``SolverInvariantError`` unless beta equals sigma."""
     sigma = _sigma(h, limit)
-    w, completions = _setup(h, limit)
+    w, completions = delta_matrix(h), h.completions
     den, n = w.den, h.num_links
     most = den + max(sum(row.values()) for row in w.ints)
     width = (most + 1).bit_length() + 1
@@ -247,7 +246,10 @@ def symmetrize_demand(h: Hypergraph, tau, orbits) -> DemandVector:
     By orbit-stabilizer every link of an orbit is hit equally often, so the
     group average at link i is the mean of ``tau`` over i's orbit."""
     tau = as_demand(h, tau)
-    orbits = [tuple(orbit) for orbit in orbits]
+    try:
+        orbits = [tuple(map(index, orbit)) for orbit in orbits]
+    except TypeError:
+        orbits = [()]  # a non-integer id: no partition
     if not all(orbits) or sorted(j for orbit in orbits for j in orbit) != list(range(h.num_links)):
         raise ValueError(f"orbits must partition the links 0..{h.num_links - 1}")
     out = [None] * h.num_links

@@ -7,9 +7,11 @@ from itertools import permutations
 import pytest
 
 from hypersched import (
+    CoveringProgram,
     DemandVector,
     Hypergraph,
     Schedule,
+    enumerate_independent_sets,
     fractional_chromatic_number,
     lp,
     minimalize,
@@ -77,6 +79,12 @@ def stop_phase_two_early(setattr):
 def is_feasible(h, tau):
     """True iff some schedule of total duration <= 1 satisfies ``tau``."""
     return fractional_chromatic_number(h, tau).value <= 1
+
+
+def all_sets_program(h, tau):
+    """The chi_f covering LP with one column per independent set of ``h``,
+    the empty set included: the oracle for the maximal-set LP."""
+    return CoveringProgram([sorted(s) for s in enumerate_independent_sets(h)], tau)
 
 
 def intervals_to_schedule(assigned):

@@ -18,6 +18,7 @@ from hypersched import (
     Schedule,
     SizeLimitExceeded,
     SolverInvariantError,
+    enumerate_independent_sets,
     enumerate_maximal_independent_sets,
     fractional_chromatic_number,
     minimalize,
@@ -27,6 +28,7 @@ from hypersched import (
 from hypersched import feasibility
 from hypersched import lp as lp_module
 from conftest import (
+    all_sets_program,
     brute_automorphisms,
     is_feasible,
     permute_demand,
@@ -115,9 +117,8 @@ class TestChiF:
         for _ in range(15):
             h = random_hypergraph(rng, max_links=6)
             tau = random_demand(rng, h.num_links)
-            a = fractional_chromatic_number(h, tau, columns="maximal").value
-            b = fractional_chromatic_number(h, tau, columns="all").value
-            assert a == b
+            a = fractional_chromatic_number(h, tau).value
+            assert a == solve_lp(all_sets_program(h, tau), "min").value
 
 
 class TestIsFeasible:
@@ -295,7 +296,8 @@ class TestPinnedWitness:
 class TestChiFDuals:
     def test_duals_certify_chi_f(self):
         # Built as fractional_chromatic_number builds it: y >= 0, y(S) <= 1
-        # for every maximal independent set S and y . tau == chi_f.
+        # for every maximal independent set S, hence for every independent
+        # set, and y . tau == chi_f.
         rng = random.Random(59)
         for _ in range(15):
             h = random_hypergraph(rng, max_links=10, max_edges=8)
@@ -314,6 +316,7 @@ class TestChiFDuals:
             assert sol.value == fractional_chromatic_number(h, tau).value
             assert all(v >= 0 for v in y)
             assert all(sum(y[i] for i in s) <= 1 for s in sets)
+            assert all(sum(y[i] for i in s) <= 1 for s in enumerate_independent_sets(h))
             assert sum(v * t for v, t in zip(y, tau)) == sol.value
 
 

@@ -143,6 +143,19 @@ class TestPerLinkDegrees:
         assert value == oracle_delta_doubleprime(star2x4, 0)
         assert witness == frozenset({1, 2, 4, 5})
 
+    @pytest.mark.parametrize(
+        "degree, inside",
+        [(delta_i_prime, (1, frozenset({0}))), (delta_i_doubleprime, (1, frozenset()))],
+    )
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_link_outside_range(self, degree, inside, i):
+        # Link 3 used to raise a bare IndexError, and link -1 read the last
+        # delta row and then failed on a negative shift count.
+        h = Hypergraph(3, ((0, 1),))
+        with pytest.raises(ValueError, match=rf"^link {i} outside 0\.\.2$"):
+            degree(h, i)
+        assert degree(h, 1) == inside
+
     def test_graph_doubleprime_is_one(self):
         rng = random.Random(83)
         for _ in range(15):
@@ -622,7 +635,13 @@ class TestSymmetrize:
         h = Hypergraph(3, ((0, 1), (1, 2)))
         tau = DemandVector((F(1, 2), F(1, 2), 0))
         assert symmetrize_demand(h, tau, ((0, 2), (1,))).values == (F(1, 4), F(1, 2), F(1, 4))
-        for orbits in (((0, 1), (1, 2)), ((0, 1), (2, 5)), ((0, 1),), ((0, 1), (2,), ())):
+        for orbits in (
+            ((0, 1), (1, 2)),
+            ((0, 1), (2, 5)),
+            ((0, 1),),
+            ((0, 1), (2,), ()),
+            ((0, 1.0), (2,)),  # passed the check, then raised a bare TypeError
+        ):
             with pytest.raises(ValueError, match=r"orbits must partition the links 0\.\.2"):
                 symmetrize_demand(h, tau, orbits)
 

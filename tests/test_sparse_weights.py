@@ -211,6 +211,16 @@ def test_zero_entries_dropped():
     assert w[2, 0] == 0 and w[0, 1] == F(1, 2)
 
 
+@pytest.mark.parametrize("ij, bad", [((-1, 0), -1), ((0, 5), 5), ((0, -1), -1), ((2, 0), 2)])
+def test_entry_outside_the_links_refused(ij, bad):
+    # w[-1, 0] used to read W[1][0], w[0, 5] and w[0, -1] gave 0, and
+    # w[2, 0] raised a bare IndexError.
+    w = WeightMatrix(2, [{1: F(1)}, {0: F(1)}])
+    with pytest.raises(ValueError, match=rf"^link {bad} outside 0\.\.1$"):
+        w[ij]
+    assert (w[0, 1], w[True, False], w[1, 1]) == (1, 1, 0)
+
+
 def test_sparse_construction_checks_symmetry():
     with pytest.raises(NotSymmetric) as err:
         WeightMatrix(3, ({}, {}, {0: F(1)}))

@@ -88,7 +88,7 @@ def random_weights(rng, h):
             if j > i and rng.random() < 0.5:
                 q = rng.randint(2, 7)
                 row[j] = rows[j][i] = min(Fraction(1), row[j] + Fraction(rng.randint(1, q), q))
-    return WeightMatrix(h.num_links, tuple(rows))
+    return WeightMatrix.from_rows(rows)
 
 
 def dense_sums(w, tau):

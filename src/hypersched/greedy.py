@@ -11,6 +11,7 @@ the pass succeeds for every processing order.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
 from itertools import islice, repeat
@@ -37,60 +38,58 @@ from .lp import _as_fraction, _over_lcm
 _ZERO = Fraction(0)
 
 
-@dataclasses.dataclass(frozen=True, init=False, eq=False)
+@dataclasses.dataclass(frozen=True, eq=False)
 class WeightMatrix:
     """Symmetric rational matrix of pairwise interference weights, stored
     sparsely on one integer base.
 
     ``ints[i]`` maps each link j with W[i][j] != 0 to W[i][j] * ``den``, in
-    increasing j, so every weighted sum adds ints and divides once.
-    ``rows`` gives the same maps as Fractions and ``w[i, j]`` reads 0 off
-    that support.  Construction takes ``n`` and one mapping ``{j: weight}``
-    per link (or, given ``den``, ``{j: int}`` maps over it in increasing j),
-    drops zero entries and raises NonzeroDiagonal / NotSymmetric;
-    :meth:`from_rows` takes dense rows.  The checks that need the hypergraph
-    are :func:`validate_weight_matrix`.
+    any order, so every weighted sum adds ints and divides once.  ``rows``
+    gives the same maps as Fractions and ``w[i, j]`` reads 0 off that
+    support.  Construction takes that stored form (``den`` >= 1), drops zero
+    entries and checks every column, the diagonal and symmetry, naming the
+    first fault of a dense row-major scan; :meth:`from_rows` takes rational
+    rows.  The checks that need the hypergraph are
+    :func:`validate_weight_matrix`.
     """
 
     n: int
     den: int
     ints: tuple
 
-    def __init__(self, n, rows, den=None):
-        rows = tuple(rows)
+    def __post_init__(self):
+        n, den = self.n, self.den
+        if den < 1:
+            raise ValueError(f"weight denominator {den} is not positive")
+        rows = tuple(self.ints)
         if len(rows) != n:
             raise ValueError(f"weight matrix has {len(rows)} rows, expected {n}")
-        if den is None:
-            cols = [sorted(row) for row in rows]
-            den, flat = _over_lcm(_as_fraction(row[j]) for row, js in zip(rows, cols) for j in js)
-            it = iter(flat)
-            rows = [dict(zip(js, it)) for js in cols]
         kept = []
         for i, row in enumerate(rows):
             if 0 in row.values():
                 row = {j: v for j, v in row.items() if v}
-            if row and (next(iter(row)) < 0 or next(reversed(row)) >= n):
-                j = next(j for j in row if not 0 <= j < n)
-                raise ValueError(f"column {j} outside 0..{n - 1}")
+            if row and not 0 <= min(row) <= max(row) < n:
+                raise ValueError(f"column {min(j for j in row if not 0 <= j < n)} outside 0..{n - 1}")
             if i in row:
                 raise NonzeroDiagonal(i, Fraction(row[i], den))
             kept.append(row)
-        for i, row in enumerate(kept):
-            for j, v in row.items():
-                if kept[j].get(i) != v:
-                    raise NotSymmetric(min(i, j), max(i, j))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "den", den)
+        # Every asymmetric pair: the least may be stored only in its later row.
+        bad = [sorted((i, j)) for i, row in enumerate(kept) for j, v in row.items() if kept[j].get(i) != v]
+        if bad:
+            raise NotSymmetric(*min(bad))
         object.__setattr__(self, "ints", tuple(kept))
 
     @classmethod
-    def from_rows(cls, dense) -> "WeightMatrix":
-        """The matrix with the given dense square rows."""
-        dense = [tuple(row) for row in dense]
-        n = len(dense)
-        if any(len(row) != n for row in dense):
+    def from_rows(cls, rows) -> "WeightMatrix":
+        """The matrix with the given rational rows: dense square rows, or one
+        ``{j: weight}`` map per link."""
+        rows = [row if isinstance(row, Mapping) else tuple(row) for row in rows]
+        if any(len(row) != len(rows) for row in rows if isinstance(row, tuple)):
             raise ValueError("weight matrix must be square")
-        return cls(n, tuple(dict(enumerate(row)) for row in dense))
+        maps = [dict(enumerate(row)) if isinstance(row, tuple) else row for row in rows]
+        den, flat = _over_lcm(_as_fraction(v) for row in maps for v in row.values())
+        it = iter(flat)
+        return cls(len(rows), den, [dict(zip(row, it)) for row in maps])
 
     @property
     def rows(self) -> tuple:
@@ -109,23 +108,23 @@ class WeightMatrix:
 def validate_weight_matrix(h: Hypergraph, w: WeightMatrix) -> None:
     """Check the rest of admissibility: entries in [0,1], support only on
     neighbor pairs, and row sums >= 1 within every edge.  Symmetry and the
-    zero diagonal hold by construction.  Each check scans the stored entries
-    in row-major order, so the first fault reported is the one a dense scan
-    would find first.  Entries and edge row sums are compared in ints with
-    ``w.den``; a Fraction is built only for the fault raised."""
+    zero diagonal hold by construction.  Each check names the smallest
+    offending column of the first row that has one, the fault a dense
+    row-major scan meets first.  Entries and edge row sums are compared in
+    ints with ``w.den``; a Fraction is built only for the fault raised."""
     n = h.num_links
     if w.n != n:
         raise ValueError(f"matrix is {w.n}x{w.n}, hypergraph has {n} links")
     den, ints = w.den, w.ints
     for i, row in enumerate(ints):
         if row and not 0 <= min(row.values()) <= max(row.values()) <= den:
-            j = next(j for j, v in row.items() if not 0 <= v <= den)
+            j = min(j for j, v in row.items() if not 0 <= v <= den)
             raise EntryOutOfRange(i, j, Fraction(row[j], den))
     for i, row in enumerate(ints):
         if row:
             nbr = neighbors(h, i)
             if not nbr.issuperset(row):
-                j = next(j for j in row if j not in nbr)
+                j = min(row.keys() - nbr)
                 raise NonNeighborNonzero(i, j, Fraction(row[j], den))
     zeros = repeat(0)
     for edge in h.edges:
@@ -155,7 +154,7 @@ def delta_matrix(h: Hypergraph) -> WeightMatrix:
             rows[i].update(m)
     for i, row in enumerate(rows):
         row.pop(i, None)
-    w = memo["_delta_matrix"] = WeightMatrix(h.num_links, [dict(sorted(row.items())) for row in rows], den)
+    w = memo["_delta_matrix"] = WeightMatrix(h.num_links, den, rows)
     return w
 
 

@@ -67,7 +67,7 @@ import dataclasses
 import math
 from enum import Enum
 from fractions import Fraction
-from operator import mul
+from operator import index, lt, mul
 
 from .errors import SolverInvariantError
 
@@ -85,7 +85,10 @@ class LpStatus(Enum):
 
 def _as_fraction(v) -> Fraction:
     """``v`` as a Fraction; one that already is one is kept, not rebuilt."""
-    return v if type(v) is Fraction else Fraction(v)
+    try:
+        return v if type(v) is Fraction else Fraction(v)
+    except OverflowError as e:  # an infinite float; NaN raises ValueError itself
+        raise ValueError(*e.args) from None
 
 
 def _over_lcm(values) -> tuple:
@@ -168,12 +171,14 @@ class CoveringProgram:
         if any(t < 0 for t in demand):
             raise ValueError("a covering demand is negative")
         m = len(demand)
-        columns = tuple(map(tuple, columns))
+        try:
+            # Through a list, so that each column's tuple is allocated at its size.
+            columns = tuple(tuple(list(map(index, rows))) for rows in columns)
+        except TypeError:
+            raise ValueError("column rows must be integers") from None
         for rows in columns:
-            if list(rows) != sorted(set(rows)):
-                raise ValueError(f"column rows {list(rows)} are not ascending and distinct")
-            if rows and (rows[0] < 0 or rows[-1] >= m):
-                raise ValueError(f"column rows {list(rows)} outside 0..{m - 1}")
+            if rows and not (0 <= rows[0] and rows[-1] < m and all(map(lt, rows, rows[1:]))):
+                raise ValueError(f"column rows {list(rows)} are not ascending, distinct and in 0..{m - 1}")
         self.columns = columns
         self.demand = demand
 
@@ -410,7 +415,6 @@ def _solve_columns(cols, rels, b, cost) -> tuple:
     C = [1 << w * i for i in range(m)] + [_pack(b, w)]
 
     d = 1
-    keep = range(m)
     if len(cols) > art_start:
         # Phase 1: maximize -(sum of artificials).
         status, d = _run_simplex(C, basis, d, cols, chunks, w, [0] * art_start + [-1] * (len(cols) - art_start))
@@ -422,27 +426,22 @@ def _solve_columns(cols, rels, b, cost) -> tuple:
         if _field(C[m], w, m):
             return LpStatus.INFEASIBLE, None
         # Drive leftover artificials out of the basis.  A redundant row's
-        # artificial stays basic at zero: its tableau row is zero off the
-        # artificial columns, so it never leaves, and its dual is 0.
-        keep = []
+        # stays basic at zero: its tableau row is zero off the artificials.
         for i in range(m):
             if basis[i] >= art_start:
                 for col in range(art_start):
                     a = _tableau_column(C, cols[col])
                     if _field(a, w, i):
+                        d = _pivot(C, basis, d, i, col, a, w)
                         break
-                else:
-                    continue  # all-zero row: redundant constraint
-                d = _pivot(C, basis, d, i, col, a, w)
-            keep.append(i)
 
     # Phase 2: artificial columns never enter again.
     status, d = _run_simplex(C, basis, d, cols, chunks, w, [*cost, *[0] * (art_start - n)])
     if status == "unbounded":
         return LpStatus.UNBOUNDED, None
-    # Row i's slack or artificial column is +-e_i, so its dual is read from
-    # that column's reduced cost, u[i]; a redundant row's dual is 0.
-    y = [_field(C[i], w, m) if i in keep else 0 for i in range(m)]
+    # Row i's slack or artificial column is +-e_i, so its dual is that
+    # column's reduced cost, u[i]: 0 for a redundant row's basic artificial.
+    y = [_field(C[i], w, m) for i in range(m)]
 
     # Re-check the answer in the scaled integers: every row holds at x, and
     # the duals price the right-hand side at the optimum.

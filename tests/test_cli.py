@@ -338,6 +338,24 @@ class TestExitCodes:
         assert out == ""
         assert f"{bad}:2:" in err
 
+    @pytest.mark.parametrize(
+        "name, text, argv, line, message",
+        [
+            ("a.hg", "edge 1 2\nlinks 3\n", [], 1, "edge before links line"),
+            ("b.hg", "links 3\nedge\n", [], 2, "edge line with no links"),
+            ("d.txt", "# no demand\n", ["check", "--rule", "cor4"], 1, "missing demand line"),
+        ],
+        ids=["edge-before-links", "empty-edge", "no-demand"],
+    )
+    def test_parse_refusals(self, files, capsys, name, text, argv, line, message):
+        bad = files["dir"] / name
+        bad.write_text(text)
+        if argv:
+            argv = [argv[0], files["triangle"], "--demand", str(bad), *argv[1:]]
+        else:
+            argv = ["validate", str(bad)]
+        assert run(capsys, *argv) == (2, "", f"error: {bad}:{line}: {message}\n")
+
     def test_non_antichain_rejected_without_flag(self, files, capsys):
         raw = files["dir"] / "raw.hg"
         raw.write_text("links 4\nedge 1 2 3 4\nedge 1 2\n")

@@ -12,8 +12,11 @@ from hypersched import (
     DemandVector,
     LinearProgram,
     LpSolution,
+    IntervalSet,
     LpStatus,
+    Schedule,
     SolverInvariantError,
+    WeightMatrix,
     enumerate_maximal_independent_sets,
     fractional_chromatic_number,
     solve_lp,
@@ -212,6 +215,12 @@ class TestCoveringProgram:
         with pytest.raises(ValueError):
             CoveringProgram(columns, demand)
 
+    @pytest.mark.parametrize("rows", [(0.0, 1.0), (1.0,), ("0",), (0, None)])
+    def test_rejects_non_integer_rows(self, rows):
+        # (0.0, 1.0) passed the column check and then failed in the solver.
+        with pytest.raises(ValueError, match="^column rows must be integers$"):
+            CoveringProgram([rows], [1, 1])
+
     def test_generator_of_columns(self):
         lp = CoveringProgram((rows for rows in [[0], [1]]), [1, 1])
         assert lp.columns == ((0,), (1,))
@@ -223,6 +232,30 @@ class TestCoveringProgram:
         assert solve_lp(lp, "min").value == 1
         with pytest.raises(ValueError, match=r"column rows \[1, 0\] are not ascending"):
             CoveringProgram([iter([1, 0])], [1, 1])
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: DemandVector((v,)),
+        lambda v: Schedule(((frozenset({0}), v),)),
+        lambda v: IntervalSet(((0, v),)),
+        lambda v: LinearProgram(1, (v,)),
+        lambda v: CoveringProgram([(0,)], [v]),
+        lambda v: WeightMatrix.from_rows([[0, v], [v, 0]]),
+    ],
+    ids=["DemandVector", "Schedule", "IntervalSet", "LinearProgram", "CoveringProgram", "WeightMatrix"],
+)
+def test_non_finite_float_refused(build, bad):
+    """Infinity raised OverflowError where NaN raised ValueError."""
+    with pytest.raises(ValueError, match="^cannot convert (Infinity|NaN) to integer ratio$"):
+        build(bad)
+
+
+def test_objective_length_checked():
+    with pytest.raises(ValueError, match="^objective has 1 entries, expected 2$"):
+        LinearProgram(2, (1,))
 
 
 class TestRandomized:

@@ -12,6 +12,7 @@ term.
 
 import contextlib
 import io
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ import pytest
 from hypersched import (
     EdgeRowSumTooSmall,
     EntryOutOfRange,
+    Hypergraph,
     NonNeighborNonzero,
     NonzeroDiagonal,
     NotSymmetric,
@@ -159,6 +161,8 @@ def inject(rng, h, rows, fault):
     returns False when ``h`` has no place for it."""
     n = h.num_links
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j]]
+    if fault in ("range", "asymmetric") and not pairs:  # earlier faults zeroed them all
+        return False
     if fault == "diagonal":
         i = rng.randrange(n)
         rows[i][i] = F(1, 2)
@@ -215,7 +219,7 @@ def test_zero_entries_dropped():
 def test_entry_outside_the_links_refused(ij, bad):
     # w[-1, 0] used to read W[1][0], w[0, 5] and w[0, -1] gave 0, and
     # w[2, 0] raised a bare IndexError.
-    w = WeightMatrix(2, [{1: F(1)}, {0: F(1)}])
+    w = WeightMatrix.from_rows([{1: F(1)}, {0: F(1)}])
     with pytest.raises(ValueError, match=rf"^link {bad} outside 0\.\.1$"):
         w[ij]
     assert (w[0, 1], w[True, False], w[1, 1]) == (1, 1, 0)
@@ -223,11 +227,49 @@ def test_entry_outside_the_links_refused(ij, bad):
 
 def test_sparse_construction_checks_symmetry():
     with pytest.raises(NotSymmetric) as err:
-        WeightMatrix(3, ({}, {}, {0: F(1)}))
+        WeightMatrix.from_rows(({}, {}, {0: F(1)}))
     assert (err.value.i, err.value.j) == (0, 2)
     with pytest.raises(NonzeroDiagonal):
-        WeightMatrix(2, ({0: F(1)}, {}))
+        WeightMatrix.from_rows(({0: F(1)}, {}))
 
+
+@pytest.mark.parametrize(
+    "n, den, ints, message",
+    [
+        # Accepted with a column -1 when only a row's first and last keys
+        # were range-checked.
+        (3, 1, [{1: 1, -1: 1, 2: 1}, {0: 1}, {0: 1}], r"column -1 outside 0\.\.2"),
+        # A bare IndexError from the symmetry check, likewise.
+        (3, 1, [{1: 1, 5: 1, 2: 1}, {0: 1}, {0: 1}], r"column 5 outside 0\.\.2"),
+        (3, 1, [{2: 1, 7: 1, -4: 1}, {}, {0: 1}], r"column -4 outside 0\.\.2"),
+        # den = 0 made w[0, 1] raise ZeroDivisionError; den = -1 read -1.
+        (2, 0, [{1: 1}, {0: 1}], r"weight denominator 0 is not positive"),
+        (2, -1, [{1: 1}, {0: 1}], r"weight denominator -1 is not positive"),
+        (3, 1, [{1: 1}, {0: 1}], r"weight matrix has 2 rows, expected 3"),
+    ],
+    ids=["unordered-negative", "unordered-past-end", "several-outside", "den-0", "den-negative", "rows"],
+)
+def test_stored_form_refused(n, den, ints, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        WeightMatrix(n, den, ints)
+
+
+@pytest.mark.parametrize("rows", [[[0, 1], [1, 0, 0]], [[0, 1, 1], [1, 0, 1]], [[0], {}]])
+def test_from_rows_refuses_non_square_dense_rows(rows):
+    with pytest.raises(ValueError, match="^weight matrix must be square$"):
+        WeightMatrix.from_rows(rows)
+
+
+def test_stored_form_keeps_rows_in_any_order():
+    w = WeightMatrix(3, 6, [{2: 3, 1: 2}, {0: 2, 2: 0}, {0: 3}])
+    assert w.ints == ({2: 3, 1: 2}, {0: 2}, {0: 3})
+    assert w == WeightMatrix.from_rows([[0, F(1, 3), F(1, 2)], [F(1, 3), 0, 0], [F(1, 2), 0, 0]])
+
+
+def test_matrix_size_must_match_hypergraph():
+    w = WeightMatrix.from_rows([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match=r"^matrix is 2x2, hypergraph has 3 links$"):
+        validate_weight_matrix(Hypergraph(3, ((0, 1, 2),)), w)
 
 
 def random_mixed(rng, h):
@@ -251,7 +293,7 @@ def three_ways(dense):
     weight-file text."""
     sparse = tuple({j: v for j, v in enumerate(row) if v} for row in dense)
     return [
-        WeightMatrix(len(dense), sparse),
+        WeightMatrix.from_rows(sparse),
         WeightMatrix.from_rows(dense),
         parse_weight_text(weight_text(dense)),
     ]
@@ -268,7 +310,7 @@ def test_int_base_agrees_four_ways(seed):
                 assert w.rows == tuple({j: v for j, v in enumerate(row) if v} for row in dense)
                 assert all(w[i, j] == dense[i][j] for i in range(n) for j in range(n))
                 for row, ints in zip(w.rows, w.ints):
-                    assert list(ints) == sorted(ints) == list(row)
+                    assert ints.keys() == row.keys()
                     assert all(type(v) is int and v == row[j] * w.den for j, v in ints.items())
 
 
@@ -304,13 +346,43 @@ def test_mixed_denominator_fault_reported_three_ways(fault):
         with pytest.raises(Exception) as expected:
             dense_validate(h, rows)
         for build in (
-            lambda: WeightMatrix(h.num_links, tuple(dict(enumerate(row)) for row in rows)),
+            lambda: WeightMatrix.from_rows(tuple(dict(enumerate(row)) for row in rows)),
             lambda: WeightMatrix.from_rows(rows),
             lambda: parse_weight_text(weight_text(rows)),
         ):
             with pytest.raises(type(expected.value)) as got:
                 validate_weight_matrix(h, build())
             assert vars(got.value) == vars(expected.value)
+        checked += 1
+    assert checked >= 20
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_faults_in_shuffled_rows_reported_as_dense_scan(fault):
+    """Rows in no order, one to three faults of one kind, so a row may hold
+    two: the fault reported is the dense scan's first, whether the matrix
+    is built from shuffled Fraction maps or from the stored int form."""
+    checked = 0
+    for rng, h in instances(600 + FAULTS.index(fault), 40):
+        rows = random_mixed(rng, h)
+        if not all([inject(rng, h, rows, fault) for _ in range(rng.randint(1, 3))]):
+            continue
+        try:
+            dense_validate(h, rows)
+            continue  # a later fault undid an earlier one
+        except Exception as e:
+            expected = e
+        maps = []
+        for row in rows:
+            items = [(j, v) for j, v in enumerate(row) if v]
+            rng.shuffle(items)
+            maps.append(dict(items))
+        den = math.lcm(*(v.denominator for row in maps for v in row.values()))
+        stored = [{j: int(v * den) for j, v in row.items()} for row in maps]
+        for build in (lambda: WeightMatrix.from_rows(maps), lambda: WeightMatrix(len(rows), den, stored)):
+            with pytest.raises(type(expected)) as got:
+                validate_weight_matrix(h, build())
+            assert vars(got.value) == vars(expected)
         checked += 1
     assert checked >= 20
 

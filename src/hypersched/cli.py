@@ -24,7 +24,6 @@ from fractions import Fraction
 from . import __version__
 from .errors import (
     EdgeRowSumTooSmall,
-    EdgeTooSmall,
     HyperschedError,
     InvalidWeightMatrix,
     NotAntichain,
@@ -98,13 +97,12 @@ def _read(path):
 
 def _load_hypergraph(path, do_minimalize=False):
     h, edge_lines = parse_hypergraph_text(_read(path), path)
+    if do_minimalize:
+        h = minimalize(h.num_links, h.edges)
     try:
-        if do_minimalize:
-            h = minimalize(h.num_links, h.edges)
         validate_hypergraph(h)
-    except (EdgeTooSmall, NotAntichain) as e:
-        hint = " (run `validate --minimalize` to reduce)" if isinstance(e, NotAntichain) else ""
-        raise ParseError(path, edge_lines.get(e.edge, 1), f"{e}{hint}") from None
+    except NotAntichain as e:
+        raise ParseError(path, edge_lines[e.edge], f"{e} (run `validate --minimalize` to reduce)") from None
     return h
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import EdgeTooSmall, ParseError
 from .greedy import WeightMatrix
 from .hypergraph import Hypergraph
 from .intervals import IntervalSet
@@ -43,7 +43,8 @@ def parse_hypergraph_text(text, path="<input>"):
     """Parse `links N` + `edge a b ...` lines (1-based labels).
 
     Returns (hypergraph, edge_lines) where edge_lines maps each 0-based edge
-    tuple to the line it came from, for later diagnostics.
+    tuple to the line it came from, for later diagnostics.  A singleton edge
+    is a ParseError at its first line, raised after the last line is read.
     """
     num_links = None
     edges = []
@@ -77,7 +78,10 @@ def parse_hypergraph_text(text, path="<input>"):
             raise ParseError(path, lineno, f"unknown directive {tokens[0]!r}")
     if num_links is None:
         raise ParseError(path, 1, "missing links line")
-    return Hypergraph(num_links, tuple(edges)), edge_lines
+    try:
+        return Hypergraph(num_links, tuple(edges)), edge_lines
+    except EdgeTooSmall as e:
+        raise ParseError(path, edge_lines[e.edge], str(e)) from None
 
 
 def parse_demand_text(text, path="<input>"):

@@ -46,11 +46,11 @@ class WeightMatrix:
     ``ints[i]`` maps each link j with W[i][j] != 0 to W[i][j] * ``den``, in
     any order, so every weighted sum adds ints and divides once.  ``rows``
     gives the same maps as Fractions and ``w[i, j]`` reads 0 off that
-    support.  Construction takes that stored form (``den`` >= 1), drops zero
-    entries and checks every column, the diagonal and symmetry, naming the
-    first fault of a dense row-major scan; :meth:`from_rows` takes rational
-    rows.  The checks that need the hypergraph are
-    :func:`validate_weight_matrix`.
+    support.  Construction takes that stored form (ints, ``den`` >= 1),
+    drops zero entries and checks each row's columns and diagonal, row by
+    row, then symmetry; :meth:`from_rows` takes rational rows.  The checks
+    that need the hypergraph follow in :func:`validate_weight_matrix`.  Each
+    kind of fault names the first of its kind in a dense row-major scan.
     """
 
     n: int
@@ -58,7 +58,11 @@ class WeightMatrix:
     ints: tuple
 
     def __post_init__(self):
-        n, den = self.n, self.den
+        n = self.n
+        try:
+            den = index(self.den)
+        except TypeError:
+            raise ValueError(f"weight denominator {self.den!r} is not an integer") from None
         if den < 1:
             raise ValueError(f"weight denominator {den} is not positive")
         rows = tuple(self.ints)
@@ -66,6 +70,8 @@ class WeightMatrix:
             raise ValueError(f"weight matrix has {len(rows)} rows, expected {n}")
         kept = []
         for i, row in enumerate(rows):
+            if not isinstance(sum(row.values()), int):  # one float or Fraction makes the sum one
+                raise ValueError(f"weight row {i} holds a value that is not an integer")
             if 0 in row.values():
                 row = {j: v for j, v in row.items() if v}
             if row and not 0 <= min(row) <= max(row) < n:
@@ -77,6 +83,7 @@ class WeightMatrix:
         bad = [sorted((i, j)) for i, row in enumerate(kept) for j, v in row.items() if kept[j].get(i) != v]
         if bad:
             raise NotSymmetric(*min(bad))
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "ints", tuple(kept))
 
     @classmethod
@@ -106,12 +113,12 @@ class WeightMatrix:
 
 
 def validate_weight_matrix(h: Hypergraph, w: WeightMatrix) -> None:
-    """Check the rest of admissibility: entries in [0,1], support only on
-    neighbor pairs, and row sums >= 1 within every edge.  Symmetry and the
-    zero diagonal hold by construction.  Each check names the smallest
-    offending column of the first row that has one, the fault a dense
-    row-major scan meets first.  Entries and edge row sums are compared in
-    ints with ``w.den``; a Fraction is built only for the fault raised."""
+    """Check the rest of admissibility, one kind of fault after another:
+    entries in [0,1], then support only on neighbor pairs (each naming the
+    smallest bad column of the first row that has one, as a dense row-major
+    scan meets it), then row sums >= 1 within every edge, in edge order.
+    Entries and edge row sums are compared in ints with ``w.den``; a
+    Fraction is built only for the fault raised."""
     n = h.num_links
     if w.n != n:
         raise ValueError(f"matrix is {w.n}x{w.n}, hypergraph has {n} links")

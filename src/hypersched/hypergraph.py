@@ -4,10 +4,9 @@ A hyperedge is a minimal set of links that cannot all be active at the same
 time; a link set is independent when it contains no hyperedge.  Link ids are
 0-based internally (file formats use 1-based labels).
 
-Invariants enforced by :func:`validate_hypergraph`:
-  - every edge has at least 2 links,
-  - all link ids are in range,
-  - the edge family is an antichain (no edge contains another).
+Every ``Hypergraph`` has edges of at least 2 links, all ids in range:
+construction refuses any other.  :func:`validate_hypergraph` checks the
+rest, that the edge family is an antichain (no edge contains another).
 """
 
 from __future__ import annotations
@@ -36,26 +35,30 @@ class Hypergraph:
     """Ground set of ``num_links`` links plus a family of forbidden edges.
 
     Edges are canonicalized to sorted tuples and deduplicated (first
-    occurrence wins).  Construction does not run the semantic checks; call
-    :func:`validate_hypergraph` for those.
+    occurrence wins).  The first distinct edge of fewer than 2 links, or
+    else with an id outside 0..N-1 (the lowest named), raises
+    EdgeTooSmall or LinkOutOfRange.
     """
 
     num_links: int
     edges: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.num_links, int) or self.num_links < 1:
-            raise ValueError(f"num_links must be a positive integer, got {self.num_links!r}")
-        canon = []
-        seen = set()
+        n = self.num_links
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"num_links must be a positive integer, got {n!r}")
+        canon = {}  # the distinct edges, in first-occurrence order
         for edge in self.edges:
             try:
                 t = tuple(sorted(set(map(index, edge))))
             except TypeError:
                 raise ValueError(f"edge {edge!r} is not a set of integer link ids") from None
-            if t not in seen:
-                seen.add(t)
-                canon.append(t)
+            if t not in canon:
+                if len(t) < 2:
+                    raise EdgeTooSmall(t)
+                if not 0 <= t[0] <= t[-1] < n:
+                    raise LinkOutOfRange(t, next(v for v in t if not 0 <= v < n), n)
+                canon[t] = None
         object.__setattr__(self, "edges", tuple(canon))
 
     @cached_property
@@ -64,8 +67,7 @@ class Hypergraph:
 
     @cached_property
     def incidence(self) -> tuple:
-        """Per link, the indices of the edges through it, in edge order.
-        Needs every link id in range (see :func:`validate_hypergraph`)."""
+        """Per link, the indices of the edges through it, in edge order."""
         inc = [[] for _ in range(self.num_links)]
         for k, edge in enumerate(self.edges):
             for v in edge:
@@ -79,15 +81,6 @@ class Hypergraph:
         on first use, so only the size-limited walks pay for its N-bit masks."""
         masks = [sum(1 << v for v in edge) for edge in self.edges]
         return tuple(tuple(masks[k] ^ (1 << v) for k in ks) for v, ks in enumerate(self.incidence))
-
-
-def _check_edges(h: Hypergraph) -> None:
-    for edge in h.edges:
-        if len(edge) < 2:
-            raise EdgeTooSmall(edge)
-        for v in edge:
-            if not 0 <= v < h.num_links:
-                raise LinkOutOfRange(edge, v, h.num_links)
 
 
 def _containments(h: Hypergraph):
@@ -112,20 +105,16 @@ def _containments(h: Hypergraph):
 
 
 def validate_hypergraph(h: Hypergraph) -> None:
-    """Raise EdgeTooSmall / LinkOutOfRange / NotAntichain if ``h`` is malformed."""
-    _check_edges(h)
+    """Raise NotAntichain if some edge of ``h`` contains another."""
     for a, b in _containments(h):
         raise NotAntichain(h.edges[a], h.edges[b])
 
 
 def minimalize(num_links: int, raw_edges: Iterable[Iterable[int]]) -> Hypergraph:
-    """Keep only the inclusion-minimal edges of ``raw_edges`` and deduplicate.
-
-    Input order of the surviving edges is preserved.  Singleton edges and
-    out-of-range ids are rejected outright rather than silently dropped.
-    """
+    """Keep only the inclusion-minimal edges of ``raw_edges``, deduplicated,
+    in input order.  Singleton edges and out-of-range ids are refused, as
+    ``Hypergraph`` refuses them, not dropped."""
     h = Hypergraph(num_links, raw_edges)
-    _check_edges(h)
     supersets = {b for _, b in _containments(h)}
     return Hypergraph(num_links, tuple(e for k, e in enumerate(h.edges) if k not in supersets))
 

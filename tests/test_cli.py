@@ -373,6 +373,27 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"error: {raw}:3: edge 2 has fewer than 2 links\n"
 
+    @pytest.mark.parametrize("flags", [[], ["--minimalize"]], ids=["plain", "minimalize"])
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("links 3\nedge 1 2\nedge 3\n", 3, "edge 3 has fewer than 2 links"),
+            # Named once, at the line of its first occurrence.
+            ("links 3\nedge 1 2\nedge 2\nedge 2 3\nedge 2\n", 3, "edge 2 has fewer than 2 links"),
+            # A fault of a later line is still met first: the edges are
+            # checked once every line has been read.
+            ("links 3\nedge 2\nedge 1 9\n", 3, "label 9 outside 1..3"),
+            # The edge sizes are checked before the antichain.
+            ("links 4\nedge 1 2 3\nedge 1 2\nedge 4\n", 4, "edge 4 has fewer than 2 links"),
+            ("links 4\nedge 4 # lone\nedge 1 2\nedge 1 2 3\n", 2, "edge 4 has fewer than 2 links"),
+        ],
+        ids=["singleton", "repeated", "later-label", "after-contained", "before-contained"],
+    )
+    def test_singleton_edge_files(self, files, capsys, text, line, message, flags):
+        raw = files["dir"] / "small.hg"
+        raw.write_text(text)
+        assert run(capsys, "validate", str(raw), *flags) == (2, "", f"error: {raw}:{line}: {message}\n")
+
     def test_size_limit_exit(self, files, capsys, monkeypatch):
         monkeypatch.setenv("HS_SIZE_LIMIT", "5")
         code, out, err = run(capsys, "beta", files["star"])
@@ -874,6 +895,13 @@ class TestWeightFileErrors:
         err = self.run_weights(capsys, files, "0 1 0\n1 0 1\n0 1 1/3\n")
         assert err == "error: W:3: W[3][3] = 1/3, diagonal must be zero\n"
 
+    def test_symmetry_named_before_an_earlier_entry_out_of_range(self, files, capsys):
+        """Each kind of fault is checked over the whole matrix before the
+        next: W[1][2] = 2 comes first in a dense scan, but the symmetry
+        fault of row 2 is the one named."""
+        err = self.run_weights(capsys, files, "0 2 0\n2 0 1\n0 1/2 0\n")
+        assert err == "error: W:2: W[2][3] != W[3][2]\n"
+
 
 class TestScheduleWeights:
     """The greedy placement reads no weights: `schedule` builds none without
@@ -1127,6 +1155,17 @@ class TestExitCodeContract:
         code, out, err = run(capsys, argv[0], hg, "--demand", dem, *argv[1:], *json_flag)
         assert (code, out) == (3, "")
         assert err == "error: a result has more than 4300 digits, too many to print\n"
+
+    def test_other_value_errors_escape(self, good, monkeypatch):
+        """Only the int-digits refusal becomes exit 3; any other ValueError
+        is a bug and leaves main with its traceback."""
+
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "enumerate_independent_sets", boom)
+        with pytest.raises(ValueError, match="^boom$"):
+            main(["indep-sets", good[0]])
 
     def test_large_results_that_fit_still_print(self, huge, capsys):
         hg, dem, (d1, d2, d3) = huge

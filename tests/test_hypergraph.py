@@ -19,6 +19,7 @@ from hypersched import (
     Hypergraph,
     LinkOutOfRange,
     NotAntichain,
+    ParseError,
     SizeLimitExceeded,
     automorphisms,
     enumerate_independent_sets,
@@ -29,6 +30,7 @@ from hypersched import (
     neighbors,
     validate_hypergraph,
 )
+from hypersched.formats import parse_hypergraph_text
 import kernel_reference
 from conftest import (
     brute_automorphisms,
@@ -123,6 +125,42 @@ class TestValidate:
     def test_constructor_dedups_and_sorts(self):
         h = Hypergraph(4, ((2, 0), (0, 2), (3, 1)))
         assert h.edges == ((0, 2), (1, 3))
+
+
+class TestConstruction:
+    """No Hypergraph holds an edge of fewer than 2 links or an id outside
+    0..N-1: construction refuses it, so no library call meets one."""
+
+    def test_singleton_edge(self):
+        with pytest.raises(EdgeTooSmall) as err:
+            Hypergraph(2, [(0,)])
+        assert err.value.edge == (0,)
+
+    @pytest.mark.parametrize("edge, link", [((-1, 0), -1), ((0, 5), 5), ((9, -2, 5, 0), -2), ((0, 7, 5), 5)])
+    def test_link_out_of_range_names_the_lowest(self, edge, link):
+        with pytest.raises(LinkOutOfRange) as err:
+            Hypergraph(3, [edge])
+        assert (err.value.edge, err.value.link, err.value.num_links) == (tuple(sorted(edge)), link, 3)
+
+    def test_size_before_range(self):
+        with pytest.raises(EdgeTooSmall) as err:
+            Hypergraph(3, [(0, 1), (7,)])
+        assert err.value.edge == (7,)
+
+    def test_first_distinct_edge_named(self):
+        with pytest.raises(LinkOutOfRange) as err:
+            Hypergraph(4, [(0, 1), (1, 9), (2,), (1, 9)])
+        assert err.value.edge == (1, 9)
+        with pytest.raises(EdgeTooSmall) as err:
+            Hypergraph(4, [(2, 2), (1, 9)])
+        assert err.value.edge == (2,)
+
+    def test_repeated_singleton_reported_once_at_its_first_occurrence(self):
+        text = "links 3\nedge 1 2\nedge 2\nedge 2 3\nedge 2\n"
+        with pytest.raises(ParseError) as err:
+            parse_hypergraph_text(text, "h.hg")
+        assert err.value.line == 3
+        assert str(err.value) == "h.hg:3: edge 2 has fewer than 2 links"
 
 
 def raw_family(rng, n, count):

@@ -393,6 +393,25 @@ class TestSolverInvariants:
             solve_lp(lp, sense)
         assert len(pivots) > 1
 
+    def test_negative_basic_variable_raises(self, monkeypatch):
+        # Field 0 of the right-hand side, d * x_B on row 0, made negative
+        # once phase 2 (no artificial column may enter) reports optimal.
+        real = lp_module._run_simplex
+        phases = []
+
+        def corrupting(C, basis, d, cols, chunks, w, cost):
+            status, d = real(C, basis, d, cols, chunks, w, cost)
+            phases.append(len(cost) < len(cols))
+            if phases[-1]:
+                C[-1] -= 2 * lp_module._field(C[-1], w, 0) + 1
+            return status, d
+
+        monkeypatch.setattr(lp_module, "_run_simplex", corrupting)
+        lp = LinearProgram(2, (1, 1), (((1, 2), ">=", 3), ((2, 1), ">=", 3)))
+        with pytest.raises(SolverInvariantError, match=r"^basic variable \d+ is negative at the optimum$"):
+            solve_lp(lp, "min")
+        assert phases == [False, True]
+
 
 class TestFractionBoundary:
     """The integer core hands back ints, and ``solve_lp`` builds each result

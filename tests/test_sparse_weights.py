@@ -246,8 +246,16 @@ def test_sparse_construction_checks_symmetry():
         (2, 0, [{1: 1}, {0: 1}], r"weight denominator 0 is not positive"),
         (2, -1, [{1: 1}, {0: 1}], r"weight denominator -1 is not positive"),
         (3, 1, [{1: 1}, {0: 1}], r"weight matrix has 2 rows, expected 3"),
+        # Accepted, though the stored form is ints over den.
+        (2, 1, [{1: 0.5}, {0: 0.5}], r"weight row 0 holds a value that is not an integer"),
+        (2, 2, [{1: 1}, {0: F(1, 2)}], r"weight row 1 holds a value that is not an integer"),
+        # A bare TypeError from w[0, 1].
+        (2, 1.5, [{1: 1}, {0: 1}], r"weight denominator 1\.5 is not an integer"),
     ],
-    ids=["unordered-negative", "unordered-past-end", "several-outside", "den-0", "den-negative", "rows"],
+    ids=[
+        "unordered-negative", "unordered-past-end", "several-outside", "den-0", "den-negative", "rows",
+        "float-values", "fraction-value", "float-den",
+    ],
 )
 def test_stored_form_refused(n, den, ints, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

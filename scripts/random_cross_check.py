@@ -123,7 +123,7 @@ def random_wide_lp(rng):
         for _ in range(rng.randint(1, 5))
     )
     objective = tuple(Fraction(rng.randint(-4, 6), rng.choice((1, 2, 3))) for _ in range(n))
-    return LinearProgram(n, objective, rows)
+    return LinearProgram(objective, rows)
 
 
 def lp_faults(lp, sense, sol):

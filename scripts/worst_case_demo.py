@@ -58,7 +58,7 @@ def main():
     print(f"  enumeration over demands      = {worst.beta}")
     profile = is_beta_star(h)
     print(f"  star closed form              = {beta_star_formula(profile)}")
-    lp = solve_lp(LinearProgram(2, (21, 2), (((9, 1), "<=", 1),)), "max")
+    lp = solve_lp(LinearProgram((21, 2), (((9, 1), "<=", 1),)), "max")
     print(f"  schedule-family LP            = {lp.value}")
     print()
 

@@ -11,7 +11,6 @@ from .errors import (
     EdgeRowSumTooSmall,
     EdgeTooSmall,
     EntryOutOfRange,
-    HypergraphInvalid,
     HyperschedError,
     InvalidWeightMatrix,
     LinkOutOfRange,
@@ -21,7 +20,6 @@ from .errors import (
     NotIndependent,
     NotSymmetric,
     ParseError,
-    ScheduleInvalid,
     ScheduleStuck,
     SizeLimitExceeded,
     SolverInvariantError,

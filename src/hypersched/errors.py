@@ -17,17 +17,13 @@ class HyperschedError(Exception):
     """Base class for all structured errors raised by hypersched."""
 
 
-class HypergraphInvalid(HyperschedError):
-    """A hypergraph violates one of its structural invariants."""
-
-
-class EdgeTooSmall(HypergraphInvalid):
+class EdgeTooSmall(HyperschedError):
     def __init__(self, edge):
         self.edge = tuple(edge)
         super().__init__(f"edge {format_set(self.edge)} has fewer than 2 links")
 
 
-class NotAntichain(HypergraphInvalid):
+class NotAntichain(HyperschedError):
     def __init__(self, edge, superset):
         self.edge = tuple(edge)
         self.superset = tuple(superset)
@@ -36,7 +32,7 @@ class NotAntichain(HypergraphInvalid):
         )
 
 
-class LinkOutOfRange(HypergraphInvalid):
+class LinkOutOfRange(HyperschedError):
     def __init__(self, edge, link, num_links):
         self.edge = tuple(edge)
         self.link = link
@@ -53,24 +49,20 @@ class SizeLimitExceeded(HyperschedError):
         super().__init__(f"instance has {n} links, limit for this operation is {limit}")
 
 
-class ScheduleInvalid(HyperschedError):
-    """A schedule violates independence, duration or coverage requirements."""
-
-
-class NotIndependent(ScheduleInvalid):
+class NotIndependent(HyperschedError):
     def __init__(self, links):
         self.links = frozenset(links)
         super().__init__(f"set {format_set(self.links)} contains a forbidden edge")
 
 
-class DurationExceedsOne(ScheduleInvalid):
+class DurationExceedsOne(HyperschedError):
     def __init__(self, total, allowed):
         self.total = total
         self.allowed = allowed
         super().__init__(f"total duration {total} exceeds budget {allowed}")
 
 
-class DemandUnmet(ScheduleInvalid):
+class DemandUnmet(HyperschedError):
     def __init__(self, link, covered, required):
         self.link = link
         self.covered = covered

@@ -135,7 +135,7 @@ def parse_weight_text(text, path="<input>", n=None):
         raise ParseError(path, 1, f"weight matrix is {width}x{width}, hypergraph has {n} links")
     den, ints = _over_lcm(parsed.values())
     int_of = dict(zip(parsed, ints)).__getitem__
-    return WeightMatrix(width, den, [dict(zip(row, map(int_of, row.values()))) for row in rows])
+    return WeightMatrix(den, [dict(zip(row, map(int_of, row.values()))) for row in rows])
 
 
 def weight_row_line(text, row):

@@ -53,12 +53,10 @@ class WeightMatrix:
     kind of fault names the first of its kind in a dense row-major scan.
     """
 
-    n: int
     den: int
     ints: tuple
 
     def __post_init__(self):
-        n = self.n
         try:
             den = index(self.den)
         except TypeError:
@@ -66,12 +64,16 @@ class WeightMatrix:
         if den < 1:
             raise ValueError(f"weight denominator {den} is not positive")
         rows = tuple(self.ints)
-        if len(rows) != n:
-            raise ValueError(f"weight matrix has {len(rows)} rows, expected {n}")
+        n = len(rows)
         kept = []
         for i, row in enumerate(rows):
-            if not isinstance(sum(row.values()), int):  # one float or Fraction makes the sum one
-                raise ValueError(f"weight row {i} holds a value that is not an integer")
+            try:  # one float or Fraction among the ints makes a sum one; a str fails it
+                integral = isinstance(sum(row.values()) + sum(row), int)
+            except TypeError:
+                integral = False
+            if not integral:
+                kind = "column" if all(isinstance(v, int) for v in row.values()) else "value"
+                raise ValueError(f"weight row {i} holds a {kind} that is not an integer")
             if 0 in row.values():
                 row = {j: v for j, v in row.items() if v}
             if row and not 0 <= min(row) <= max(row) < n:
@@ -96,7 +98,11 @@ class WeightMatrix:
         maps = [dict(enumerate(row)) if isinstance(row, tuple) else row for row in rows]
         den, flat = _over_lcm(_as_fraction(v) for row in maps for v in row.values())
         it = iter(flat)
-        return cls(len(rows), den, [dict(zip(row, it)) for row in maps])
+        return cls(den, [dict(zip(row, it)) for row in maps])
+
+    @property
+    def n(self) -> int:
+        return len(self.ints)
 
     @property
     def rows(self) -> tuple:
@@ -109,7 +115,7 @@ class WeightMatrix:
         return _ZERO if v is None else Fraction(v, self.den)
 
     def __eq__(self, other):
-        return isinstance(other, WeightMatrix) and (self.n, self.rows) == (other.n, other.rows)
+        return isinstance(other, WeightMatrix) and self.rows == other.rows
 
 
 def validate_weight_matrix(h: Hypergraph, w: WeightMatrix) -> None:
@@ -161,7 +167,7 @@ def delta_matrix(h: Hypergraph) -> WeightMatrix:
             rows[i].update(m)
     for i, row in enumerate(rows):
         row.pop(i, None)
-    w = memo["_delta_matrix"] = WeightMatrix(h.num_links, den, rows)
+    w = memo["_delta_matrix"] = WeightMatrix(den, rows)
     return w
 
 

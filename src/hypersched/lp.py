@@ -104,27 +104,28 @@ class LinearProgram:
     """maximize (or minimize) objective . x subject to the constraint rows.
 
     Each constraint is ``(coefficients, relation, rhs)`` with relation one of
-    ``<=``, ``>=``, ``=``.
+    ``<=``, ``>=``, ``=``.  There is one variable per objective entry.
     """
 
-    num_vars: int
     objective: tuple
     constraints: tuple = ()
 
     def __post_init__(self):
         obj = tuple(map(_as_fraction, self.objective))
-        if len(obj) != self.num_vars:
-            raise ValueError(f"objective has {len(obj)} entries, expected {self.num_vars}")
         rows = []
         for coeffs, rel, rhs in self.constraints:
             row = tuple(map(_as_fraction, coeffs))
-            if len(row) != self.num_vars:
-                raise ValueError(f"constraint row has {len(row)} entries, expected {self.num_vars}")
+            if len(row) != len(obj):
+                raise ValueError(f"constraint row has {len(row)} entries, expected {len(obj)}")
             if rel not in RELATIONS:
                 raise ValueError(f"unknown relation {rel!r}")
             rows.append((row, rel, _as_fraction(rhs)))
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "constraints", tuple(rows))
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.objective)
 
     def _integer_form(self):
         """The core's integer problem (see ``solve_lp``)."""

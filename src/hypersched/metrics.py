@@ -117,7 +117,7 @@ def delta_i_doubleprime(h: Hypergraph, i: int, limit: int | None = None) -> Link
 
 @dataclasses.dataclass(frozen=True)
 class MetricsReport:
-    """Per-link and aggregate interference metrics.
+    """Per-link interference metrics; the aggregates are read off them.
 
     ``delta`` is the degree-style estimate max_i max(1, Delta_i'); it ignores
     the Delta'' term and can understate the true worst case on hypergraphs.
@@ -125,27 +125,29 @@ class MetricsReport:
 
     per_link_prime: tuple
     per_link_doubleprime: tuple
-    delta_prime: Fraction
-    delta_doubleprime: Fraction
-    sigma: Fraction
-    delta: Fraction
+
+    @property
+    def delta_prime(self) -> Fraction:
+        return max(m.value for m in self.per_link_prime)
+
+    @property
+    def delta_doubleprime(self) -> Fraction:
+        return max(m.value for m in self.per_link_doubleprime)
+
+    @property
+    def sigma(self) -> Fraction:
+        return max(self.delta_prime, self.delta_doubleprime)
+
+    @property
+    def delta(self) -> Fraction:
+        return max(_ONE, self.delta_prime)
 
 
 def interference_metrics(h: Hypergraph, limit: int | None = None) -> MetricsReport:
     _check_limit(h, limit, DEFAULT_SIZE_LIMIT)
     w, completions = delta_matrix(h), h.completions
     degrees = [_link_degrees(w, completions, i) for i in range(h.num_links)]
-    prime, doubleprime = zip(*degrees)
-    dp = max(m.value for m in prime)
-    dpp = max(m.value for m in doubleprime)
-    return MetricsReport(
-        per_link_prime=prime,
-        per_link_doubleprime=doubleprime,
-        delta_prime=dp,
-        delta_doubleprime=dpp,
-        sigma=max(dp, dpp),
-        delta=max(_ONE, dp),
-    )
+    return MetricsReport(*zip(*degrees))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -267,12 +269,15 @@ class StarProfile:
     ``size_counts`` maps edge size to multiplicity, as sorted (size, count)
     pairs.  With a single edge the pairwise condition is vacuous and any of
     its members would do as center; the lowest id is chosen and
-    ``vacuous_center`` is set.
+    ``vacuous_center`` is true.
     """
 
     center: int
     size_counts: tuple
-    vacuous_center: bool = False
+
+    @property
+    def vacuous_center(self) -> bool:
+        return sum(c for _, c in self.size_counts) == 1
 
 
 def is_beta_star(h: Hypergraph):
@@ -285,7 +290,7 @@ def is_beta_star(h: Hypergraph):
         counts[len(e)] = counts.get(len(e), 0) + 1
     size_counts = tuple(sorted(counts.items()))
     if len(h.edges) == 1:
-        return StarProfile(min(h.edges[0]), size_counts, vacuous_center=True)
+        return StarProfile(min(h.edges[0]), size_counts)
     # All pairs meet in exactly {center} iff every edge holds the center
     # and every other link lies in at most one edge.
     first = h.edge_sets[0] & h.edge_sets[1]

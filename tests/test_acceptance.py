@@ -64,7 +64,7 @@ def test_criterion_03_four_routes_to_the_same_ratio():
     profile = is_beta_star(STAR2X4)
     assert profile is not None
     assert beta_star_formula(profile) == F(7, 3)
-    lp = LinearProgram(2, (21, 2), (((9, 1), "<=", 1),))
+    lp = LinearProgram((21, 2), (((9, 1), "<=", 1),))
     sol = solve_lp(lp, "max")
     assert sol.status is LpStatus.OPTIMAL
     assert sol.value == F(7, 3)

@@ -304,7 +304,6 @@ class TestChiFDuals:
             tau = random_demand(rng, h.num_links)
             sets = enumerate_maximal_independent_sets(h)
             lp = LinearProgram(
-                len(sets),
                 (1,) * len(sets),
                 tuple(
                     (tuple(1 if i in s else 0 for s in sets), ">=", tau[i])

@@ -82,13 +82,13 @@ def random_mixed_lp(rng, size):
         if rng.random() < 0.2:
             k = rng.randint(1, 3)
             cons.append((tuple(k * a for a in row), "=", k * cons[-1][2]))
-    return LinearProgram(n, tuple(value() for _ in range(n)), tuple(cons))
+    return LinearProgram(tuple(value() for _ in range(n)), tuple(cons))
 
 
 class TestGoldens:
     def test_ratio_lp(self):
         # maximize 21a + 2b subject to 9a + b <= 1; vertices give 0, 7/3, 2.
-        lp = LinearProgram(2, (21, 2), (((9, 1), "<=", 1),))
+        lp = LinearProgram((21, 2), (((9, 1), "<=", 1),))
         sol = solve_lp(lp, "max")
         assert sol.value == Fraction(7, 3)
         assert sol.assignment == (Fraction(1, 9), Fraction(0))
@@ -97,21 +97,21 @@ class TestGoldens:
         check_duals(lp, "max", sol)
 
     def test_zero_bound(self):
-        sol = solve_lp(LinearProgram(1, (1,), (((1,), "<=", 0),)), "max")
+        sol = solve_lp(LinearProgram((1,), (((1,), "<=", 0),)), "max")
         assert sol.status is LpStatus.OPTIMAL
         assert sol.value == 0
 
     def test_infeasible(self):
         lp = LinearProgram(
-            2, (1, 1), (((1, 1), ">=", 2), ((1, 1), "<=", 1))
+            (1, 1), (((1, 1), ">=", 2), ((1, 1), "<=", 1))
         )
         assert solve_lp(lp, "max").status is LpStatus.INFEASIBLE
 
     def test_unbounded(self):
-        assert solve_lp(LinearProgram(1, (1,)), "max").status is LpStatus.UNBOUNDED
+        assert solve_lp(LinearProgram((1,)), "max").status is LpStatus.UNBOUNDED
 
     def test_min_sense(self):
-        lp = LinearProgram(2, (1, 1), (((1, 2), ">=", 3), ((2, 1), ">=", 3)))
+        lp = LinearProgram((1, 1), (((1, 2), ">=", 3), ((2, 1), ">=", 3)))
         sol = solve_lp(lp, "min")
         assert sol.value == 2
         assert sol.assignment == (1, 1)
@@ -120,7 +120,7 @@ class TestGoldens:
         check_duals(lp, "min", sol)
 
     def test_equality_constraint(self):
-        lp = LinearProgram(2, (1, 2), (((1, 1), "=", 1),))
+        lp = LinearProgram((1, 2), (((1, 1), "=", 1),))
         sol = solve_lp(lp, "max")
         assert sol.value == 2
         assert sol.assignment == (0, 1)
@@ -129,7 +129,7 @@ class TestGoldens:
 
     def test_negative_rhs_normalization(self):
         # -x <= -2 is x >= 2.
-        lp = LinearProgram(1, (-1,), (((-1,), "<=", -2),))
+        lp = LinearProgram((-1,), (((-1,), "<=", -2),))
         sol = solve_lp(lp, "max")
         assert sol.value == -2
         assert sol.duals == (1,)
@@ -138,7 +138,7 @@ class TestGoldens:
     def test_redundant_equality_row_gets_zero_dual(self):
         # The second row is twice the first; phase 1 drops it.
         lp = LinearProgram(
-            2, (1, 3), (((1, 1), "=", 1), ((2, 2), "=", 2), ((1, 0), "<=", 1))
+            (1, 3), (((1, 1), "=", 1), ((2, 2), "=", 2), ((1, 0), "<=", 1))
         )
         sol = solve_lp(lp, "max")
         assert sol.value == 3
@@ -146,39 +146,39 @@ class TestGoldens:
         check_duals(lp, "max", sol)
 
     def test_no_constraints(self):
-        sol = solve_lp(LinearProgram(2, (-1, 0)), "max")
+        sol = solve_lp(LinearProgram((-1, 0)), "max")
         assert (sol.value, sol.assignment, sol.duals) == (0, (0, 0), ())
 
     def test_no_constraints_negative_costs(self):
         # m = 0: the pricing row is empty and every column prices at -cost.
-        sol = solve_lp(LinearProgram(2, (-1, -1), ()), "max")
+        sol = solve_lp(LinearProgram((-1, -1), ()), "max")
         assert sol == LpSolution(LpStatus.OPTIMAL, 0, (0, 0), ())
 
     def test_no_variables(self):
         # With no columns, rows with rhs 0 hold at the empty x and the rest fail.
-        feasible = LinearProgram(0, (), (((), "<=", 1), ((), "=", 0)))
+        feasible = LinearProgram((), (((), "<=", 1), ((), "=", 0)))
         for sense in ("max", "min"):
             assert solve_lp(feasible, sense) == LpSolution(LpStatus.OPTIMAL, 0, (), (0, 0))
-            for infeasible in (LinearProgram(0, (), (((), ">=", 1),)), CoveringProgram([], [1])):
+            for infeasible in (LinearProgram((), (((), ">=", 1),)), CoveringProgram([], [1])):
                 assert solve_lp(infeasible, sense).status is LpStatus.INFEASIBLE
 
     def test_min_of_infeasible(self):
-        lp = LinearProgram(1, (1,), (((1,), "<=", -1),))
+        lp = LinearProgram((1,), (((1,), "<=", -1),))
         assert solve_lp(lp, "min").status is LpStatus.INFEASIBLE
 
 
 class TestValidation:
     def test_row_length_mismatch(self):
         with pytest.raises(ValueError):
-            LinearProgram(2, (1, 1), (((1,), "<=", 1),))
+            LinearProgram((1, 1), (((1,), "<=", 1),))
 
     def test_bad_relation(self):
         with pytest.raises(ValueError):
-            LinearProgram(1, (1,), (((1,), "<", 1),))
+            LinearProgram((1,), (((1,), "<", 1),))
 
     def test_bad_sense(self):
         with pytest.raises(ValueError):
-            solve_lp(LinearProgram(1, (1,)), "maximize")
+            solve_lp(LinearProgram((1,)), "maximize")
 
 
 class TestCoveringProgram:
@@ -199,7 +199,7 @@ class TestCoveringProgram:
             columns.append(list(range(m)))  # some column covers every row
             demand = [Fraction(rng.randint(0, 6), rng.choice((1, 2, 3))) for _ in range(m)]
             lp = CoveringProgram(columns, demand)
-            dense = LinearProgram(lp.num_vars, lp.objective, lp.constraints)
+            dense = LinearProgram(lp.objective, lp.constraints)
             for sense in ("min", "max"):
                 sol = solve_lp(lp, sense)
                 assert sol == solve_lp(dense, sense)
@@ -241,7 +241,7 @@ class TestCoveringProgram:
         lambda v: DemandVector((v,)),
         lambda v: Schedule(((frozenset({0}), v),)),
         lambda v: IntervalSet(((0, v),)),
-        lambda v: LinearProgram(1, (v,)),
+        lambda v: LinearProgram((v,)),
         lambda v: CoveringProgram([(0,)], [v]),
         lambda v: WeightMatrix.from_rows([[0, v], [v, 0]]),
     ],
@@ -251,11 +251,6 @@ def test_non_finite_float_refused(build, bad):
     """Infinity raised OverflowError where NaN raised ValueError."""
     with pytest.raises(ValueError, match="^cannot convert (Infinity|NaN) to integer ratio$"):
         build(bad)
-
-
-def test_objective_length_checked():
-    with pytest.raises(ValueError, match="^objective has 1 entries, expected 2$"):
-        LinearProgram(2, (1,))
 
 
 class TestRandomized:
@@ -280,7 +275,7 @@ class TestRandomized:
             for _ in range(m)
         )
         obj = tuple(Fraction(rng.randint(-4, 6)) for _ in range(n))
-        return LinearProgram(n, obj, cons)
+        return LinearProgram(obj, cons)
 
     def test_exactness_on_random(self):
         rng = random.Random(29)
@@ -304,7 +299,6 @@ class TestRandomized:
             rows = [c for c, _, _ in lp.constraints]
             b = [r for _, _, r in lp.constraints]
             dual = LinearProgram(
-                m,
                 tuple(b),
                 tuple(
                     (tuple(rows[i][j] for i in range(m)), ">=", lp.objective[j])
@@ -348,7 +342,7 @@ class TestSolverInvariants:
             return "unbounded", d
 
         monkeypatch.setattr(lp_module, "_run_simplex", unbounded)
-        lp = LinearProgram(1, (1,), (((1,), ">=", 1),))
+        lp = LinearProgram((1,), (((1,), ">=", 1),))
         with pytest.raises(SolverInvariantError, match="phase 1"):
             solve_lp(lp, "max")
 
@@ -356,14 +350,14 @@ class TestSolverInvariants:
         "lp, sense, entry, match",
         [
             (
-                LinearProgram(2, (1, 1), (((1, 2), ">=", 3), ((2, 1), ">=", 3))),
+                LinearProgram((1, 1), (((1, 2), ">=", 3), ((2, 1), ">=", 3))),
                 "min",
                 1,
                 "violates constraint",
             ),
             (
                 LinearProgram(
-                    2, (3, 2), (((1, 1), "<=", 4), ((1, 3), "<=", 6), ((1, 0), "<=", 3))
+                    (3, 2), (((1, 1), "<=", 4), ((1, 3), "<=", 6), ((1, 0), "<=", 3))
                 ),
                 "max",
                 0,
@@ -407,7 +401,7 @@ class TestSolverInvariants:
             return status, d
 
         monkeypatch.setattr(lp_module, "_run_simplex", corrupting)
-        lp = LinearProgram(2, (1, 1), (((1, 2), ">=", 3), ((2, 1), ">=", 3)))
+        lp = LinearProgram((1, 1), (((1, 2), ">=", 3), ((2, 1), ">=", 3)))
         with pytest.raises(SolverInvariantError, match=r"^basic variable \d+ is negative at the optimum$"):
             solve_lp(lp, "min")
         assert phases == [False, True]
@@ -511,7 +505,6 @@ class TestColumnForm:
         # is 2 on rows 0, 1 and 3.  The slacks of the <= rows follow, then
         # the surplus and the artificial of row 3.
         lp = LinearProgram(
-            2,
             (1, 1),
             (
                 ((1, 1), "<=", 3),
@@ -622,7 +615,6 @@ class TestReferenceSolver:
             lp = random_mixed_lp(rng, 6)
             k = [rng.randint(2, 12) for _ in range(lp.num_vars)]
             scaled = LinearProgram(
-                lp.num_vars,
                 lp.objective,
                 tuple(
                     (tuple(a * kj for a, kj in zip(coeffs, k)), rel, rhs)
@@ -668,7 +660,6 @@ class TestReferenceSolver:
             lp = random_mixed_lp(rng, 5)
             k = [rng.randint(1, 10**12) for _ in range(lp.num_vars)]
             wide = LinearProgram(
-                lp.num_vars,
                 lp.objective,
                 tuple(
                     (
@@ -732,7 +723,7 @@ class TestReferenceSolver:
         def checked(lp, sense):
             assert isinstance(lp, CoveringProgram)
             calls.append(lp)
-            dense = LinearProgram(lp.num_vars, lp.objective, lp.constraints)
+            dense = LinearProgram(lp.objective, lp.constraints)
             return solve_both(dense, sense, lambda: real(lp, sense))[0]
 
         monkeypatch.setattr(feasibility, "solve_lp", checked)
@@ -764,7 +755,6 @@ def wide_mixed_lp(rng, size):
     lp = random_mixed_lp(rng, size)
     k = [rng.randint(1, 10**12) for _ in range(lp.num_vars)]
     return LinearProgram(
-        lp.num_vars,
         lp.objective,
         tuple(
             (
@@ -800,7 +790,7 @@ def chunked_mixed_lp(rng):
         step = {"<=": 1, ">=": -1, "=": rng.choice((1, -1))}[rel]
         cons.insert(rng.randrange(len(cons) + 1), (row, "=", rhs + step * Fraction(rng.randint(1, 4), 2)))
     objective = tuple(Fraction(rng.randint(-3, 4), rng.choice((1, 2))) for _ in range(n))
-    return LinearProgram(n, objective, tuple(cons))
+    return LinearProgram(objective, tuple(cons))
 
 
 class TestFieldReader:

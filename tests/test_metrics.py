@@ -734,7 +734,7 @@ def all_pairs_star(h):
         counts[len(e)] = counts.get(len(e), 0) + 1
     size_counts = tuple(sorted(counts.items()))
     if len(h.edges) == 1:
-        return StarProfile(min(h.edges[0]), size_counts, vacuous_center=True)
+        return StarProfile(min(h.edges[0]), size_counts)
     sets = h.edge_sets
     meets = {sets[a] & sets[b] for a in range(len(sets)) for b in range(a + 1, len(sets))}
     if len(meets) != 1:

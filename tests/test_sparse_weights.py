@@ -234,32 +234,36 @@ def test_sparse_construction_checks_symmetry():
 
 
 @pytest.mark.parametrize(
-    "n, den, ints, message",
+    "den, ints, message",
     [
         # Accepted with a column -1 when only a row's first and last keys
         # were range-checked.
-        (3, 1, [{1: 1, -1: 1, 2: 1}, {0: 1}, {0: 1}], r"column -1 outside 0\.\.2"),
+        (1, [{1: 1, -1: 1, 2: 1}, {0: 1}, {0: 1}], r"column -1 outside 0\.\.2"),
         # A bare IndexError from the symmetry check, likewise.
-        (3, 1, [{1: 1, 5: 1, 2: 1}, {0: 1}, {0: 1}], r"column 5 outside 0\.\.2"),
-        (3, 1, [{2: 1, 7: 1, -4: 1}, {}, {0: 1}], r"column -4 outside 0\.\.2"),
+        (1, [{1: 1, 5: 1, 2: 1}, {0: 1}, {0: 1}], r"column 5 outside 0\.\.2"),
+        (1, [{2: 1, 7: 1, -4: 1}, {}, {0: 1}], r"column -4 outside 0\.\.2"),
         # den = 0 made w[0, 1] raise ZeroDivisionError; den = -1 read -1.
-        (2, 0, [{1: 1}, {0: 1}], r"weight denominator 0 is not positive"),
-        (2, -1, [{1: 1}, {0: 1}], r"weight denominator -1 is not positive"),
-        (3, 1, [{1: 1}, {0: 1}], r"weight matrix has 2 rows, expected 3"),
+        (0, [{1: 1}, {0: 1}], r"weight denominator 0 is not positive"),
+        (-1, [{1: 1}, {0: 1}], r"weight denominator -1 is not positive"),
         # Accepted, though the stored form is ints over den.
-        (2, 1, [{1: 0.5}, {0: 0.5}], r"weight row 0 holds a value that is not an integer"),
-        (2, 2, [{1: 1}, {0: F(1, 2)}], r"weight row 1 holds a value that is not an integer"),
+        (1, [{1: 0.5}, {0: 0.5}], r"weight row 0 holds a value that is not an integer"),
+        (2, [{1: 1}, {0: F(1, 2)}], r"weight row 1 holds a value that is not an integer"),
         # A bare TypeError from w[0, 1].
-        (2, 1.5, [{1: 1}, {0: 1}], r"weight denominator 1\.5 is not an integer"),
+        (1.5, [{1: 1}, {0: 1}], r"weight denominator 1\.5 is not an integer"),
+        # Bare TypeErrors from the row-sum check, the column range's min and
+        # the symmetry check's kept[j].
+        (1, [{1: "1"}, {0: "1"}], r"weight row 0 holds a value that is not an integer"),
+        (1, [{"1": 1}, {0: 1}], r"weight row 0 holds a column that is not an integer"),
+        (1, [{1.0: 1}, {0: 1}], r"weight row 0 holds a column that is not an integer"),
     ],
     ids=[
-        "unordered-negative", "unordered-past-end", "several-outside", "den-0", "den-negative", "rows",
-        "float-values", "fraction-value", "float-den",
+        "unordered-negative", "unordered-past-end", "several-outside", "den-0", "den-negative",
+        "float-values", "fraction-value", "float-den", "str-value", "str-column", "float-column",
     ],
 )
-def test_stored_form_refused(n, den, ints, message):
+def test_stored_form_refused(den, ints, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        WeightMatrix(n, den, ints)
+        WeightMatrix(den, ints)
 
 
 @pytest.mark.parametrize("rows", [[[0, 1], [1, 0, 0]], [[0, 1, 1], [1, 0, 1]], [[0], {}]])
@@ -269,7 +273,7 @@ def test_from_rows_refuses_non_square_dense_rows(rows):
 
 
 def test_stored_form_keeps_rows_in_any_order():
-    w = WeightMatrix(3, 6, [{2: 3, 1: 2}, {0: 2, 2: 0}, {0: 3}])
+    w = WeightMatrix(6, [{2: 3, 1: 2}, {0: 2, 2: 0}, {0: 3}])
     assert w.ints == ({2: 3, 1: 2}, {0: 2}, {0: 3})
     assert w == WeightMatrix.from_rows([[0, F(1, 3), F(1, 2)], [F(1, 3), 0, 0], [F(1, 2), 0, 0]])
 
@@ -387,7 +391,7 @@ def test_faults_in_shuffled_rows_reported_as_dense_scan(fault):
             maps.append(dict(items))
         den = math.lcm(*(v.denominator for row in maps for v in row.values()))
         stored = [{j: int(v * den) for j, v in row.items()} for row in maps]
-        for build in (lambda: WeightMatrix.from_rows(maps), lambda: WeightMatrix(len(rows), den, stored)):
+        for build in (lambda: WeightMatrix.from_rows(maps), lambda: WeightMatrix(den, stored)):
             with pytest.raises(type(expected)) as got:
                 validate_weight_matrix(h, build())
             assert vars(got.value) == vars(expected)
